@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum import BasisSpec, CqState, DensityMatrix, PureState
+from .quantum import BasisSpec, CqState, DensityMatrix, PureState, _trace_norm
 
 __all__ = [
     "HashFamily",
@@ -372,7 +372,7 @@ def pa_exact_check(
         for kidx in range(2 ** l):
             key = tuple((kidx >> i) & 1 for i in range(l))
             block = buckets.get(key, np.zeros_like(rho_E)) - key_w * rho_E
-            distance += seed_w * 0.5 * float(np.abs(np.linalg.eigvalsh(block)).sum())
+            distance += seed_w * 0.5 * _trace_norm(block)
     bound = 0.5 * 2.0 ** (-0.5 * (hmin - l))
     return {"distance": distance, "bound": bound, "holds": distance <= bound + 1e-9, "hmin": hmin}
 

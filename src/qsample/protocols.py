@@ -27,6 +27,7 @@ from .quantum import (
     HADAMARD,
     BasisSpec,
     PureState,
+    _trace_norm,
     apply_cnot_pairs,
     apply_unitary,
     make_epr_pairs,
@@ -634,7 +635,7 @@ def _qkd_exact_distance(state: PureState, n: int, k: int, code: LinearCode) -> f
         for kidx in range(2 ** l):
             key = _seed_tuple(kidx, l)
             block = bucket.get(key, zero) - uniform
-            distance += 0.5 * float(np.abs(np.linalg.eigvalsh(block)).sum())
+            distance += 0.5 * _trace_norm(block)
     return distance
 
 

@@ -19,8 +19,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -29,10 +31,10 @@ from .sampling import (
     BudgetExceededError,
     SamplingStrategy,
     SymbolString,
-    _check_delta,
-    _rel_weight_frac,
-    complement,
-    deviation,
+    _digits,
+    _exact_delta,
+    _reject_blocks,
+    _table,
     eps_class_exact,
     resolve_budget,
     strategy_to_json,
@@ -88,44 +90,17 @@ def _freeze_seed(s):
     return s
 
 
-def _all_strings(strategy: SamplingStrategy):
-    return itertools.product(range(strategy.d), repeat=strategy.length)
-
-
-def _accept_vector(strategy: SamplingStrategy, t, s, delta: float) -> np.ndarray:
-    """Boolean accept mask over all d^L basis strings, in row-major order."""
-    key = ("ts", strategy.flatten_subset(t), _freeze_seed(s), float(delta))
-    mask = strategy._mask_cache.get(key)
-    if mask is None:
-        bound = Fraction(delta)
-        mask = np.fromiter(
-            (deviation(strategy, q, t, s) < bound for q in _all_strings(strategy)),
-            dtype=bool,
-            count=strategy.d ** strategy.length,
-        )
-        strategy._mask_cache[key] = mask
-    return mask
-
-
-def _accept_matrix(strategy: SamplingStrategy, delta: float) -> np.ndarray:
-    """Accept masks for every (t, s) in the support, shape (d^L, |support|)."""
-    key = ("matrix", float(delta))
-    mat = strategy._mask_cache.get(key)
-    if mat is None:
-        support = strategy.ts_support()
-        bound = Fraction(delta)
-        mat = np.empty((strategy.d ** strategy.length, len(support)), dtype=bool)
-        for i, q in enumerate(_all_strings(strategy)):
-            mat[i, :] = [deviation(strategy, q, t, s) >= bound for (t, s, _) in support]
-        np.logical_not(mat, out=mat)
-        strategy._mask_cache[key] = mat
-    return mat
+def _accept_masks(strategy: SamplingStrategy, columns, delta: float) -> np.ndarray:
+    """Accept masks of the (t, s, ...) columns over all d^L basis strings."""
+    d, L = strategy.d, strategy.length
+    blocks = _reject_blocks(strategy, columns, partial(_digits, d=d, length=L), d ** L, _exact_delta(delta))
+    return ~np.concatenate([reject for _, reject in blocks])
 
 
 def accept_set(strategy: SamplingStrategy, t, s, delta: float, n: int | None = None):
     """The strings whose estimate is delta-close to their remaining weight:
     exactly those spanning the accept subspace, as a set of SymbolString."""
-    _check_delta(delta)
+    _exact_delta(delta)
     if n is not None and int(n) != strategy.length:
         raise ValueError(f"n={n} does not match the strategy's string length {strategy.length}")
     limit = resolve_budget(None)
@@ -133,12 +108,9 @@ def accept_set(strategy: SamplingStrategy, t, s, delta: float, n: int | None = N
         raise BudgetExceededError(
             f"{strategy.d ** strategy.length} strings exceed the budget {limit}"
         )
-    mask = _accept_vector(strategy, t, s, delta)
-    return {
-        SymbolString(q, strategy.d)
-        for q, ok in zip(_all_strings(strategy), mask)
-        if ok
-    }
+    mask = _accept_masks(strategy, [(t, s)], delta)[:, 0]
+    strings = _digits(0, strategy.d ** strategy.length, strategy.d, strategy.length)
+    return {SymbolString(q, strategy.d) for q in strings[mask].tolist()}
 
 
 def _population_weights(state: PureState, strategy: SamplingStrategy) -> np.ndarray:
@@ -161,9 +133,9 @@ def project_onto_accept(
     state: PureState, strategy: SamplingStrategy, t, s, delta: float
 ) -> SubspaceWeight:
     """Project the state onto span(accepted strings) tensor the environment."""
-    _check_delta(delta)
+    _exact_delta(delta)
     weights = _population_weights(state, strategy)
-    mask = _accept_vector(strategy, t, s, delta)
+    mask = _accept_masks(strategy, [(t, s)], delta)[:, 0]
     inside = float(weights[mask].sum())
     projected = None
     if inside >= 1e-12:
@@ -184,7 +156,7 @@ def ideal_distance(
     """Exact minimum distance between the (t, s)-indexed real state and any
     ideal state confined to the accept subspaces:
     sum_{t,s} P(t,s) sqrt(1 - inside_weight(t,s))."""
-    _check_delta(delta)
+    _exact_delta(delta)
     weights = _population_weights(state, strategy)
     limit = resolve_budget(budget)
     cost = strategy.d ** strategy.length * (strategy.support_size() + 1)
@@ -192,14 +164,11 @@ def ideal_distance(
         raise BudgetExceededError(
             f"accept-matrix construction needs {cost} evaluations, budget is {limit}"
         )
-    mat = _accept_matrix(strategy, delta)
+    support = strategy.ts_support()
+    mat = _accept_masks(strategy, support, delta)
     inside = weights @ mat
     outside = np.clip(1.0 - inside, 0.0, None)
-    probs = np.fromiter(
-        (float(p) for (_, _, p) in strategy.ts_support()),
-        dtype=float,
-        count=mat.shape[1],
-    )
+    probs = np.fromiter((float(p) for (_, _, p) in support), dtype=float, count=len(support))
     return float(probs @ np.sqrt(outside))
 
 
@@ -338,74 +307,60 @@ def pair_symmetry_group(n: int) -> PermutationGroup:
 # ---------------------------------------------------------------------------
 
 
-def _ts_statistics(strategy: SamplingStrategy, q, t, s) -> tuple[Fraction, Fraction]:
-    sym = tuple(q)
-    f = strategy.estimate_frac(sym, t, s)
-    tbar = complement(strategy.flatten_subset(t), strategy.length)
-    true = _rel_weight_frac(tuple(sym[i - 1] for i in tbar))
-    return (true, f)
-
-
 def is_g_symmetric(
     strategy: SamplingStrategy, G: PermutationGroup, budget: int | None = None
 ) -> bool:
     """Whether some fixed (t0, s0) makes the orbit statistics match.
 
-    True iff there is a positive-probability (t0, s0) such that for every
-    string q, the distribution of (remaining weight, estimate) under the
-    strategy's (T, S) draw equals the distribution of the same pair at
-    (t0, s0) for a uniformly random group element applied to q.  Comparison
-    is exact rational arithmetic.
+    True iff there is a (t0, s0) in the support such that for every string q,
+    the distribution of (remaining weight, estimate) under the strategy's
+    (T, S) draw equals the distribution of the same pair at (t0, s0) for a
+    uniformly random group element applied to q.  Comparison is exact.
     """
     if G.n != strategy.length:
         raise ValueError(
             f"group acts on {G.n} positions, strategy strings have length {strategy.length}"
         )
+    d, L = strategy.d, strategy.length
     support = strategy.ts_support()
-    strings = list(_all_strings(strategy))
     limit = resolve_budget(budget)
-    cost = len(strings) * (len(support) + G.order)
+    cost = d ** L * (len(support) + G.order)
     if cost > limit:
         raise BudgetExceededError(
             f"symmetry check needs about {cost} evaluations, budget is {limit}"
         )
+    strings = _digits(0, d ** L, d, L)
+    A, D, blocks = _table(strategy, support, lambda lo, hi: strings[lo:hi], d ** L)
+    stats = [  # the exact (true value, estimate) of each string under each (t, s)
+        [(Fraction(t, a), Fraction(e, b)) for t, e, a, b in zip(t_row, e_row, A.tolist(), D.tolist())]
+        for _, T, E in blocks
+        for t_row, e_row in zip(T.tolist(), E.tolist())
+    ]
 
-    # orbit multiset of every string, computed once
-    orbit_counts = {}
-    for q in strings:
-        counts = {}
-        for perm in G.elements:
-            image = apply_permutation(perm, q)
-            counts[image] = counts.get(image, 0) + 1
-        orbit_counts[q] = counts
+    def law(i):  # the (T, S) law of the statistics of string i
+        out = {}
+        for key, (_, _, prob) in zip(stats[i], support):
+            out[key] = out.get(key, 0) + prob
+        return out
 
-    # (T, S)-induced statistics of every string, computed once
-    ts_dists = {}
-    for q in strings:
-        dist = {}
-        for t, s, prob in support:
-            key = _ts_statistics(strategy, q, t, s)
-            dist[key] = dist.get(key, Fraction(0)) + prob
-        ts_dists[q] = dist
+    # A uniformly random element of G maps q uniformly onto its orbit, so the
+    # orbit statistics at (t0, s0) are those of a uniform member of q's orbit.
+    # Label each string by the least index in its orbit.
+    label = np.arange(d ** L)
+    for perm in G.elements:
+        image = np.empty_like(strings)
+        image[:, np.asarray(perm) - 1] = strings
+        label = np.minimum(label, image @ d ** np.arange(L - 1, -1, -1))
+    by_label = np.argsort(label, kind="stable")
+    members = np.split(by_label, np.flatnonzero(np.diff(label[by_label])) + 1)
+    orbits = [(orbit, law(orbit[0])) for orbit in map(np.ndarray.tolist, members)]  # with the law they share
+    if any(law(i) != target for orbit, target in orbits for i in orbit[1:]):
+        return False
 
-    order = G.order
-    for t0, s0, _ in support:
-        stat_cache = {}
-        ok = True
-        for q in strings:
-            orbit_dist = {}
-            for image, count in orbit_counts[q].items():
-                key = stat_cache.get(image)
-                if key is None:
-                    key = _ts_statistics(strategy, image, t0, s0)
-                    stat_cache[image] = key
-                orbit_dist[key] = orbit_dist.get(key, Fraction(0)) + Fraction(count, order)
-            if orbit_dist != ts_dists[q]:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    def orbit_law(orbit, j):  # the law of the statistics at the j-th (t, s) of a uniform member
+        return {key: Fraction(c, len(orbit)) for key, c in Counter(stats[i][j] for i in orbit).items()}
+
+    return any(all(orbit_law(orbit, j) == target for orbit, target in orbits) for j in range(len(support)))
 
 
 def symmetric_worst_state(
@@ -420,7 +375,7 @@ def symmetric_worst_state(
     then normalized, which leaves the uniform superposition over the distinct
     orbit strings.  The environment is trivial (dimension 1).
     """
-    _check_delta(delta)
+    _exact_delta(delta)
     if not is_g_symmetric(strategy, G, budget=budget):
         raise ValueError("strategy is not symmetric under the given group")
     witness = eps_class_exact(strategy, delta, budget=budget).worst_case_string

@@ -231,6 +231,11 @@ def _as_matrix(state) -> tuple[np.ndarray, tuple[int, ...] | None]:
     return mat, None
 
 
+def _trace_norm(mat: np.ndarray) -> float:
+    """Trace norm of a Hermitian matrix: the sum of its absolute eigenvalues."""
+    return float(np.abs(np.linalg.eigvalsh(mat)).sum())
+
+
 def trace_distance(rho, sigma) -> float:
     """Half the trace norm of rho - sigma; the difference is Hermitian, so the
     absolute eigenvalue sum computes it."""
@@ -240,7 +245,7 @@ def trace_distance(rho, sigma) -> float:
         raise ValueError(f"dimension mismatch: {da} vs {db}")
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(a - b)).sum())
+    return 0.5 * _trace_norm(a - b)
 
 
 def hybrid_trace_distance(a: CqState, b: CqState) -> float:
@@ -268,8 +273,8 @@ def cq_distance(a: CqState, b: CqState) -> float:
     for x in set(ra) | set(rb):
         pa, ma = ra.get(x, (0.0, zero))
         pb, mb = rb.get(x, (0.0, zero))
-        total += np.abs(np.linalg.eigvalsh(pa * ma - pb * mb)).sum()
-    return 0.5 * float(total)
+        total += _trace_norm(pa * ma - pb * mb)
+    return 0.5 * total
 
 
 # ---------------------------------------------------------------------------

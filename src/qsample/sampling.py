@@ -15,9 +15,11 @@ probability of falling outside the accept set,
     eps_class(delta) = max_q Pr[ q not in B(T, S, delta) ].
 
 Six built-in strategy kinds are provided ("example1" .. "example6") plus a
-constructor for custom strategies.  Exact error probabilities use rational
-arithmetic throughout, so boundary ties are resolved bit-for-bit; Monte-Carlo
-estimation is available for strategies or sizes outside the exact budget.
+constructor for custom strategies.  Each built-in (t, s) is one integer row w
+over D, f = w . z / D with z = (q != 0), and the true value is z . 1_tbar /
+|tbar|, so exact error probabilities are int64 matrix products compared with
+delta in integers; ties follow delta as written (a float 0.1 is 1/10).
+Monte-Carlo estimation covers sizes outside the exact budget.
 
 Positions are 1-based.  Pair-indexed strategies ("example5", "example6") view
 a string of length 2n as n pairs; the pair element (i, j) with i in [1..n] and
@@ -32,7 +34,8 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from functools import partial
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -188,10 +191,11 @@ def position_pair(pos: int, n: int) -> tuple[int, int]:
     return (pos, 0) if pos <= n else (pos - n, 1)
 
 
-def _symbols(q) -> tuple[int, ...]:
-    if isinstance(q, SymbolString):
-        return q.symbols
-    return tuple(int(x) for x in q)
+def _symbols(q, length: int | None = None) -> tuple[int, ...]:
+    sym = q.symbols if isinstance(q, SymbolString) else tuple(map(int, q))
+    if length is not None and len(sym) != length:
+        raise ValueError(f"string length {len(sym)} != strategy length {length}")
+    return sym
 
 
 def _positions(J, n: int | None = None) -> tuple[int, ...]:
@@ -222,12 +226,6 @@ def rel_weight(q) -> float:
     if not sym:
         return 0.0
     return sum(1 for x in sym if x != 0) / len(sym)
-
-
-def _rel_weight_frac(sym: Sequence[int]) -> Fraction:
-    if not sym:
-        return Fraction(0)
-    return Fraction(sum(1 for x in sym if x != 0), len(sym))
 
 
 def restrict(q, J, n: int | None = None) -> tuple[int, ...]:
@@ -283,8 +281,6 @@ class SamplingStrategy:
     pattern_invariant: bool = True
     estimator: Callable | None = field(default=None, repr=False)
     _support: list | None = field(default=None, repr=False)
-    _dev_cache: dict = field(default_factory=dict, repr=False)
-    _mask_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def length(self) -> int:
@@ -414,50 +410,51 @@ class SamplingStrategy:
 
     def estimate_frac(self, q, t, s) -> Fraction:
         """The estimate f(t, q|t, s) as an exact Fraction."""
-        sym = _symbols(q)
-        if len(sym) != self.length:
-            raise ValueError(f"string length {len(sym)} != strategy length {self.length}")
-        n = self.n
-        if self.kind in ("example1", "example3"):
-            return _rel_weight_frac(restrict(sym, t))
-        if self.kind == "example2":
-            if not s:
-                raise ValueError("example2 needs the ordered draw sequence as seed")
-            return _rel_weight_frac(tuple(sym[j - 1] for j in s))
-        if self.kind == "example4":
-            return _rel_weight_frac(restrict(sym, s))
-        if self.kind == "example5":
-            tset = set(_positions(t, n))
-            chosen = {}
-            for i in range(1, n + 1):
-                chosen[i] = i if i in tset else i + n
-                if (i in tset) == (i + n in tset):
-                    raise ValueError("example5 subset must pick exactly one element per pair")
-            pairs = sorted(int(i) for i in s)
-            return _rel_weight_frac(tuple(sym[chosen[i] - 1] for i in pairs))
-        if self.kind == "example6":
-            s0, s1 = self._split_seed(s)
-            tpos = set(_positions(t, n))
-            size_tilde = sum(1 for x in tpos if x <= n)
-            w0 = _rel_weight_frac(tuple(sym[i - 1] for i in s0))
-            w1 = _rel_weight_frac(tuple(sym[i - 1] for i in s1))
-            # |tbar_0| = n - |t~|, |tbar_1| = |t~|
-            return ((n - size_tilde) * w0 + size_tilde * w1) / n
+        sym = _symbols(q, self.length)
         if self.kind == "custom":
-            value = self.estimator(tuple(_positions(t, n)), restrict(sym, t), s)
+            value = self.estimator(tuple(_positions(t, self.n)), restrict(sym, t), s)
             return value if isinstance(value, Fraction) else Fraction(value)
-        raise NotImplementedError(f"estimator not implemented for kind {self.kind}")
+        terms, den = self._estimator_row(t, s)
+        return Fraction(sum(w for i, w in terms if sym[i]), den)
 
-    def _split_seed(self, s) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        n = self.n
-        if isinstance(s, tuple) and len(s) == 2 and all(isinstance(x, (tuple, list)) for x in s):
-            s0 = _positions(s[0], n)
-            s1 = _positions(s[1], n)
+    def _estimator_row(self, t, s) -> tuple[list[tuple[int, int]], int]:
+        """The built-in estimator as one integer row w over a denominator D:
+        f(t, q|t, s) = w . z / D, given as w's (0-based position, weight)
+        terms.  This is the only definition of the built-in estimators."""
+        n, L = self.n, self.length
+        if self.kind == "example6":
+            if isinstance(s, tuple) and len(s) == 2 and all(isinstance(x, (tuple, list)) for x in s):
+                s0, s1 = _positions(s[0], n), _positions(s[1], n)
+            else:  # a flat seed: positions <= n are slot 0, the rest slot 1
+                flat = _positions(s, n)
+                s0, s1 = [x for x in flat if x <= n], [x for x in flat if x > n]
+            size_tilde = sum(1 for x in _positions(t, n) if x <= n)
+            c0, c1 = max(len(s0), 1), max(len(s1), 1)
+            # ((n - |t~|) w0 + |t~| w1) / n with w_j the weight of q on s_j,
+            # since |tbar_0| = n - |t~| and |tbar_1| = |t~|
+            terms = [(p - 1, (n - size_tilde) * c1) for p in s0] + [(p - 1, size_tilde * c0) for p in s1]
+            den = n * c0 * c1
         else:
-            flat = _positions(s, n)
-            s0 = tuple(x for x in flat if x <= n)
-            s1 = tuple(x for x in flat if x > n)
-        return s0, s1
+            if self.kind in ("example1", "example3"):
+                picked = _positions(t)
+            elif self.kind == "example2":
+                if not s:
+                    raise ValueError("example2 needs the ordered draw sequence as seed")
+                picked = [int(j) for j in s]  # a position drawn twice counts twice
+            elif self.kind == "example4":
+                picked = _positions(s)
+            elif self.kind == "example5":
+                tset = set(_positions(t, n))
+                if any((i in tset) == (i + n in tset) for i in range(1, n + 1)):
+                    raise ValueError("example5 subset must pick exactly one element per pair")
+                chosen = {i: i if i in tset else i + n for i in range(1, n + 1)}
+                picked = [chosen[int(i)] for i in s]
+            else:
+                raise NotImplementedError(f"estimator not implemented for kind {self.kind}")
+            terms, den = [(p - 1, 1) for p in picked], max(len(picked), 1)
+        if any(not 0 <= i < L for i, _ in terms):
+            raise ValueError(f"sample {[i + 1 for i, _ in terms]} outside string of length {L}")
+        return terms, den
 
     def flatten_subset(self, t) -> tuple[int, ...]:
         """Normalize a subset given as positions or (i, j) pair labels."""
@@ -589,42 +586,75 @@ def deviation(strategy: SamplingStrategy, q, t, s=None) -> Fraction:
     sym = _symbols(q)
     f = strategy.estimate_frac(sym, t, s)
     tbar = complement(strategy.flatten_subset(t), strategy.length)
-    true = _rel_weight_frac(tuple(sym[i - 1] for i in tbar))
-    return abs(true - f)
+    return abs(Fraction(sum(1 for i in tbar if sym[i - 1]), max(len(tbar), 1)) - f)
 
 
 def in_accept_set(strategy: SamplingStrategy, q, t, s, delta: float) -> bool:
     """Strict accept test: deviation < delta; a tie at exactly delta rejects."""
-    _check_delta(delta)
-    return deviation(strategy, q, t, s) < Fraction(delta)
+    return deviation(strategy, q, t, s) < _exact_delta(delta)
 
 
-def _check_delta(delta: float) -> None:
+def _exact_delta(delta) -> Fraction:
+    """Check 0 < delta < 1; return delta as written (a float 0.1 is 1/10)."""
     if not 0.0 < float(delta) < 1.0:
         raise ValueError(f"delta must satisfy 0 < delta < 1, got {delta}")
+    return delta if isinstance(delta, Fraction) else Fraction(repr(float(delta)))
 
 
-def _deviation_table(strategy: SamplingStrategy, sym: tuple[int, ...]):
-    """Cached list of (deviation, probability) over the (t, s) support."""
-    cached = strategy._dev_cache.get(sym)
-    if cached is None:
-        cached = [
-            (deviation(strategy, sym, t, s), prob)
-            for (t, s, prob) in strategy.ts_support()
-        ]
-        strategy._dev_cache[sym] = cached
-    return cached
+# The (string, (t, s)) table is built in blocks of at most this many cells, so
+# its int64 arrays stay a few MB whatever the sizes.
+_BLOCK_CELLS = 1 << 18
+
+
+def _table(strategy: SamplingStrategy, columns, strings, count: int):
+    """A, D and the blocks (lo, T, E) of the exact true values T / A and
+    estimates E / D of strings 0..count-1 of ``strings(lo, hi)`` (rows) under
+    the (t, s, ...) columns, e.g. ts_support(): int64 products of z with the
+    rows 1_tbar and w.  A custom estimator's only form is its callable, so
+    its E holds Fractions over D = 1."""
+    m, L = len(columns), strategy.length
+    R = np.zeros((2 * m, L), dtype=np.int64)
+    D = np.ones(m, dtype=np.int64)
+    for j, (t, s, *_) in enumerate(columns):
+        R[j, [i - 1 for i in complement(strategy.flatten_subset(t), L)]] = 1
+        if strategy.kind != "custom":
+            terms, D[j] = strategy._estimator_row(t, s)
+            for i, w in terms:
+                R[m + j, i] += w
+
+    def blocks():
+        step = max(1, _BLOCK_CELLS // max(m, 1))
+        for lo in range(0, count, step):
+            block = strings(lo, min(lo + step, count))
+            T, E = np.split((block != 0).astype(np.int64) @ R.T, 2, axis=1)
+            if strategy.kind == "custom":
+                E = [[strategy.estimate_frac(q, t, s) for t, s, *_ in columns] for q in block.tolist()]
+                E = np.array(E, dtype=object)
+            yield lo, T, E.reshape(T.shape)
+
+    return np.maximum(R[:m].sum(axis=1), 1), D, blocks()
+
+
+def _reject_blocks(strategy: SamplingStrategy, columns, strings, count: int, bound: Fraction):
+    """Yield (lo, reject): reject[i, j] says that string lo + i deviates by
+    at least ``bound`` under column j, decided exactly."""
+    A, D, blocks = _table(strategy, columns, strings, count)
+    # |T D - E A| / (A D) >= p / q  <=>  |T D - E A| >= ceil(p A D / q) for ints,
+    # with the threshold in Python ints: |T D - E A| q can wrap around in int64
+    threshold = np.array([-(-bound.numerator * int(x) // bound.denominator) for x in A * D])
+    if strategy.kind == "custom":  # D = 1 and E holds Fractions: compare with bound * A exactly
+        threshold = np.array([bound * int(a) for a in A], dtype=object)
+    for lo, T, E in blocks:
+        yield lo, (np.abs(T * D - E * A) >= threshold).astype(bool)
 
 
 def failure_probability(strategy: SamplingStrategy, q, delta: float) -> Fraction:
     """Exact Pr[q not in B(T, S, delta)] for one fixed string q."""
-    _check_delta(delta)
-    bound = Fraction(delta)
-    sym = _symbols(q)
-    return sum(
-        (prob for dev, prob in _deviation_table(strategy, sym) if dev >= bound),
-        Fraction(0),
-    )
+    bound = _exact_delta(delta)
+    string = np.array([_symbols(q, strategy.length)], dtype=np.int64)
+    support = strategy.ts_support()
+    ((_, reject),) = _reject_blocks(strategy, support, lambda lo, hi: string, 1, bound)
+    return sum((p for (_, _, p), r in zip(support, reject[0]) if r), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -668,15 +698,21 @@ def mc_halfwidth(trials: int) -> float:
     return math.sqrt(math.log(2 / 0.01) / (2 * trials))
 
 
-def _exact_candidates(strategy: SamplingStrategy):
-    """Candidate strings whose maximum equals the maximum over all strings."""
+def _digits(lo: int, hi: int, d: int, length: int) -> np.ndarray:
+    """Strings lo..hi-1 of itertools.product(range(d), repeat=length), as rows."""
+    index = np.arange(lo, hi, dtype=np.int64)[:, None]
+    return index // d ** np.arange(length - 1, -1, -1, dtype=np.int64) % d
+
+
+def _candidates(strategy: SamplingStrategy, lo: int, hi: int) -> np.ndarray:
+    """Candidate strings lo..hi-1, whose maximum equals the maximum over all strings."""
     L = strategy.length
     if strategy.permutation_invariant:
-        # weight classes: n+1 representatives instead of d^n strings
-        return [tuple([0] * (L - w) + [1] * w) for w in range(L + 1)]
+        # weight classes: L+1 representatives 0..01..1 instead of d^L strings
+        return (np.arange(L) >= L - np.arange(lo, hi)[:, None]).astype(np.int64)
     if strategy.pattern_invariant:
-        return [tuple(int(b) for b in format(r, f"0{L}b")) for r in range(2 ** L)]
-    return [tuple(reversed(q)) for q in itertools.product(range(strategy.d), repeat=L)]
+        return _digits(lo, hi, 2, L)
+    return _digits(lo, hi, strategy.d, L)[:, ::-1]
 
 
 def _candidate_count(strategy: SamplingStrategy) -> int:
@@ -696,35 +732,37 @@ def eps_class_exact(
     Enumerates Hamming-weight classes when the strategy declares permutation
     invariance, zero patterns when the estimator is pattern-invariant, and all
     d^n strings otherwise.  Refuses strategies without an enumerable (t, s)
-    support and enumerations beyond the evaluation budget.
+    support and enumerations beyond the evaluation budget.  The witness is
+    the first maximizing candidate in that order.
     """
-    _check_delta(delta)
+    bound = _exact_delta(delta)
     if strategy.kind == "example2":
         raise NotImplementedError(
             "example2 (sampling with replacement) has no enumerable (t, s) support; "
             "no exact error probability is computed for it — use eps_class_mc per string"
         )
     limit = resolve_budget(budget)
-    cost = _candidate_count(strategy) * strategy.support_size()
+    count = _candidate_count(strategy)
+    cost = count * strategy.support_size()
     if cost > limit:
         raise BudgetExceededError(
             f"exact enumeration needs {cost} evaluations, budget is {limit}; "
             "use eps_class_mc or raise QSAMPLE_BUDGET"
         )
-    bound = Fraction(delta)
-    best: Fraction = Fraction(-1)
-    best_q: tuple[int, ...] | None = None
-    for q in _exact_candidates(strategy):
-        prob = sum(
-            (p for dev, p in _deviation_table(strategy, q) if dev >= bound),
-            Fraction(0),
-        )
-        if prob > best:
-            best, best_q = prob, q
+    support = strategy.ts_support()
+    scale = math.lcm(*(p.denominator for _, _, p in support))
+    weights = np.array([p.numerator * (scale // p.denominator) for _, _, p in support], dtype=object)
+    best, best_index = -1, 0
+    for lo, reject in _reject_blocks(strategy, support, partial(_candidates, strategy), count, bound):
+        failed = reject @ weights  # scale * Pr[fail], exact Python ints
+        i = int(np.argmax(failed))
+        if failed[i] > best:
+            best, best_index = failed[i], lo + i
+    witness = _candidates(strategy, best_index, best_index + 1)[0]
     return ErrorEstimate(
-        value=float(best),
+        value=float(Fraction(best, scale)),
         mode="exact",
-        worst_case_string=SymbolString(best_q, strategy.d),
+        worst_case_string=SymbolString(tuple(witness.tolist()), strategy.d),
     )
 
 
@@ -736,11 +774,10 @@ def eps_class_mc(
     Each trial draws its own generator from (rng_seed, trial index), so the
     result does not depend on execution order.
     """
-    _check_delta(delta)
+    bound = _exact_delta(delta)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     sym = _symbols(q)
-    bound = Fraction(delta)
     failures = 0
     for i in range(trials):
         rng = np.random.default_rng((int(rng_seed), i))

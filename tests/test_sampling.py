@@ -8,6 +8,7 @@ maximizes over all strings in plain float arithmetic.
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -226,6 +227,15 @@ def test_in_accept_set_is_strict_at_delta():
     assert in_accept_set(strat, q, (), None, 0.5 + 1e-9)
 
 
+def test_tie_follows_the_decimal_delta():
+    # t = (2,) sees a 0 while the rest holds one 1 in ten: deviation exactly 1/10
+    strat = make_strategy("example1", n=11, k=1)
+    q = (1,) + (0,) * 10
+    assert deviation(strat, q, (2,)) == Fraction(1, 10)
+    assert not in_accept_set(strat, q, (2,), None, 0.1)
+    assert failure_probability(strat, q, 0.1) == 1
+
+
 def test_estimate_rejects_wrong_length():
     strat = make_strategy("example1", n=3, k=1)
     with pytest.raises(ValueError):
@@ -307,6 +317,15 @@ def test_custom_strategy_round_trip():
     assert est.value == 1.0
     with pytest.raises(ValueError, match="sum to 1"):
         custom_strategy(3, [((1,), None, 0.5)], lambda t, qt, s: 0.0)
+
+
+def test_custom_strategy_deviation_is_not_scaled_by_tbar():
+    # t = (1,) leaves tbar = {2, 3}: q = 010 deviates from the estimate 0 by 1/2
+    strat = custom_strategy(3, [((1,), None, 1)], lambda t, qt, s: 0.0)
+    assert deviation(strat, (0, 1, 0), (1,)) == Fraction(1, 2)
+    assert failure_probability(strat, (0, 1, 0), 0.6) == 0
+    assert failure_probability(strat, (0, 1, 0), 0.5) == 1
+    assert eps_class_exact(strat, 0.6).worst_case_string.symbols == (0, 1, 1)
 
 
 # ---------------------------------------------------------------------------
