@@ -10,19 +10,20 @@ the real state and any ideal state supported on those subspaces is
 
 which never exceeds the square root of the classical error probability.  For
 strategies symmetric under a permutation group G of the index universe, the
-uniform superposition over the orbit of a worst-case string attains the
-square root exactly.
+uniform superposition over the orbit of a worst-case string (the normalised
+indicator of that orbit) attains the square root exactly.  A group is held as
+its generators; the symmetry test and the worst state read only its orbits on
+strings, found by one search over the generators.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -213,13 +214,6 @@ def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(a[b[i] - 1] for i in range(len(b)))
 
 
-def _invert(p: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for i, image in enumerate(p):
-        inv[image - 1] = i + 1
-    return tuple(inv)
-
-
 def apply_permutation(perm: tuple[int, ...], q) -> tuple[int, ...]:
     """Move the symbol at position i to position perm[i-1]."""
     out = [0] * len(perm)
@@ -230,76 +224,82 @@ def apply_permutation(perm: tuple[int, ...], q) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class PermutationGroup:
-    """An explicit group of permutations of positions 1..n.
+    """The group of permutations of positions 1..n generated by ``generators``.
 
-    The element list is verified to be closed under composition and inverse.
+    A group is its generators: the symmetry test and the worst state need
+    only its orbits on strings, which ``_orbit_labels`` finds from them.
+    ``elements`` and ``order`` close the generators on first use.
     """
 
-    elements: tuple[tuple[int, ...], ...]
+    generators: tuple[tuple[int, ...], ...]
     n: int
 
     def __post_init__(self):
         n = int(self.n)
-        elements = tuple(tuple(int(x) for x in p) for p in self.elements)
-        if not elements:
-            raise ValueError("a permutation group needs at least one element")
-        seen = set()
-        for p in elements:
+        generators = tuple(tuple(int(x) for x in p) for p in self.generators)
+        for p in generators:
             if len(p) != n or sorted(p) != list(range(1, n + 1)):
                 raise ValueError(f"{p} is not a permutation of 1..{n}")
-            if p in seen:
-                raise ValueError(f"duplicate element {p}")
-            seen.add(p)
-        for p in elements:
-            if _invert(p) not in seen:
-                raise ValueError(f"inverse of {p} missing: not a group")
-        for a in elements:
-            for b in elements:
-                if _compose(a, b) not in seen:
-                    raise ValueError(f"composition of {a} and {b} missing: not a group")
-        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "n", n)
 
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    @staticmethod
-    def from_generators(generators, n: int) -> "PermutationGroup":
-        """Close a generator list under composition."""
-        gens = [tuple(int(x) for x in p) for p in generators]
-        identity = tuple(range(1, n + 1))
+    @cached_property
+    def elements(self) -> tuple[tuple[int, ...], ...]:
+        """Every element, sorted: the closure of the generators under composition."""
+        identity = tuple(range(1, self.n + 1))
         closure = {identity}
         frontier = [identity]
         while frontier:
             base = frontier.pop()
-            for g in gens:
+            for g in self.generators:
                 new = _compose(g, base)
                 if new not in closure:
                     closure.add(new)
                     frontier.append(new)
-        return PermutationGroup(tuple(sorted(closure)), n)
+        return tuple(sorted(closure))
+
+    @cached_property
+    def order(self) -> int:
+        return len(self.elements)
 
 
 def symmetric_group(n: int) -> PermutationGroup:
-    """All n! permutations of 1..n."""
-    elements = tuple(itertools.permutations(range(1, n + 1)))
-    return PermutationGroup(elements, n)
+    """All n! permutations of 1..n, generated by (1 2) and (1 2 ... n)."""
+    if n < 2:
+        return PermutationGroup((), n)
+    return PermutationGroup(((2, 1) + tuple(range(3, n + 1)), tuple(range(2, n + 1)) + (1,)), n)
 
 
 def pair_symmetry_group(n: int) -> PermutationGroup:
     """Permutations of the flattened pair universe [n] x {0, 1} that permute
-    the pairs and may swap the two elements inside each pair (order 2^n n!)."""
-    elements = []
-    for perm in itertools.permutations(range(1, n + 1)):
-        for flips in itertools.product((0, 1), repeat=n):
-            image = [0] * (2 * n)
-            for i in range(1, n + 1):
-                target = perm[i - 1]
-                for j in (0, 1):
-                    image[(i - 1) + j * n] = target + (j ^ flips[target - 1]) * n
-            elements.append(tuple(image))
-    return PermutationGroup(tuple(elements), 2 * n)
+    the pairs and may swap the two elements inside each pair (order 2^n n!):
+    S_n's generators acting on both slots, plus the swap inside pair 1."""
+    lifted = tuple(p + tuple(i + n for i in p) for p in symmetric_group(n).generators)
+    swap = (n + 1,) + tuple(range(2, n + 1)) + (1,) + tuple(range(n + 2, 2 * n + 1))
+    return PermutationGroup(lifted + (swap,), 2 * n)
+
+
+def _orbit_labels(G: PermutationGroup, d: int) -> np.ndarray:
+    """Label each of the d^n strings (in _digits order) by the least index in
+    its orbit under G: a search that applies each generator once per string."""
+    strings = _digits(0, d ** G.n, d, G.n)
+    images = []  # images[g][i]: the index of generator g applied to string i
+    for perm in G.generators:
+        image = np.empty_like(strings)
+        image[:, np.asarray(perm) - 1] = strings
+        images.append((image @ d ** np.arange(G.n - 1, -1, -1)).tolist())
+    label = [-1] * d ** G.n
+    for root in range(d ** G.n):  # the first unlabelled string is the least of its orbit
+        if label[root] < 0:
+            label[root] = root
+            frontier = [root]
+            while frontier:
+                i = frontier.pop()
+                for image in images:
+                    if label[image[i]] < 0:
+                        label[image[i]] = root
+                        frontier.append(image[i])
+    return np.asarray(label)
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +322,13 @@ def is_g_symmetric(
             f"group acts on {G.n} positions, strategy strings have length {strategy.length}"
         )
     d, L = strategy.d, strategy.length
-    support = strategy.ts_support()
     limit = resolve_budget(budget)
-    cost = d ** L * (len(support) + G.order)
+    cost = d ** L * (strategy.support_size() + len(G.generators))
     if cost > limit:
         raise BudgetExceededError(
             f"symmetry check needs about {cost} evaluations, budget is {limit}"
         )
+    support = strategy.ts_support()
     strings = _digits(0, d ** L, d, L)
     A, D, blocks = _table(strategy, support, lambda lo, hi: strings[lo:hi], d ** L)
     stats = [  # the exact (true value, estimate) of each string under each (t, s)
@@ -345,12 +345,7 @@ def is_g_symmetric(
 
     # A uniformly random element of G maps q uniformly onto its orbit, so the
     # orbit statistics at (t0, s0) are those of a uniform member of q's orbit.
-    # Label each string by the least index in its orbit.
-    label = np.arange(d ** L)
-    for perm in G.elements:
-        image = np.empty_like(strings)
-        image[:, np.asarray(perm) - 1] = strings
-        label = np.minimum(label, image @ d ** np.arange(L - 1, -1, -1))
+    label = _orbit_labels(G, d)
     by_label = np.argsort(label, kind="stable")
     members = np.split(by_label, np.flatnonzero(np.diff(label[by_label])) + 1)
     orbits = [(orbit, law(orbit[0])) for orbit in map(np.ndarray.tolist, members)]  # with the law they share
@@ -369,23 +364,14 @@ def symmetric_worst_state(
     delta: float,
     budget: int | None = None,
 ) -> PureState:
-    """Uniform superposition over the orbit of a worst-case string.
-
-    Group elements fixing a string accumulate amplitude on it; the vector is
-    then normalized, which leaves the uniform superposition over the distinct
-    orbit strings.  The environment is trivial (dimension 1).
-    """
+    """Uniform superposition over the orbit of a worst-case string: the
+    normalised indicator of that orbit.  The environment is trivial
+    (dimension 1)."""
     _exact_delta(delta)
     if not is_g_symmetric(strategy, G, budget=budget):
         raise ValueError("strategy is not symmetric under the given group")
     witness = eps_class_exact(strategy, delta, budget=budget).worst_case_string
     d, L = strategy.d, strategy.length
-    amps = np.zeros(d ** L, dtype=complex)
-    for perm in G.elements:
-        image = apply_permutation(perm, witness.symbols)
-        index = 0
-        for sym in image:
-            index = index * d + sym
-        amps[index] += 1.0
-    amps /= np.linalg.norm(amps)
-    return PureState(amps, (d,) * L + (1,))
+    label = _orbit_labels(G, d)
+    orbit = label == label[int(np.dot(witness.symbols, d ** np.arange(L - 1, -1, -1)))]
+    return PureState(orbit / math.sqrt(np.count_nonzero(orbit)), (d,) * L + (1,))

@@ -346,7 +346,7 @@ class SamplingStrategy:
                 for s in itertools.combinations(range(1, n + 1), k):
                     yield (t, s, pt * ps)
         elif self.kind == "example6":
-            fp = Fraction(self.p)
+            fp = Fraction(repr(float(self.p)))  # p as written: 0.3 is 3/10
             half = k // 2
             for r in range(2 ** n):
                 sel = [i + 1 for i in range(n) if (r >> i) & 1]  # t~

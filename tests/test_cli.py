@@ -106,6 +106,14 @@ def test_budget_env_exceeded_exits_2(capsys, monkeypatch):
     assert "budget" in err
 
 
+def test_budget_env_gates_the_symmetry_check(capsys, monkeypatch):
+    # the symmetric worst case of S_8 is refused by the symmetry check's gate
+    monkeypatch.setenv("QSAMPLE_BUDGET", "1000")
+    code, _, err = _run(capsys, "eps-quant", "--kind", "example1", "--n", "8", "--k", "2", "--delta", "0.3")
+    assert code == 2
+    assert "budget" in err
+
+
 def test_mc_mode_requires_target_string(capsys):
     code, _, err = _run(capsys, "eps-class", "--kind", "example1", "--n", "4", "--k", "1", "--delta", "0.3", "--mc", "--trials", "100")
     assert code == 2

@@ -229,11 +229,11 @@ def oracle_is_g_symmetric(strategy, G):
 
 
 def _cyclic(length):
-    return PermutationGroup.from_generators([tuple(range(2, length + 1)) + (1,)], length)
+    return PermutationGroup([tuple(range(2, length + 1)) + (1,)], length)
 
 
 def _swap_first(length):
-    return PermutationGroup.from_generators([(2, 1) + tuple(range(3, length + 1))], length)
+    return PermutationGroup([(2, 1) + tuple(range(3, length + 1))], length)
 
 
 @pytest.mark.parametrize(

@@ -225,8 +225,7 @@ def test_ideal_distance_respects_budget():
 
 
 def test_group_validation_catches_non_groups():
-    with pytest.raises(ValueError, match="not a group"):
-        PermutationGroup(((1, 2, 3), (2, 3, 1)), 3)  # missing the inverse cycle
+    assert PermutationGroup(((2, 3, 1),), 3).order == 3  # a 3-cycle generates its inverse
     with pytest.raises(ValueError, match="permutation"):
         PermutationGroup(((1, 1, 3),), 3)
     g = PermutationGroup(((1, 2, 3), (2, 3, 1), (3, 1, 2)), 3)
@@ -241,7 +240,7 @@ def test_symmetric_group_order_and_closure():
 
 def test_from_generators_closes():
     # the transposition (1 2) and the 3-cycle generate S_3
-    g = PermutationGroup.from_generators([(2, 1, 3), (2, 3, 1)], 3)
+    g = PermutationGroup([(2, 1, 3), (2, 3, 1)], 3)
     assert g.order == 6
 
 
@@ -286,6 +285,11 @@ def test_pairwise_strategy_is_wreath_symmetric():
     assert is_g_symmetric(strat, pair_symmetry_group(2))
 
 
+def test_symmetry_check_is_gated_before_it_builds():
+    with pytest.raises(BudgetExceededError):
+        is_g_symmetric(make_strategy("example1", n=8, k=2), symmetric_group(8), budget=1000)
+
+
 def test_symmetry_check_validates_group_size():
     strat = make_strategy("example1", n=3, k=1)
     with pytest.raises(ValueError, match="length"):
@@ -327,6 +331,36 @@ def test_worst_state_singleton_orbit():
 def test_worst_state_rejects_asymmetric_strategy():
     with pytest.raises(ValueError, match="not symmetric"):
         symmetric_worst_state(make_strategy("example3", n=3), symmetric_group(3), 0.3)
+
+
+def _element_sum_worst_state(strategy, G, delta):
+    """Every group element adds amplitude 1 at its image of the witness; the
+    normalised sum is the uniform superposition over the orbit."""
+    witness = eps_class_exact(strategy, delta).worst_case_string.symbols
+    amps = np.zeros(strategy.d ** strategy.length, dtype=complex)
+    for perm in G.elements:
+        index = 0
+        for sym in apply_permutation(perm, witness):
+            index = index * strategy.d + sym
+        amps[index] += 1.0
+    return amps / np.linalg.norm(amps)
+
+
+@pytest.mark.parametrize(
+    "strat,G",
+    [(make_strategy("example1", n=n, k=k), symmetric_group(n)) for n in range(1, 6) for k in range(1, n + 1)]
+    + [(make_strategy("example5", n=n, k=k), pair_symmetry_group(n)) for n in range(1, 4) for k in range(1, n + 1)]
+    + [  # a singleton orbit whose witness 011 is not its own mirror image
+        (
+            custom_strategy(3, [((1,), None, 1)], lambda t, qt, s: 1.0 if qt[0] else 0.0),
+            PermutationGroup((), 3),
+        )
+    ],
+)
+def test_worst_state_matches_element_sum(strat, G):
+    for delta in (0.1, 0.25, 0.37, 0.5):
+        phi = symmetric_worst_state(strat, G, delta)
+        np.testing.assert_allclose(phi.amps, _element_sum_worst_state(strat, G, delta), rtol=0, atol=1e-12)
 
 
 def test_tightness_for_subset_sampling():

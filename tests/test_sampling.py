@@ -236,6 +236,18 @@ def test_tie_follows_the_decimal_delta():
     assert failure_probability(strat, q, 0.1) == 1
 
 
+def test_example6_reads_p_as_written():
+    # |t~| = a, the number of slot-0 positions in t, is Binomial(3, p) with
+    # p = 3/10 exactly, not the binary float nearest 0.3
+    strat = make_strategy("example6", n=3, k=2, p=0.3)
+    by_size = {}
+    for t, _, pr in strat.ts_support():
+        a = sum(1 for i in t if i <= 3)
+        by_size[a] = by_size.get(a, 0) + pr
+    p = Fraction(3, 10)
+    assert by_size == {a: math.comb(3, a) * p ** a * (1 - p) ** (3 - a) for a in range(4)}
+
+
 def test_estimate_rejects_wrong_length():
     strat = make_strategy("example1", n=3, k=1)
     with pytest.raises(ValueError):
