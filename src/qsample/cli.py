@@ -36,8 +36,8 @@ from .protocols import (
     transcript_to_json,
 )
 from .qsampling import (
+    NotSymmetricError,
     check_sqrt_bound,
-    is_g_symmetric,
     pair_symmetry_group,
     symmetric_group,
     symmetric_worst_state,
@@ -161,11 +161,12 @@ def _cmd_eps_quant(config: RunConfig):
         source = "file"
     else:
         group = pair_symmetry_group(strategy.n) if strategy.pair_indexed else symmetric_group(strategy.n)
-        if not is_g_symmetric(strategy, group):
+        try:
+            state = symmetric_worst_state(strategy, group, delta)
+        except NotSymmetricError as exc:
             raise ValueError(
                 f"{strategy.kind} has no canonical symmetric worst case; provide --state"
-            )
-        state = symmetric_worst_state(strategy, group, delta)
+            ) from exc
         source = "symmetric-worst-case"
     result = check_sqrt_bound(state, strategy, delta)
     result = {

@@ -246,6 +246,37 @@ def _pow2(x: float) -> float:
         return math.inf
 
 
+# One function per bound term.  The evaluators below build their reports
+# from these, and the optimizers call them directly, with the entropy and
+# the per-delta and per-eps terms hoisted out of their inner loops.
+
+
+def _qkd_entropy(beta: float, delta: float) -> float:
+    return binary_entropy(min(beta + delta, 0.5))
+
+
+def _qkd_pa(n, k, m, l, h: float) -> float:
+    """1/2 * 2^(-((1-h)n - k - m - l)/2), with h = _qkd_entropy(beta, delta)."""
+    return 0.5 * _pow2(-0.5 * ((1 - h) * n - k - m - l))
+
+
+def _qkd_sampling(k, delta: float) -> float:
+    return 2.0 * math.exp(-delta * delta * k / 6.0)
+
+
+def _qot_pa(n, k, l, eps: float, h: float) -> float:
+    """1/2 * 2^(-((1/4 - eps/2 - h)(n-k) - l)/2), with h = h(delta)."""
+    return 0.5 * _pow2(-0.5 * ((0.25 - eps / 2 - h) * (n - k) - l))
+
+
+def _qot_sampling(k, delta: float) -> float:
+    return math.sqrt(6.0) * math.exp(-delta * delta * k / 100.0)
+
+
+def _hoeffding(n, k, eps: float) -> float:
+    return 2.0 * math.exp(-2.0 * eps * eps * (n - k))
+
+
 def qkd_bound(n, k, m, l, beta: float, delta: float) -> SecurityReport:
     """Key-distribution security bound at observed error rate beta.
 
@@ -257,11 +288,9 @@ def qkd_bound(n, k, m, l, beta: float, delta: float) -> SecurityReport:
         raise ValueError("beta and delta must be non-negative")
     if beta + delta > 0.5 + 1e-12:
         raise ValueError(f"beta + delta must be <= 1/2, got {beta + delta}")
-    radius = min(beta + delta, 0.5)
-    pa = 0.5 * _pow2(-0.5 * ((1 - binary_entropy(radius)) * n - k - m - l))
-    samp = 2.0 * math.exp(-delta * delta * k / 6.0)
+    pa = _qkd_pa(n, k, m, l, _qkd_entropy(beta, delta))
     return SecurityReport(
-        bound_terms=(("privacy-amplification", pa), ("sampling", samp)),
+        bound_terms=(("privacy-amplification", pa), ("sampling", _qkd_sampling(k, delta))),
         delta_used=float(delta),
     )
 
@@ -276,11 +305,12 @@ def qot_bound(n, k, l, eps: float, delta: float) -> SecurityReport:
         raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    pa = 0.5 * _pow2(-0.5 * ((0.25 - eps / 2 - binary_entropy(delta)) * (n - k) - l))
-    samp = math.sqrt(6.0) * math.exp(-delta * delta * k / 100.0)
-    hoef = 2.0 * math.exp(-2.0 * eps * eps * (n - k))
     return SecurityReport(
-        bound_terms=(("privacy-amplification", pa), ("sampling", samp), ("hoeffding", hoef)),
+        bound_terms=(
+            ("privacy-amplification", _qot_pa(n, k, l, eps, binary_entropy(delta))),
+            ("sampling", _qot_sampling(k, delta)),
+            ("hoeffding", _hoeffding(n, k, eps)),
+        ),
         delta_used=float(delta),
     )
 
@@ -288,17 +318,23 @@ def qot_bound(n, k, l, eps: float, delta: float) -> SecurityReport:
 def qot_bound_optimize(n, k, l, grid: int = 40) -> dict:
     """Minimize the three-term bound over an (eps, delta) grid.
 
-    Returns {"eps", "delta", "report"} for the best grid point.
+    Returns {"eps", "delta", "report"} for the first grid point, in (eps,
+    delta) order, whose total is smallest.  Each point's total is the same
+    ``sum`` of the same floats that ``SecurityReport`` forms, so the winner
+    is the one the per-point reports would pick.
     """
+    deltas = [0.5 * j / (grid + 1) for j in range(1, grid + 1)]
+    per_delta = [(delta, binary_entropy(delta), _qot_sampling(k, delta)) for delta in deltas]
     best = None
     for i in range(1, grid + 1):
         eps = 0.25 * i / (grid + 1)
-        for j in range(1, grid + 1):
-            delta = 0.5 * j / (grid + 1)
-            report = qot_bound(n, k, l, eps, delta)
-            if best is None or report.total_bound < best[2].total_bound:
-                best = (eps, delta, report)
-    return {"eps": best[0], "delta": best[1], "report": best[2]}
+        hoef = _hoeffding(n, k, eps)
+        for delta, h, samp in per_delta:
+            total = sum((_qot_pa(n, k, l, eps, h), samp, hoef))
+            if best is None or total < best[0]:
+                best = (total, eps, delta)
+    _, eps, delta = best
+    return {"eps": eps, "delta": delta, "report": qot_bound(n, k, l, eps, delta)}
 
 
 def qkd_key_length(n, k, m, beta: float) -> int:
@@ -315,8 +351,9 @@ def qkd_max_len(n, k, m, beta: float, eps_target: float) -> tuple[int, float]:
 
     Scans delta over a 1000-point grid on (0, 1/2 - beta]; for each delta the
     largest l with bound <= eps_target is found in closed form and confirmed
-    against the bound evaluator.  The protocol's own cap l < (1-h(beta))n-k-m
-    always applies.  Returns (0, first grid delta) when no length works.
+    against the total ``qkd_bound`` would report.  The protocol's own cap
+    l < (1-h(beta))n-k-m always applies.  Returns (0, first grid delta) when
+    no length works.
     """
     if not 0 <= beta < 0.5:
         raise ValueError(f"beta must lie in [0, 1/2), got {beta}")
@@ -327,15 +364,17 @@ def qkd_max_len(n, k, m, beta: float, eps_target: float) -> tuple[int, float]:
     grid = [span * i / 1000 for i in range(1, 1001)]
     best_l, best_delta = -1, grid[0]
     for delta in grid:
-        samp = 2.0 * math.exp(-delta * delta * k / 6.0)
+        samp = _qkd_sampling(k, delta)
         if samp >= eps_target:
             continue
-        c = (1 - binary_entropy(beta + delta)) * n - k - m
-        guess = math.floor(c + 2 * math.log2(2 * (eps_target - samp)) + 1e-12)
+        h = _qkd_entropy(beta, delta)
+        guess = math.floor((1 - h) * n - k - m + 2 * math.log2(2 * (eps_target - samp)) + 1e-12)
         l = min(max(guess, -1), l_cap)
-        while l >= 0 and qkd_bound(n, k, m, l, beta, delta).total_bound > eps_target:
+        # the total grows with l, so the probes end on the largest l that meets
+        # the target, whatever the guess
+        while l >= 0 and sum((_qkd_pa(n, k, m, l, h), samp)) > eps_target:
             l -= 1
-        while l + 1 <= l_cap and qkd_bound(n, k, m, l + 1, beta, delta).total_bound <= eps_target:
+        while l + 1 <= l_cap and sum((_qkd_pa(n, k, m, l + 1, h), samp)) <= eps_target:
             l += 1
         if l > best_l:
             best_l, best_delta = l, delta
@@ -758,10 +797,12 @@ def _best_qkd_terms(n, k, m, l, beta):
     best = None
     for i in range(1, 201):
         delta = (0.5 - beta) * i / 200
-        rep = qkd_bound(n, k, m, l, beta, delta)
-        if best is None or rep.total_bound < best[1].total_bound:
-            best = (delta, rep)
-    return best[0], best[1].bound_terms
+        pa = _qkd_pa(n, k, m, l, _qkd_entropy(beta, delta))
+        total = sum((pa, _qkd_sampling(k, delta)))
+        if best is None or total < best[0]:
+            best = (total, delta)
+    delta = best[1]
+    return delta, qkd_bound(n, k, m, l, beta, delta).bound_terms
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,13 @@ __all__ = [
     "apply_permutation",
     "symmetric_group",
     "pair_symmetry_group",
+    "NotSymmetricError",
 ]
+
+
+class NotSymmetricError(ValueError):
+    """The strategy is not symmetric under the group, so it has no
+    canonical symmetric worst-case state."""
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +375,7 @@ def symmetric_worst_state(
     (dimension 1)."""
     _exact_delta(delta)
     if not is_g_symmetric(strategy, G, budget=budget):
-        raise ValueError("strategy is not symmetric under the given group")
+        raise NotSymmetricError("strategy is not symmetric under the given group")
     witness = eps_class_exact(strategy, delta, budget=budget).worst_case_string
     d, L = strategy.d, strategy.length
     label = _orbit_labels(G, d)

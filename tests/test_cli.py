@@ -2,10 +2,12 @@
 
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qsample.qsampling
 from qsample.cli import RunConfig, main, run
 from qsample.quantum import random_density_matrix, random_pure_state, state_to_json
 
@@ -182,6 +184,27 @@ def test_eps_quant_without_canonical_worst_case_exits_2(capsys):
     assert "--state" in err
 
 
+def test_eps_quant_checks_symmetry_once(capsys, monkeypatch):
+    calls = []
+    real = qsample.qsampling.is_g_symmetric
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("qsample.qsampling.is_g_symmetric", counted)
+    monkeypatch.setattr("qsample.cli.is_g_symmetric", counted, raising=False)
+    code, _, _ = _run(capsys, "eps-quant", "--kind", "example1", "--n", "4", "--k", "2", "--delta", "0.3")
+    assert code == 0
+    assert len(calls) == 1
+
+    calls.clear()
+    code, out, err = _run(capsys, "eps-quant", "--kind", "example4", "--n", "4", "--k", "2", "--delta", "0.3")
+    assert (code, out) == (2, "")
+    assert err == "error: example4 has no canonical symmetric worst case; provide --state\n"
+    assert len(calls) == 1
+
+
 def test_eps_quant_rejects_density_matrix_file(capsys, tmp_path):
     rng = np.random.default_rng(5)
     path = tmp_path / "rho.json"
@@ -300,6 +323,31 @@ def test_qot_sim_flipped_openings_always_caught(capsys):
     assert result["accepted"] is False
     assert result["catch_probability"] == 1.0
     assert result["k0"] is None
+
+
+# Reports recorded from the release before the bound grid searches summed
+# their terms without building a report per grid point; the optimizers and
+# qkd-plan's length search must still print them byte for byte.
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("qot-sim-honest", "qot-sim --n 10 --k 3 --l 2 --seed 3"),
+        ("qot-sim-open-flip", "qot-sim --n 10 --k 3 --l 2 --adversary open-flip --flips 2,5 --seed 7"),
+        ("qkd-sim-none", "qkd-sim --n 24 --k 6 --mc --seed 1"),
+        ("qkd-sim-entangling-probe", "qkd-sim --n 24 --k 6 --mc --adversary entangling-probe --seed 2"),
+        ("qkd-plan-60", "qkd-plan --n 60 --k 15 --eps 1.95"),
+        ("qkd-plan-100000", "qkd-plan --n 100000 --k 20000 --m 5000 --beta 0.02 --eps 1e-6"),
+        ("qkd-plan-4000", "qkd-plan --n 4000 --k 1000 --m 200 --beta 0.05 --eps 0.5"),
+        ("qkd-plan-50000-infeasible", "qkd-plan --n 50000 --k 20000 --beta 0.1 --eps 1e-3"),
+    ],
+)
+def test_bound_search_reports_are_unchanged(capsys, name, argv):
+    code, out, _ = _run(capsys, *argv.split())
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.json").read_text()
 
 
 # ---------------------------------------------------------------------------

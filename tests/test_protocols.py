@@ -7,6 +7,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qsample import (
     AdversaryModel,
@@ -43,7 +45,7 @@ from qsample import (
     to_density,
     transcript_to_json,
 )
-from qsample.protocols import apply_unitary
+from qsample.protocols import _best_qkd_terms, apply_unitary
 from qsample.sampling import BudgetExceededError
 
 
@@ -130,6 +132,105 @@ def test_qot_bound_optimize_no_worse_than_grid_corners():
             assert best["report"].total_bound <= qot_bound(4000, 1500, 10, eps, delta).total_bound + 1e-12
     assert 0 < best["eps"] < 0.25
     assert 0 < best["delta"] < 0.5
+
+
+# The grid searches as they were before they summed the terms themselves:
+# one full SecurityReport per grid point, compared by total_bound.  They are
+# the oracles for the optimizers, which must pick the same point.
+
+
+def _per_point_qot_bound_optimize(n, k, l, grid):
+    best = None
+    for i in range(1, grid + 1):
+        eps = 0.25 * i / (grid + 1)
+        for j in range(1, grid + 1):
+            delta = 0.5 * j / (grid + 1)
+            report = qot_bound(n, k, l, eps, delta)
+            if best is None or report.total_bound < best[2].total_bound:
+                best = (eps, delta, report)
+    return {"eps": best[0], "delta": best[1], "report": best[2]}
+
+
+def _per_point_best_qkd_terms(n, k, m, l, beta):
+    if beta >= 0.5:
+        return 0.0, (("privacy-amplification", math.inf), ("sampling", 2.0))
+    best = None
+    for i in range(1, 201):
+        delta = (0.5 - beta) * i / 200
+        rep = qkd_bound(n, k, m, l, beta, delta)
+        if best is None or rep.total_bound < best[1].total_bound:
+            best = (delta, rep)
+    return best[0], best[1].bound_terms
+
+
+# n = 1003, k = 3, l = 2000 overflows 2^x on 844 of the 900 OT grid points;
+# n = 100, k = 5, l = 2100 on 165 of the 200 key-distribution points.
+_QOT_OVERFLOW = (1003, 3, 2000, 30)
+_QKD_OVERFLOW = (100, 5, 0, 2100, 0.0)
+
+
+@st.composite
+def _qot_cases(draw):
+    n = draw(st.integers(2, 5000))
+    k = draw(st.integers(0, n // 2))
+    l = draw(st.one_of(st.integers(1, n), st.integers(1000, 6000)))
+    return n, k, l, draw(st.integers(1, 30))
+
+
+@st.composite
+def _qkd_cases(draw):
+    n = draw(st.integers(2, 3000))
+    k = draw(st.integers(0, n // 2))
+    m = draw(st.integers(0, n // 4))
+    l = draw(st.one_of(st.integers(0, n), st.integers(1800, 6000)))
+    beta = draw(
+        st.one_of(
+            st.just(0.0),
+            st.floats(0.0, 0.5),
+            st.sampled_from([0.5, 0.75, 1.0]),
+            st.integers(0, max(k, 1)).map(lambda e: e / max(k, 1)),
+        )
+    )
+    return n, k, m, l, beta
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_qot_cases())
+@example(case=(10, 3, 2, 30))
+@example(case=(10, 3, 2, 1))
+@example(case=(2, 0, 1, 1))
+@example(case=(400, 0, 7, 30))
+@example(case=_QOT_OVERFLOW)
+def test_qot_bound_optimize_matches_per_point_reports(case):
+    got, want = qot_bound_optimize(*case), _per_point_qot_bound_optimize(*case)
+    assert (got["eps"], got["delta"]) == (want["eps"], want["delta"])
+    assert got["report"].bound_terms == want["report"].bound_terms
+    assert got["report"].total_bound == want["report"].total_bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_qkd_cases())
+@example(case=(24, 6, 0, 10, 0.0))
+@example(case=(24, 0, 0, 10, 0.0))
+@example(case=(24, 6, 0, 0, 0.5))
+@example(case=(24, 6, 0, 0, 2 / 3))
+@example(case=(24, 6, 0, 3, 1 / 6))
+@example(case=_QKD_OVERFLOW)
+def test_best_qkd_terms_matches_per_point_reports(case):
+    assert _best_qkd_terms(*case) == _per_point_best_qkd_terms(*case)
+
+
+def test_overflow_cases_overflow_on_part_of_the_grid():
+    n, k, l, grid = _QOT_OVERFLOW
+    qot = [
+        qot_bound(n, k, l, 0.25 * i / (grid + 1), 0.5 * j / (grid + 1)).total_bound
+        for i in range(1, grid + 1)
+        for j in range(1, grid + 1)
+    ]
+    n, k, m, l, beta = _QKD_OVERFLOW
+    qkd = [qkd_bound(n, k, m, l, beta, 0.5 * i / 200).total_bound for i in range(1, 201)]
+    for totals in (qot, qkd):
+        assert 0 < sum(map(math.isinf, totals)) < len(totals)
 
 
 # ---------------------------------------------------------------------------
