@@ -33,7 +33,6 @@ from .protocols import (
     security_report_to_json,
     simulate_qkd,
     simulate_qot,
-    transcript_to_json,
 )
 from .qsampling import (
     NotSymmetricError,
@@ -293,7 +292,7 @@ def _cmd_qkd_sim(config: RunConfig):
         "keys_match": alice is not None and alice == bob,
         "beta_observed": beta_observed,
         "report": json.loads(security_report_to_json(report)),
-        "transcript": json.loads(transcript_to_json(transcript)),
+        "transcript": transcript,
     }
     return 0, result
 
@@ -325,7 +324,7 @@ def _cmd_qot_sim(config: RunConfig):
         "bob_output": bob_output,
         "catch_probability": qot_catch_probability(params, bob),
         "report": json.loads(security_report_to_json(report)),
-        "transcript": json.loads(transcript_to_json(transcript)),
+        "transcript": transcript,
     }
     return 0, result
 

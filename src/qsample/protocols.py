@@ -536,35 +536,28 @@ def make_linear_code(length, m, radius, rng: np.random.Generator, max_tries: int
 
 
 def _jsonable(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
+    """JSON data: numpy scalars and arrays as Python values, tuples as lists, keys as strings."""
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, np.ndarray):
+        return _jsonable(value.tolist())
     if isinstance(value, (tuple, list)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
     return value
 
-def _digest(obj) -> str:
-    text = json.dumps(_jsonable(obj), sort_keys=True)
+def _digest(data) -> str:
+    """Short hash of JSON data (see :func:`_jsonable`)."""
+    text = json.dumps(data, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _scalar_count(payload) -> int | None:
-    if payload is None or isinstance(payload, (int, float, str, bool)):
-        return 1
     if isinstance(payload, list):
-        total = 0
-        for v in payload:
-            sub = _scalar_count(v)
-            if sub is None:
-                return None
-            total += sub
-        return total
-    return None
+        counts = [_scalar_count(v) for v in payload]
+        return None if None in counts else sum(counts)
+    return 1 if payload is None or isinstance(payload, (int, float, str, bool)) else None
 
 
 def _entry(phase: str, sender: str, type_: str, payload) -> dict:
@@ -580,7 +573,8 @@ def _entry(phase: str, sender: str, type_: str, payload) -> dict:
 
 
 def transcript_to_json(transcript) -> str:
-    return json.dumps([_jsonable(e) for e in transcript], sort_keys=True)
+    """The transcript as JSON text; its entries are JSON data already."""
+    return json.dumps(transcript, sort_keys=True)
 
 
 def _bits(rng: np.random.Generator, count: int) -> tuple[int, ...]:
@@ -711,7 +705,8 @@ def simulate_qkd(
     Returns (transcript, alice_key, bob_key, report).  In exact-distance mode
     (possible for coherent adversaries at n <= 7 and on by default there) the
     report carries the exact trace distance between the real (key, view)
-    state and an ideal uniform key.
+    state and an ideal uniform key; that mode raises BudgetExceededError
+    before it builds the state when its enumeration exceeds the budget.
     """
     n, k, ecc = params.n, params.k, params.ecc
     exact_ok = adversary.kind in ("none", "entangling-probe", "custom-unitary") and (
@@ -727,6 +722,10 @@ def simulate_qkd(
             )
         if n > 7:
             raise ValueError(f"exact-distance mode supports n <= 7, got {n}")
+        # bases x outcomes x test subsets x hash seeds that _qkd_exact_distance visits
+        cost, limit = 2 ** n * 4 ** n * math.comb(n, k) * 2 ** (n - k - 1), resolve_budget()
+        if cost > limit:
+            raise BudgetExceededError(f"exact distance needs {cost} evaluations, budget is {limit}; use --mc")
     rng = np.random.default_rng(rng_seed)
     transcript = []
     code = make_linear_code(n - k, ecc.m, ecc.radius, rng)
@@ -972,7 +971,7 @@ def simulate_qot(params: QotParams, bob: AdversaryModel, rng_seed: int):
     theta = _bits(rng, n)
     transcript.append(_entry("preparation", "alice", "qubits", n))
     registry, openings, stored = _qot_bob_commit(rng, n, theta, x, bob)
-    transcript.append(_entry("commitment", "bob", "commit", _digest(registry)))
+    transcript.append(_entry("commitment", "bob", "commit", _digest(_jsonable(registry))))
 
     t = _subset(rng, n, k)
     transcript.append(_entry("commitment", "alice", "test-subset", t))

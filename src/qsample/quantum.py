@@ -333,9 +333,8 @@ def _positions_tuple(positions, count: int) -> tuple[int, ...]:
     return pos
 
 
-def _rotate(tensor: np.ndarray, positions, theta, undo: bool = False) -> np.ndarray:
-    # H is self-inverse, so undo uses the same matrix; kept for readability
-    del undo
+def _rotate(tensor: np.ndarray, positions, theta) -> np.ndarray:
+    # H is self-inverse, so the same call also undoes the rotation
     for pos, bit in zip(positions, theta):
         if bit:
             tensor = np.moveaxis(

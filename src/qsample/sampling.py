@@ -165,8 +165,7 @@ class SubsetIndex:
             raise ValueError(f"position {self.positions[-1]} outside universe [1..{self.n}]")
 
     def complement(self) -> "SubsetIndex":
-        inside = set(self.positions)
-        return SubsetIndex(tuple(i for i in range(1, self.n + 1) if i not in inside), self.n)
+        return SubsetIndex(complement(self, self.n), self.n)
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -204,9 +203,8 @@ def _positions(J, n: int | None = None) -> tuple[int, ...]:
         return ()
     if isinstance(J, SubsetIndex):
         return J.positions
-    items = list(J)
     flat = []
-    for x in items:
+    for x in J:
         if isinstance(x, tuple):
             if n is None:
                 raise ValueError("pair labels need the pair count n")
@@ -239,13 +237,72 @@ def restrict(q, J, n: int | None = None) -> tuple[int, ...]:
 
 def complement(J, n: int) -> tuple[int, ...]:
     """Positions of [1..n] not in J."""
-    inside = set(_positions(J))
-    return tuple(i for i in range(1, n + 1) if i not in inside)
+    return tuple(i + 1 for i in _tbar(_positions(J), n))
+
+
+def _tbar(t, length: int) -> list[int]:
+    """0-based indices of the positions of [1..length] outside the flat subset t."""
+    inside = set(t)
+    return [i for i in range(length) if i + 1 not in inside]
 
 
 # ---------------------------------------------------------------------------
 # strategies
 # ---------------------------------------------------------------------------
+
+
+class _Enumerate:
+    """Every outcome with its exact probability, in a fixed order."""
+
+    def subset(self, pool, k):
+        prob = Fraction(1, math.comb(len(pool), k))
+        return [(x, prob) for x in itertools.combinations(pool, k)]
+
+    def coins(self, pool, p=None):
+        m, fair = len(pool), Fraction(1, 2 ** len(pool))
+        p = p if p is None else Fraction(repr(float(p)))  # p as written: 0.3 is 3/10
+        probs = [fair if p is None else p ** a * (1 - p) ** (m - a) for a in range(m + 1)]
+        kept = [()]  # outcome r keeps pool[i] when bit i of r is set
+        for x in pool:
+            kept += [c + (x,) for c in kept]
+        return [(c, probs[len(c)]) for c in kept]
+
+    def draws(self, pool, k):
+        raise NotImplementedError(
+            "sampling with replacement has no enumerable (t, s) support; use eps_class_mc per string"
+        )
+
+
+class _Count(_Enumerate):
+    """One outcome per size, weighted by the number of outcomes of that size.
+
+    The weights of the law then sum to its support size, because every later
+    draw depends on an earlier outcome only through that outcome's size."""
+
+    def subset(self, pool, k):
+        return [(tuple(pool[:k]), math.comb(len(pool), k))]
+
+    def coins(self, pool, p=None):
+        return [(tuple(pool[:a]), math.comb(len(pool), a)) for a in range(len(pool) + 1)]
+
+
+class _Sample:
+    """One random draw from ``rng``, taken when the primitive is called."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+
+    def subset(self, pool, k):  # an empty pool leaves the generator untouched
+        index = self.rng.choice(len(pool), size=k, replace=False) if pool else ()
+        return [(tuple(sorted(pool[i] for i in index)), 1)]
+
+    def coins(self, pool, p=None):
+        m = len(pool)
+        keep = self.rng.integers(0, 2, size=m) if p is None else self.rng.random(m) < p
+        return [(tuple(x for x, b in zip(pool, keep) if b), 1)]
+
+    def draws(self, pool, k):
+        return [(tuple(pool[i] for i in self.rng.integers(0, len(pool), size=k)), 1)]
 
 
 @dataclass
@@ -262,11 +319,6 @@ class SamplingStrategy:
     kind : str
         One of the built-in kinds or "custom".
     n, k, p, d : parameters as supplied to the constructor.
-    pair_indexed : bool
-        Whether strings are indexed by [n] x {0, 1}.
-    permutation_invariant : bool
-        Whether the per-string failure probability depends on the string only
-        through its Hamming weight (enables weight-class enumeration).
     pattern_invariant : bool
         Whether the estimator sees symbols only through their zero pattern.
     """
@@ -276,143 +328,98 @@ class SamplingStrategy:
     k: int | None = None
     p: float | None = None
     d: int = 2
-    pair_indexed: bool = False
-    permutation_invariant: bool = False
     pattern_invariant: bool = True
     estimator: Callable | None = field(default=None, repr=False)
     _support: list | None = field(default=None, repr=False)
+
+    @property
+    def pair_indexed(self) -> bool:
+        """Whether strings are indexed by [n] x {0, 1}."""
+        return self.kind in ("example5", "example6")
+
+    @property
+    def permutation_invariant(self) -> bool:
+        """Whether the per-string failure probability depends on the string
+        only through its Hamming weight (enables weight-class enumeration)."""
+        return self.kind in ("example1", "example3", "example4")
 
     @property
     def length(self) -> int:
         """Length of the strings the strategy samples from."""
         return 2 * self.n if self.pair_indexed else self.n
 
-    # -- enumeration --------------------------------------------------------
+    # -- the (t, s) law -----------------------------------------------------
+
+    def _law(self, pick):
+        """Yield (t, s, weight) per outcome; the only definition of the built-in
+        (t, s) laws.  ``pick`` interprets three draws, each yielding (outcome,
+        weight) pairs: subset(pool, k), k elements of pool, uniformly, sorted;
+        coins(pool, p), each element kept with probability p (fair if None);
+        draws(pool, k), k ordered draws with replacement.  The law multiplies
+        the weights: _Enumerate reads them as exact probabilities of every
+        outcome, _Sample as one random draw, _Count as numbers of outcomes."""
+        n, k, every = self.n, self.k, range(1, self.n + 1)
+        if self.kind == "example1":
+            for t, w in pick.subset(every, k):
+                yield t, None, w
+        elif self.kind == "example2":  # s is the ordered draw sequence
+            for s, w in pick.draws(every, k):
+                yield tuple(sorted(set(s))), s, w
+        elif self.kind == "example3":
+            for t, w in pick.coins(every):
+                yield t, None, w
+        elif self.kind == "example4":  # s keeps each element of t on a fair coin
+            for t, wt in pick.subset(every, k):
+                for s, ws in pick.coins(t):
+                    yield t, s, wt * ws
+        elif self.kind == "example5":  # pair i contributes i + n when its coin is kept
+            for up, wt in pick.coins(every):
+                up = set(up)
+                t = tuple(sorted(i + n if i in up else i for i in every))
+                for s, ws in pick.subset(every, k):
+                    yield t, s, wt * ws
+        elif self.kind == "example6":  # t~ = t0: slot 0 of the kept pairs, slot 1 of the rest
+            for t0, wt in pick.coins(every, self.p):
+                kept = set(t0)
+                t1 = tuple(i + n for i in every if i not in kept)
+                for s0, w0 in pick.subset(t0, min(k // 2, len(t0))):
+                    w0 *= wt
+                    for s1, w1 in pick.subset(t1, min(k // 2, len(t1))):
+                        yield t0 + t1, (s0, s1), w0 * w1
+        else:
+            raise NotImplementedError(f"{self.kind} has no (t, s) law in this implementation")
 
     def support_size(self) -> int:
         """Number of (t, s) pairs with positive probability."""
-        n, k = self.n, self.k
-        if self.kind == "example1":
-            return math.comb(n, k)
-        if self.kind == "example3":
-            return 2 ** n
-        if self.kind == "example4":
-            return math.comb(n, k) * 2 ** k
-        if self.kind == "example5":
-            return 2 ** n * math.comb(n, k)
-        if self.kind == "example6":
-            total = 0
-            for a in range(n + 1):  # a = |t~|
-                s0 = math.comb(a, min(k // 2, a))
-                s1 = math.comb(n - a, min(k // 2, n - a))
-                total += math.comb(n, a) * s0 * s1
-            return total
         if self.kind == "custom":
             return len(self._support)
-        raise NotImplementedError(
-            f"{self.kind} has no enumerable (t, s) support in this implementation"
-        )
+        return sum(w for _, _, w in self._law(_Count()))
 
     def ts_support(self) -> list[tuple[tuple, object, Fraction]]:
         """All (t, s, probability) triples; probabilities are exact Fractions summing to 1."""
         if self._support is None:
-            self._support = list(self._iter_support())
+            self._support = list(self._law(_Enumerate()))
         return self._support
-
-    def _iter_support(self):
-        n, k = self.n, self.k
-        if self.kind == "example1":
-            p = Fraction(1, math.comb(n, k))
-            for t in itertools.combinations(range(1, n + 1), k):
-                yield (t, None, p)
-        elif self.kind == "example3":
-            p = Fraction(1, 2 ** n)
-            for r in range(2 ** n):
-                t = tuple(i + 1 for i in range(n) if (r >> i) & 1)
-                yield (t, None, p)
-        elif self.kind == "example4":
-            pt = Fraction(1, math.comb(n, k))
-            ps = Fraction(1, 2 ** k)
-            for t in itertools.combinations(range(1, n + 1), k):
-                for r in range(2 ** k):
-                    s = tuple(t[i] for i in range(k) if (r >> i) & 1)
-                    yield (t, s, pt * ps)
-        elif self.kind == "example5":
-            pt = Fraction(1, 2 ** n)
-            ps = Fraction(1, math.comb(n, k))
-            for r in range(2 ** n):
-                # bit i set: pair i+1 contributes its slot-1 element
-                t = tuple(sorted((i + 1) + n * ((r >> i) & 1) for i in range(n)))
-                for s in itertools.combinations(range(1, n + 1), k):
-                    yield (t, s, pt * ps)
-        elif self.kind == "example6":
-            fp = Fraction(repr(float(self.p)))  # p as written: 0.3 is 3/10
-            half = k // 2
-            for r in range(2 ** n):
-                sel = [i + 1 for i in range(n) if (r >> i) & 1]  # t~
-                rest = [i + 1 for i in range(n) if not (r >> i) & 1]
-                t0 = tuple(sel)  # slot-0 elements of t~
-                t1 = tuple(i + n for i in rest)  # slot-1 elements of the complement
-                t = tuple(sorted(t0 + t1))
-                pt = fp ** len(sel) * (1 - fp) ** len(rest)
-                sz0, sz1 = min(half, len(t0)), min(half, len(t1))
-                ps = Fraction(1, math.comb(len(t0), sz0) * math.comb(len(t1), sz1))
-                for s0 in itertools.combinations(t0, sz0):
-                    for s1 in itertools.combinations(t1, sz1):
-                        yield (t, (s0, s1), pt * ps)
-        elif self.kind == "custom":
-            yield from self._support
-        else:
-            raise NotImplementedError(
-                f"{self.kind} has no enumerable (t, s) support in this implementation"
-            )
-
-    # -- sampling -----------------------------------------------------------
 
     def sample_ts(self, rng: np.random.Generator) -> tuple[tuple, object]:
         """Draw one (t, s) pair."""
-        n, k = self.n, self.k
-        if self.kind == "example1":
-            t = tuple(sorted(rng.choice(n, size=k, replace=False) + 1))
-            return t, None
-        if self.kind == "example2":
-            draws = tuple(int(x) for x in rng.integers(1, n + 1, size=k))
-            return tuple(sorted(set(draws))), draws
-        if self.kind == "example3":
-            bits = rng.integers(0, 2, size=n)
-            return tuple(i + 1 for i in range(n) if bits[i]), None
-        if self.kind == "example4":
-            t = tuple(sorted(rng.choice(n, size=k, replace=False) + 1))
-            keep = rng.integers(0, 2, size=k)
-            return t, tuple(t[i] for i in range(k) if keep[i])
-        if self.kind == "example5":
-            slots = rng.integers(0, 2, size=n)
-            t = tuple(sorted((i + 1) + n * int(slots[i]) for i in range(n)))
-            s = tuple(sorted(rng.choice(n, size=k, replace=False) + 1))
-            return t, s
-        if self.kind == "example6":
-            half = k // 2
-            bits = rng.random(n) < self.p
-            t0 = tuple(i + 1 for i in range(n) if bits[i])
-            t1 = tuple(i + 1 + n for i in range(n) if not bits[i])
-            s0 = tuple(sorted(rng.choice(t0, size=min(half, len(t0)), replace=False))) if t0 else ()
-            s1 = tuple(sorted(rng.choice(t1, size=min(half, len(t1)), replace=False))) if t1 else ()
-            return tuple(sorted(t0 + t1)), (s0, s1)
         if self.kind == "custom":
-            support = self.ts_support()
-            weights = np.array([float(p) for (_, _, p) in support])
-            idx = rng.choice(len(support), p=weights / weights.sum())
-            t, s, _ = support[idx]
-            return t, s
-        raise NotImplementedError(f"sampling not implemented for kind {self.kind}")
+            weights = np.array([float(p) for (_, _, p) in self._support])
+            t, s, _ = self._support[rng.choice(len(weights), p=weights / weights.sum())]
+        else:
+            t, s, _ = next(self._law(_Sample(rng)))
+        return t, s
 
     # -- estimation ---------------------------------------------------------
 
     def estimate_frac(self, q, t, s) -> Fraction:
         """The estimate f(t, q|t, s) as an exact Fraction."""
-        sym = _symbols(q, self.length)
+        return self._estimate(_symbols(q, self.length), self.flatten_subset(t), s)
+
+    def _estimate(self, sym, t, s) -> Fraction:
+        """:meth:`estimate_frac` of checked symbols under a flat subset t."""
         if self.kind == "custom":
-            value = self.estimator(tuple(_positions(t, self.n)), restrict(sym, t), s)
+            value = self.estimator(t, restrict(sym, t), s)
             return value if isinstance(value, Fraction) else Fraction(value)
         terms, den = self._estimator_row(t, s)
         return Fraction(sum(w for i, w in terms if sym[i]), den)
@@ -420,7 +427,8 @@ class SamplingStrategy:
     def _estimator_row(self, t, s) -> tuple[list[tuple[int, int]], int]:
         """The built-in estimator as one integer row w over a denominator D:
         f(t, q|t, s) = w . z / D, given as w's (0-based position, weight)
-        terms.  This is the only definition of the built-in estimators."""
+        terms, for a flat subset t (see :meth:`flatten_subset`).  This is the
+        only definition of the built-in estimators."""
         n, L = self.n, self.length
         if self.kind == "example6":
             if isinstance(s, tuple) and len(s) == 2 and all(isinstance(x, (tuple, list)) for x in s):
@@ -428,7 +436,7 @@ class SamplingStrategy:
             else:  # a flat seed: positions <= n are slot 0, the rest slot 1
                 flat = _positions(s, n)
                 s0, s1 = [x for x in flat if x <= n], [x for x in flat if x > n]
-            size_tilde = sum(1 for x in _positions(t, n) if x <= n)
+            size_tilde = sum(1 for x in t if x <= n)
             c0, c1 = max(len(s0), 1), max(len(s1), 1)
             # ((n - |t~|) w0 + |t~| w1) / n with w_j the weight of q on s_j,
             # since |tbar_0| = n - |t~| and |tbar_1| = |t~|
@@ -436,7 +444,7 @@ class SamplingStrategy:
             den = n * c0 * c1
         else:
             if self.kind in ("example1", "example3"):
-                picked = _positions(t)
+                picked = t
             elif self.kind == "example2":
                 if not s:
                     raise ValueError("example2 needs the ordered draw sequence as seed")
@@ -444,7 +452,7 @@ class SamplingStrategy:
             elif self.kind == "example4":
                 picked = _positions(s)
             elif self.kind == "example5":
-                tset = set(_positions(t, n))
+                tset = set(t)
                 if any((i in tset) == (i + n in tset) for i in range(1, n + 1)):
                     raise ValueError("example5 subset must pick exactly one element per pair")
                 chosen = {i: i if i in tset else i + n for i in range(1, n + 1)}
@@ -457,8 +465,9 @@ class SamplingStrategy:
         return terms, den
 
     def flatten_subset(self, t) -> tuple[int, ...]:
-        """Normalize a subset given as positions or (i, j) pair labels."""
-        return _positions(t, self.n)
+        """Normalize a subset given as positions or, on a pair-indexed kind,
+        (i, j) pair labels."""
+        return _positions(t, self.n if self.pair_indexed else None)
 
 
 # -- constructors -----------------------------------------------------------
@@ -506,7 +515,7 @@ def make_strategy(kind: str, params: Mapping | None = None, **kwargs) -> Samplin
     if kind == "example3":
         if k is not None:
             raise ValueError("example3 takes no sample size k")
-        return SamplingStrategy(kind, n, d=d, permutation_invariant=True)
+        return SamplingStrategy(kind, n, d=d)
 
     if k is None:
         raise ValueError(f"{kind} requires parameter k")
@@ -514,16 +523,10 @@ def make_strategy(kind: str, params: Mapping | None = None, **kwargs) -> Samplin
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
 
-    if kind in ("example1", "example4"):
-        if k > n:
-            raise ValueError(f"{kind} requires k <= n, got k={k}, n={n}")
-        return SamplingStrategy(kind, n, k=k, d=d, permutation_invariant=True)
-    if kind == "example2":
+    if kind in ("example1", "example4", "example5") and k > n:
+        raise ValueError(f"{kind} requires k <= n, got k={k}, n={n}")
+    if kind != "example6":
         return SamplingStrategy(kind, n, k=k, d=d)
-    if kind == "example5":
-        if k > n:
-            raise ValueError(f"example5 requires k <= n pairs, got k={k}, n={n}")
-        return SamplingStrategy(kind, n, k=k, d=d, pair_indexed=True)
     # example6
     if p is None:
         raise ValueError("example6 requires the selection bias p")
@@ -534,7 +537,7 @@ def make_strategy(kind: str, params: Mapping | None = None, **kwargs) -> Samplin
         raise ValueError(f"example6 requires an even k, got k={k}")
     if k // 2 > n:
         raise ValueError(f"example6 requires k/2 <= n, got k={k}, n={n}")
-    return SamplingStrategy(kind, n, k=k, p=p, d=d, pair_indexed=True)
+    return SamplingStrategy(kind, n, k=k, p=p, d=d)
 
 
 def custom_strategy(
@@ -583,10 +586,11 @@ def estimate(strategy: SamplingStrategy, q, t, s=None) -> float:
 
 def deviation(strategy: SamplingStrategy, q, t, s=None) -> Fraction:
     """|relwt(q|tbar) - f(t, q|t, s)| as an exact Fraction."""
-    sym = _symbols(q)
-    f = strategy.estimate_frac(sym, t, s)
-    tbar = complement(strategy.flatten_subset(t), strategy.length)
-    return abs(Fraction(sum(1 for i in tbar if sym[i - 1]), max(len(tbar), 1)) - f)
+    sym = _symbols(q, strategy.length)
+    t = strategy.flatten_subset(t)
+    tbar = _tbar(t, strategy.length)
+    true = Fraction(sum(1 for i in tbar if sym[i]), max(len(tbar), 1))
+    return abs(true - strategy._estimate(sym, t, s))
 
 
 def in_accept_set(strategy: SamplingStrategy, q, t, s, delta: float) -> bool:
@@ -616,7 +620,8 @@ def _table(strategy: SamplingStrategy, columns, strings, count: int):
     R = np.zeros((2 * m, L), dtype=np.int64)
     D = np.ones(m, dtype=np.int64)
     for j, (t, s, *_) in enumerate(columns):
-        R[j, [i - 1 for i in complement(strategy.flatten_subset(t), L)]] = 1
+        t = strategy.flatten_subset(t)
+        R[j, _tbar(t, L)] = 1
         if strategy.kind != "custom":
             terms, D[j] = strategy._estimator_row(t, s)
             for i, w in terms:
@@ -736,11 +741,6 @@ def eps_class_exact(
     the first maximizing candidate in that order.
     """
     bound = _exact_delta(delta)
-    if strategy.kind == "example2":
-        raise NotImplementedError(
-            "example2 (sampling with replacement) has no enumerable (t, s) support; "
-            "no exact error probability is computed for it — use eps_class_mc per string"
-        )
     limit = resolve_budget(budget)
     count = _candidate_count(strategy)
     cost = count * strategy.support_size()

@@ -304,6 +304,23 @@ def test_qkd_sim_exact_too_large_exits_2(capsys):
     assert "exact" in err
 
 
+def test_budget_env_gates_exact_qkd_sim(capsys, monkeypatch):
+    monkeypatch.setenv("QSAMPLE_BUDGET", "1000")
+    code, _, err = _run(capsys, "qkd-sim", "--n", "6", "--k", "1", "--exact")
+    assert code == 2
+    assert "budget" in err
+
+
+def test_default_exact_qkd_sim_at_n7_is_refused_at_once(capsys, monkeypatch):
+    # 2^7 bases x 4^7 outcomes x 7 subsets x 2^5 seeds is over the default budget
+    monkeypatch.delenv("QSAMPLE_BUDGET", raising=False)
+    started = time.monotonic()
+    code, _, err = _run(capsys, "qkd-sim", "--n", "7", "--k", "1")
+    assert code == 2
+    assert "budget" in err
+    assert time.monotonic() - started < 5
+
+
 def test_qot_sim_honest_run(capsys):
     code, out, _ = _run(capsys, "qot-sim", "--n", "8", "--k", "2", "--l", "3", "--choice", "1", "--seed", "4")
     assert code == 0
@@ -325,10 +342,14 @@ def test_qot_sim_flipped_openings_always_caught(capsys):
     assert result["k0"] is None
 
 
-# Reports recorded from the release before the bound grid searches summed
-# their terms without building a report per grid point; the optimizers and
-# qkd-plan's length search must still print them byte for byte.
+# Reports recorded from earlier releases, printed byte for byte: the protocol
+# and qkd-plan reports from before the bound grid searches summed their terms
+# without building a report per grid point, and the eps-class / eps-quant
+# reports from before each strategy's (t, s) law was written once, which pin
+# the Monte-Carlo draws of example2, example5 and example6 and the exact
+# support of example6 and example5.
 GOLDEN = Path(__file__).parent / "golden"
+Q100, Q80 = "0110100111" * 10, "01101001" * 10
 
 
 @pytest.mark.parametrize(
@@ -342,6 +363,20 @@ GOLDEN = Path(__file__).parent / "golden"
         ("qkd-plan-100000", "qkd-plan --n 100000 --k 20000 --m 5000 --beta 0.02 --eps 1e-6"),
         ("qkd-plan-4000", "qkd-plan --n 4000 --k 1000 --m 200 --beta 0.05 --eps 0.5"),
         ("qkd-plan-50000-infeasible", "qkd-plan --n 50000 --k 20000 --beta 0.1 --eps 1e-3"),
+        (
+            "eps-class-mc-example2",
+            f"eps-class --kind example2 --n 100 --k 20 --delta 0.1 --mc --q {Q100} --trials 2000 --seed 4",
+        ),
+        (
+            "eps-class-mc-example5",
+            f"eps-class --kind example5 --n 40 --k 10 --delta 0.15 --mc --q {Q80} --trials 2000 --seed 5",
+        ),
+        (
+            "eps-class-mc-example6",
+            f"eps-class --kind example6 --n 40 --k 10 --p 0.3 --delta 0.2 --mc --q {Q80} --trials 2000 --seed 6",
+        ),
+        ("eps-class-example6", "eps-class --kind example6 --n 3 --k 2 --p 0.3 --delta 0.4"),
+        ("eps-quant-example5", "eps-quant --kind example5 --n 2 --k 1 --delta 0.6"),
     ],
 )
 def test_bound_search_reports_are_unchanged(capsys, name, argv):
