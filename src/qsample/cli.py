@@ -483,10 +483,7 @@ def main(argv=None) -> int:
     )
     try:
         status, text = run(config)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (BudgetExceededError, NotImplementedError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if config.output_path is not None:

@@ -12,6 +12,11 @@ n-1 bits.  Every seed gives a surjective map (the matrix [I | T] has full row
 rank), which makes the extractor output exactly uniform on uniform input, and
 the family is two-universal with collision probability exactly 2^-l for
 distinct inputs that differ outside the identity block.
+
+The hash is written once, ``_hash_keys`` (many inputs under many seeds; the
+checked ``hash_eval`` calls it), and so is the extraction distance of (key,
+public view, E) from (uniform key, view, E), ``_extraction_distance``, which
+``pa_exact_check`` and the exact key-distribution distance both call.
 """
 
 from __future__ import annotations
@@ -294,25 +299,53 @@ def pad_input(x, n: int) -> tuple[int, ...]:
     return vals + (0,) * (n - len(vals))
 
 
+def _bit_rows(width: int) -> np.ndarray:
+    """All 2^width bit rows, least significant bit first: row r has bit i
+    equal to (r >> i) & 1.  Every seed of a family is _bit_rows(seed_bits)."""
+    return (np.arange(2 ** width)[:, None] >> np.arange(width)) & 1
+
+
+def _hash_keys(x: np.ndarray, r: np.ndarray, l: int) -> np.ndarray:
+    """Keys sum_i g_i 2^i of every input row of x under every seed row of r,
+    shape (seeds, inputs): g = x[:l] XOR T_r x[l:], T_r[i, j] = r[m-1+i-j],
+    m = n - l, as one integer product against the stacked Toeplitz blocks.
+    With no Toeplitz block (l = 0 or l = n) r has one empty row."""
+    m = x.shape[1] - l
+    toeplitz = r[:, m - 1 + np.arange(l)[:, None] - np.arange(m)]  # (seeds, l, m)
+    mixed = (x[:, l:] @ toeplitz.reshape(len(r) * l, m).T).reshape(len(x), len(r), l)
+    bits = (mixed.transpose(1, 0, 2) + x[:, :l]) & 1
+    return bits @ (1 << np.arange(l))
+
+
 def hash_eval(family: HashFamily, r, x) -> tuple[int, ...]:
     """Evaluate the hash; lengths must match the family exactly."""
     n, l = family.input_bits, family.output_bits
     x = _check_bits(x, n, "input")
     r = _check_bits(r, family.seed_bits, "seed")
-    if l == 0:
-        return ()
-    out = list(x[:l])
-    m = n - l
-    if m:
-        conv = np.convolve(np.array(r, dtype=np.int64), np.array(x[l:], dtype=np.int64))
-        for i in range(l):
-            out[i] ^= int(conv[m - 1 + i]) & 1
-    return tuple(out)
+    key = int(_hash_keys(np.array([x], dtype=np.int64), np.array([r], dtype=np.int64), l)[0, 0])
+    return tuple((key >> i) & 1 for i in range(l))
 
 
 # ---------------------------------------------------------------------------
 # exact privacy-amplification check
 # ---------------------------------------------------------------------------
+
+
+def _extraction_distance(views: np.ndarray, keys: np.ndarray, ops: np.ndarray, l: int) -> float:
+    """Trace distance of (key, view, E) from (uniform key, view, E).
+
+    views and keys are integer arrays of one shape, an entry per input: its
+    public view and its l-bit key.  ops holds each input's weighted
+    conditional operator in its last two axes and broadcasts against that
+    shape.  The operators are summed into one bucket per (view, key), keys no
+    input reaches included, and each view's mean bucket, 2^-l of its
+    marginal, is subtracted; all trace norms come from one batched eigvalsh.
+    """
+    view_ids, view_of = np.unique(views, return_inverse=True)
+    blocks = np.zeros((len(view_ids), 2 ** l) + ops.shape[-2:], dtype=complex)
+    np.add.at(blocks, (view_of.reshape(views.shape), keys), ops)
+    blocks -= blocks.mean(axis=1, keepdims=True)
+    return 0.5 * _trace_norm(blocks)
 
 
 def _resolve_hmin(rho_XE: CqState, certificate: EntropyCertificate | None) -> float:
@@ -347,32 +380,15 @@ def pa_exact_check(
         raise ValueError(f"exact check supports at most 6 input bits, got {n}")
     if rho_XE.env_dim > 8:
         raise ValueError(f"exact check supports env_dim <= 8, got {rho_XE.env_dim}")
-    for x, _, _ in rho_XE.entries:
-        _check_bits(x, n, "classical value")
+    x = np.array([_check_bits(x, n, "classical value") for x, _, _ in rho_XE.entries], dtype=np.int64)
     hmin = _resolve_hmin(rho_XE, certificate)
 
-    env = rho_XE.env_dim
-    rho_E = np.zeros((env, env), dtype=complex)
-    for _, prob, rho in rho_XE.entries:
-        rho_E += prob * rho.matrix
-
-    seeds = 2 ** family.seed_bits
-    seed_w = 1.0 / seeds
-    key_w = 2.0 ** (-l)
-    distance = 0.0
-    for ridx in range(seeds):
-        r = tuple((ridx >> i) & 1 for i in range(family.seed_bits))
-        buckets = {}
-        for x, prob, rho in rho_XE.entries:
-            key = hash_eval(family, r, x)
-            if key in buckets:
-                buckets[key] = buckets[key] + prob * rho.matrix
-            else:
-                buckets[key] = prob * rho.matrix
-        for kidx in range(2 ** l):
-            key = tuple((kidx >> i) & 1 for i in range(l))
-            block = buckets.get(key, np.zeros_like(rho_E)) - key_w * rho_E
-            distance += seed_w * 0.5 * _trace_norm(block)
+    # the seed is the public view; each input enters once per seed
+    seeds = _bit_rows(family.seed_bits)
+    ops = np.stack([prob * rho.matrix for _, prob, rho in rho_XE.entries]) / len(seeds)
+    keys = _hash_keys(x, seeds, l)
+    views = np.broadcast_to(np.arange(len(seeds))[:, None], keys.shape)
+    distance = _extraction_distance(views, keys, ops, l)
     bound = 0.5 * 2.0 ** (-0.5 * (hmin - l))
     return {"distance": distance, "bound": bound, "holds": distance <= bound + 1e-9, "hmin": hmin}
 

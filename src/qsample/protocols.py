@@ -23,11 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entropy import HashFamily, binary_entropy, hash_eval, pad_input
+from .entropy import _bit_rows, _extraction_distance, _hash_keys
 from .quantum import (
     HADAMARD,
     BasisSpec,
     PureState,
-    _trace_norm,
     apply_cnot_pairs,
     apply_unitary,
     make_epr_pairs,
@@ -589,10 +589,6 @@ def _row_bits(row: int, count: int) -> tuple[int, ...]:
     return tuple((row >> (count - 1 - j)) & 1 for j in range(count))
 
 
-def _seed_tuple(value: int, width: int) -> tuple[int, ...]:
-    return tuple((value >> i) & 1 for i in range(width))
-
-
 # ---------------------------------------------------------------------------
 # key distribution
 # ---------------------------------------------------------------------------
@@ -624,51 +620,33 @@ def _qkd_exact_distance(state: PureState, n: int, k: int, code: LinearCode) -> f
 
     The view contains the probe register and every announced classical value
     (basis string, test subset, exchanged test bits, syndrome, hash seed).
+    Per basis, every (outcome, subset) branch is sliced from one outcome-bit
+    matrix and hashed under every seed at once, grouped by key length.
     """
-    dim_e = state.dim_E
-    subsets = list(itertools.combinations(range(1, n + 1), k))
-    p_theta = 1.0 / 2 ** n
-    p_s = 1.0 / len(subsets)
-    sbar_cache = {s: complement(s, n) for s in subsets}
-    by_view: dict = {}
+    subsets = np.array(list(itertools.combinations(range(n), k)))
+    rests = np.array([[i for i in range(n) if i not in s] for s in subsets])
+    key_len = np.array([qkd_key_length(n, k, code.m, e / k) for e in range(k + 1)])  # by test errors
+    seeds = {l: _bit_rows(HashFamily(n - k, l).seed_bits) for l in set(key_len.tolist())}
+    weight = 1.0 / (2 ** n * len(subsets))
+    distance = 0.0
     for tidx in range(2 ** n):
         theta = _row_bits(tidx, n)
         rows = _rotated_rows(state, theta + theta)
-        norms = np.einsum("ij,ij->i", rows, rows.conj()).real
-        for row in np.nonzero(norms >= 1e-15)[0]:
-            v = rows[row]
-            cond = np.outer(v, v.conj())
-            outcome = _row_bits(int(row), 2 * n)
-            x, y = outcome[:n], outcome[n:]
-            for s in subsets:
-                xs = restrict(x, s)
-                ys = restrict(y, s)
-                xsbar = restrict(x, sbar_cache[s])
-                syn = code.syndrome(xsbar)
-                beta = rel_weight(tuple(a ^ b for a, b in zip(xs, ys)))
-                l = qkd_key_length(n, k, code.m, beta)
-                fam = HashFamily(n - k, l)
-                seeds = 2 ** fam.seed_bits
-                weight = p_theta * p_s / seeds
-                for ridx in range(seeds):
-                    r = _seed_tuple(ridx, fam.seed_bits)
-                    key = hash_eval(fam, r, xsbar)
-                    view = (tidx, s, xs, ys, syn, r, l)
-                    bucket = by_view.setdefault(view, {})
-                    if key in bucket:
-                        bucket[key] = bucket[key] + weight * cond
-                    else:
-                        bucket[key] = weight * cond
-    distance = 0.0
-    zero = np.zeros((dim_e, dim_e), dtype=complex)
-    for view, bucket in by_view.items():
-        l = view[-1]
-        marginal = sum(bucket.values())
-        uniform = marginal / 2 ** l
-        for kidx in range(2 ** l):
-            key = _seed_tuple(kidx, l)
-            block = bucket.get(key, zero) - uniform
-            distance += 0.5 * _trace_norm(block)
+        live = np.nonzero(np.einsum("ij,ij->i", rows, rows.conj()).real >= 1e-15)[0]
+        cond = weight * rows[live, :, None] * rows[live, None, :].conj()
+        bits = (live[:, None] >> np.arange(2 * n - 1, -1, -1)) & 1
+        xs, ys, raw = bits[:, subsets], bits[:, n + subsets], bits[:, rests]
+        syn = raw @ code.parity.T & 1
+        announced = np.concatenate([xs, ys, syn], axis=2)  # with the subset, they label the view
+        width = announced.shape[2]
+        views = announced @ (1 << np.arange(width)) + (np.arange(len(subsets)) << width)
+        lengths = key_len[(xs != ys).sum(axis=2)]
+        for l in np.unique(lengths).tolist():
+            branch, subset = np.nonzero(lengths == l)
+            r = seeds[l]
+            keys = _hash_keys(raw[branch, subset], r, l)
+            seen = views[branch, subset] * len(r) + np.arange(len(r))[:, None]
+            distance += _extraction_distance(seen, keys, cond[branch] / len(r), l)
     return distance
 
 
@@ -703,10 +681,13 @@ def simulate_qkd(
     """Run the four-phase key-distribution protocol once.
 
     Returns (transcript, alice_key, bob_key, report).  In exact-distance mode
-    (possible for coherent adversaries at n <= 7 and on by default there) the
-    report carries the exact trace distance between the real (key, view)
-    state and an ideal uniform key; that mode raises BudgetExceededError
-    before it builds the state when its enumeration exceeds the budget.
+    the report carries the exact trace distance between the real (key, view)
+    state and an ideal uniform key.  That mode takes adversaries none,
+    entangling-probe and custom-unitary without channel noise, at n <= 7;
+    ``exact=None`` selects it for exactly those runs.  Before it builds the
+    state it charges 2^n 4^n C(n, k) 2^(n-k-1) evaluations against the budget
+    and raises BudgetExceededError when that exceeds it: under the default
+    budget every n <= 6 run fits and every n = 7 run is refused.
     """
     n, k, ecc = params.n, params.k, params.ecc
     exact_ok = adversary.kind in ("none", "entangling-probe", "custom-unitary") and (

@@ -232,7 +232,8 @@ def _as_matrix(state) -> tuple[np.ndarray, tuple[int, ...] | None]:
 
 
 def _trace_norm(mat: np.ndarray) -> float:
-    """Trace norm of a Hermitian matrix: the sum of its absolute eigenvalues."""
+    """Trace norm of a Hermitian matrix: the sum of its absolute eigenvalues.
+    On a stack of matrices, the sum of their trace norms."""
     return float(np.abs(np.linalg.eigvalsh(mat)).sum())
 
 

@@ -466,8 +466,11 @@ class SamplingStrategy:
 
     def flatten_subset(self, t) -> tuple[int, ...]:
         """Normalize a subset given as positions or, on a pair-indexed kind,
-        (i, j) pair labels."""
-        return _positions(t, self.n if self.pair_indexed else None)
+        (i, j) pair labels; every position must lie in 1..length."""
+        flat = _positions(t, self.n if self.pair_indexed else None)
+        if flat and not 1 <= flat[0] <= flat[-1] <= self.length:
+            raise ValueError(f"subset {list(flat)} outside string of length {self.length}")
+        return flat
 
 
 # -- constructors -----------------------------------------------------------

@@ -321,6 +321,16 @@ def test_default_exact_qkd_sim_at_n7_is_refused_at_once(capsys, monkeypatch):
     assert time.monotonic() - started < 5
 
 
+@pytest.mark.parametrize("command", ["eps-class", "eps-quant"])
+def test_example2_exact_exits_2_with_one_line(capsys, command):
+    # sampling with replacement has no enumerable (t, s) support
+    code, out, err = _run(capsys, command, "--kind", "example2", "--n", "4", "--k", "2", "--delta", "0.3")
+    assert code == 2
+    assert out == ""
+    assert "replacement" in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 def test_qot_sim_honest_run(capsys):
     code, out, _ = _run(capsys, "qot-sim", "--n", "8", "--k", "2", "--l", "3", "--choice", "1", "--seed", "4")
     assert code == 0

@@ -30,6 +30,7 @@ from qsample import (
     random_density_matrix,
     to_density,
 )
+from qsample.entropy import _hash_keys
 
 # ---------------------------------------------------------------------------
 # binary entropy
@@ -426,13 +427,17 @@ def _hash_matrix(family: HashFamily, r) -> np.ndarray:
 @pytest.mark.parametrize("n,l", [(1, 1), (2, 0), (3, 2), (4, 1), (4, 4), (5, 3)])
 def test_hash_matches_matrix_oracle(n, l):
     fam = HashFamily(n, l)
-    for ridx in range(2 ** fam.seed_bits):
-        r = tuple((ridx >> i) & 1 for i in range(fam.seed_bits))
+    inputs = [tuple((xidx >> i) & 1 for i in range(n)) for xidx in range(2 ** n)]
+    seeds = [tuple((ridx >> i) & 1 for i in range(fam.seed_bits)) for ridx in range(2 ** fam.seed_bits)]
+    # every seed at once: one row of integer keys sum_i g_i 2^i per seed
+    keys = _hash_keys(np.array(inputs), np.array(seeds, dtype=np.int64), l)
+    assert keys.shape == (len(seeds), len(inputs))
+    for ridx, r in enumerate(seeds):
         M = _hash_matrix(fam, r)
-        for xidx in range(2 ** n):
-            x = tuple((xidx >> i) & 1 for i in range(n))
+        for xidx, x in enumerate(inputs):
             expect = tuple(int(v) for v in (M @ np.array(x)) % 2)
             assert hash_eval(fam, r, x) == expect
+            assert keys[ridx, xidx] == sum(b << i for i, b in enumerate(expect))
 
 
 def test_hash_zero_input():
@@ -581,7 +586,7 @@ def test_pa_matches_global_assembly_oracle():
     rng = np.random.default_rng(17)
     for _ in range(10):
         rho = _random_classical_cq(rng, 3, 2)
-        for l in [1, 2]:
+        for l in [0, 1, 2, 3]:  # l = 0 and l = n have no seed bits
             fam = HashFamily(3, l)
             report = pa_exact_check(rho, fam, l)
             assert report["distance"] == pytest.approx(

@@ -26,7 +26,6 @@ from qsample import (
     make_epr_pairs,
     make_linear_code,
     measure,
-    partial_trace,
     qkd_bound,
     qkd_key_length,
     qkd_max_len,
@@ -42,7 +41,6 @@ from qsample import (
     security_report_to_json,
     simulate_qkd,
     simulate_qot,
-    to_density,
     transcript_to_json,
 )
 from qsample.protocols import _best_qkd_terms, apply_unitary
@@ -518,43 +516,68 @@ def _probe_state(n, adv):
     return state
 
 
-def test_qkd_exact_distance_against_hybrid_assembly():
-    """Cross-check the branch assembly against the hybrid-state machinery."""
-    n, k, seed = 3, 1, 11
-    adv = AdversaryModel(kind="entangling-probe")
-    _, _, _, report = simulate_qkd(QkdParams(n, k), adv, rng_seed=seed)
+def _custom_probe():
+    c, s = math.cos(0.4), math.sin(0.4)
+    U = np.eye(4, dtype=complex)
+    U[2:, 2:] = np.array([[c, -s], [s, c]])
+    return AdversaryModel(kind="custom-unitary", unitary=U)
 
-    state = _probe_state(n, adv)
+
+@pytest.mark.parametrize(
+    "n,k,m,adv",
+    [
+        (3, 1, 0, AdversaryModel(kind="entangling-probe")),
+        (4, 2, 0, AdversaryModel()),
+        (4, 2, 0, AdversaryModel(kind="entangling-probe", probe_dim=3)),  # l = 1, 0, 1 at 0, 1, 2 errors
+        (4, 1, 1, AdversaryModel(kind="entangling-probe")),
+        (3, 1, 0, _custom_probe()),
+    ],
+    ids=["n3-probe", "n4-k2-none", "n4-k2-probe3", "n4-m1-probe", "n3-custom"],
+)
+def test_qkd_exact_distance_against_hybrid_assembly(n, k, m, adv):
+    """Cross-check the branch assembly against the hybrid-state machinery."""
+    seed = 11
+    transcript, _, _, report = simulate_qkd(QkdParams(n, k, ecc=EccModel(m=m)), adv, rng_seed=seed)
+    parity = np.array(next(e["payload"] for e in transcript if e["type"] == "parity-check"))
+
+    state = make_epr_pairs(n) if adv.kind == "none" else _probe_state(n, adv)
+    env_dim = state.dim_E
     subsets = list(itertools.combinations(range(1, n + 1), k))
     real = {}
-    ideal = {}
+    marginal = {}
     for tidx in range(2 ** n):
         theta = tuple((tidx >> (n - 1 - j)) & 1 for j in range(n))
         for br in measure(state, range(1, 2 * n + 1), BasisSpec(theta + theta)):
             x, y = br.outcome[:n], br.outcome[n:]
-            env = partial_trace(to_density(br.post_state), (2 * n + 1,)).matrix
+            amps = br.post_state.amps.reshape(2 ** (2 * n), env_dim)
+            env = amps.T @ amps.conj()  # the population traced out
             for s in subsets:
                 xs, ys = restrict(x, s), restrict(y, s)
                 xbar = restrict(x, complement(s, n))
+                syn = tuple(int(v) for v in parity @ np.array(xbar) % 2) if m else ()
                 beta = rel_weight(tuple(a ^ b for a, b in zip(xs, ys)))
-                l = qkd_key_length(n, k, 0, beta)
+                l = qkd_key_length(n, k, m, beta)
                 fam = HashFamily(n - k, l)
                 for ridx in range(2 ** fam.seed_bits):
                     r = tuple((ridx >> i) & 1 for i in range(fam.seed_bits))
                     key = hash_eval(fam, r, xbar)
-                    view = (tidx, s, xs, ys, r, l)
+                    view = (tidx, s, xs, ys, syn, r, l)
                     w = br.probability / (2 ** n * len(subsets) * 2 ** fam.seed_bits)
                     real[(key, view)] = real.get((key, view), 0) + w * env
-                    for kidx in range(2 ** l):
-                        alt = tuple((kidx >> i) & 1 for i in range(l))
-                        ideal[(alt, view)] = ideal.get((alt, view), 0) + w * env / 2 ** l
+                    marginal[view] = marginal.get(view, 0) + w * env
+    ideal = {
+        (tuple((kidx >> i) & 1 for i in range(view[-1])), view): mat / 2 ** view[-1]
+        for view, mat in marginal.items()
+        for kidx in range(2 ** view[-1])
+    }
+
     def hybrid(table):
         entries = []
         for label, mat in table.items():
             p = float(np.trace(mat).real)
             if p > 1e-14:
                 entries.append((label, p, mat / p))
-        return CqState(tuple(entries), env_dim=adv.probe_dim)
+        return CqState(tuple(entries), env_dim=env_dim)
     expected = cq_distance(hybrid(real), hybrid(ideal))
     assert report.exact_distance == pytest.approx(expected, abs=1e-12)
 

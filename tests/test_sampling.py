@@ -317,6 +317,29 @@ def test_example2_refuses_exact_error_probability():
         eps_class_exact(make_strategy("example2", n=4, k=2), 0.3)
 
 
+@pytest.mark.parametrize(
+    "kind,params",
+    [
+        ("example1", dict(n=4, k=2)),
+        ("example2", dict(n=4, k=2)),
+        ("example3", dict(n=4)),
+        ("example4", dict(n=4, k=2)),
+        ("example5", dict(n=2, k=1)),
+        ("example6", dict(n=2, k=2, p=0.3)),
+    ],
+)
+@pytest.mark.parametrize("bad", ["zero", "past-end"])
+def test_out_of_range_position_in_t_raises(kind, params, bad):
+    strat = make_strategy(kind, params)
+    t, s = strat.sample_ts(np.random.default_rng(3))
+    t = strat.flatten_subset(t)
+    L = strat.length
+    t = (0,) + t[1:] if bad == "zero" else t[:-1] + (L + 1,)
+    q = (0, 1) * (L // 2) + (1,) * (L % 2)
+    with pytest.raises(ValueError, match="outside string"):
+        deviation(strat, q, t, s)
+
+
 def test_custom_strategy_round_trip():
     # observe position 1 only, estimate the rest by it
     strat = custom_strategy(
