@@ -34,7 +34,6 @@ from .quantum import (
     measure,
     partial_trace,
     sample_measurement,
-    to_density,
     trace_distance,
 )
 from .sampling import BudgetExceededError, complement, rel_weight, resolve_budget, restrict
@@ -797,7 +796,7 @@ def _xy_to_wz(theta, x, y):
 
 
 def _branch_env(branch, total_positions: int):
-    return partial_trace(to_density(branch.post_state), (total_positions + 1,)).matrix
+    return partial_trace(branch.post_state, (total_positions + 1,)).matrix
 
 
 def qkd_sampling_view(state: PureState, params: QkdParams, rng_seed: int, budget=None) -> dict:

@@ -13,16 +13,15 @@ strategies symmetric under a permutation group G of the index universe, the
 uniform superposition over the orbit of a worst-case string (the normalised
 indicator of that orbit) attains the square root exactly.  A group is held as
 its generators; the symmetry test and the worst state read only its orbits on
-strings, found by one search over the generators.
+strings, labelled from the generators' images.  The symmetry test compares
+integer histograms of keys read from the estimator table.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, partial
 
 import numpy as np
@@ -34,6 +33,7 @@ from .sampling import (
     SymbolString,
     _digits,
     _exact_delta,
+    _integer_weights,
     _reject_blocks,
     _table,
     eps_class_exact,
@@ -287,30 +287,68 @@ def pair_symmetry_group(n: int) -> PermutationGroup:
 
 def _orbit_labels(G: PermutationGroup, d: int) -> np.ndarray:
     """Label each of the d^n strings (in _digits order) by the least index in
-    its orbit under G: a search that applies each generator once per string."""
+    its orbit under G.  Each round gives every string the least label of its
+    label and of its generator images; a fixed point is constant along every
+    generator's cycles, so on each orbit, where it is the least member."""
     strings = _digits(0, d ** G.n, d, G.n)
     images = []  # images[g][i]: the index of generator g applied to string i
     for perm in G.generators:
         image = np.empty_like(strings)
         image[:, np.asarray(perm) - 1] = strings
-        images.append((image @ d ** np.arange(G.n - 1, -1, -1)).tolist())
-    label = [-1] * d ** G.n
-    for root in range(d ** G.n):  # the first unlabelled string is the least of its orbit
-        if label[root] < 0:
-            label[root] = root
-            frontier = [root]
-            while frontier:
-                i = frontier.pop()
-                for image in images:
-                    if label[image[i]] < 0:
-                        label[image[i]] = root
-                        frontier.append(image[i])
-    return np.asarray(label)
+        images.append(image @ d ** np.arange(G.n - 1, -1, -1))
+    label, previous = np.arange(d ** G.n), None
+    while previous is None or (label != previous).any():
+        label, previous = np.minimum.reduce([label[label]] + [label[image] for image in images]), label
+    return label
 
 
 # ---------------------------------------------------------------------------
 # symmetry test and the tightness construction
 # ---------------------------------------------------------------------------
+
+
+def _symmetric_orbits(
+    strategy: SamplingStrategy, G: PermutationGroup, budget: int | None = None
+) -> np.ndarray | None:
+    """The labels of :func:`_orbit_labels` if the strategy is G-symmetric
+    (see :func:`is_g_symmetric`), else None."""
+    if G.n != strategy.length:
+        raise ValueError(f"group acts on {G.n} positions, strategy strings have length {strategy.length}")
+    d, L = strategy.d, strategy.length
+    limit = resolve_budget(budget)
+    cost = d ** L * (strategy.support_size() + len(G.generators))
+    if cost > limit:
+        raise BudgetExceededError(
+            f"symmetry check needs about {cost} evaluations, budget is {limit}"
+        )
+    support = strategy.ts_support()
+    A, D, blocks = _table(strategy, support, partial(_digits, d=d, length=L), d ** L)
+    T, E = (np.concatenate(parts) for parts in zip(*((T, E) for _, T, E in blocks)))
+
+    def packed(X, Y):  # X / Y in lowest terms as one int64, for 0 <= X <= Y
+        g = np.gcd(X, Y)
+        return X // g * (Y.max() + 1) + Y // g
+
+    # one key per cell; a custom E holds Fractions over D = 1: number them
+    estimate = np.unique(E, return_inverse=True)[1].reshape(E.shape) if strategy.kind == "custom" else packed(E, D)
+    key = np.unique(packed(T, A) * (estimate.max() + 1) + estimate, return_inverse=True)[1].reshape(T.shape)
+    keys = int(key.max()) + 1  # the distinct keys, numbered 0..keys-1
+    scale, weights = _integer_weights(support)
+    law = np.zeros((d ** L, keys), dtype=object)  # law[i, x]: scale * Pr[string i's cell has key x]
+    np.add.at(law, (np.arange(d ** L)[:, None], key), weights)
+    # A uniformly random element of G maps q uniformly onto its orbit, so the
+    # orbit statistics at (t0, s0) are those of a uniform member of q's orbit.
+    label = _orbit_labels(G, d)
+    if (law != law[label]).any():  # some string's law is not its orbit root's
+        return None
+    # Column j fits when on each orbit, every key there is held by (orbit size)
+    # x (root's law of the key) members; both laws sum to one, so none is
+    # missed.  The codes fit int64 while the cost is below 2^31.
+    m = len(support)
+    cells, count = np.unique((label[:, None] * m + np.arange(m)) * keys + key, return_counts=True)
+    root, column, x = cells // (m * keys), cells // keys % m, cells % keys
+    matches = count.astype(object) * scale == np.bincount(label)[root] * law[root, x]
+    return label if len(np.unique(column[~matches])) < m else None
 
 
 def is_g_symmetric(
@@ -323,45 +361,7 @@ def is_g_symmetric(
     (T, S) draw equals the distribution of the same pair at (t0, s0) for a
     uniformly random group element applied to q.  Comparison is exact.
     """
-    if G.n != strategy.length:
-        raise ValueError(
-            f"group acts on {G.n} positions, strategy strings have length {strategy.length}"
-        )
-    d, L = strategy.d, strategy.length
-    limit = resolve_budget(budget)
-    cost = d ** L * (strategy.support_size() + len(G.generators))
-    if cost > limit:
-        raise BudgetExceededError(
-            f"symmetry check needs about {cost} evaluations, budget is {limit}"
-        )
-    support = strategy.ts_support()
-    strings = _digits(0, d ** L, d, L)
-    A, D, blocks = _table(strategy, support, lambda lo, hi: strings[lo:hi], d ** L)
-    stats = [  # the exact (true value, estimate) of each string under each (t, s)
-        [(Fraction(t, a), Fraction(e, b)) for t, e, a, b in zip(t_row, e_row, A.tolist(), D.tolist())]
-        for _, T, E in blocks
-        for t_row, e_row in zip(T.tolist(), E.tolist())
-    ]
-
-    def law(i):  # the (T, S) law of the statistics of string i
-        out = {}
-        for key, (_, _, prob) in zip(stats[i], support):
-            out[key] = out.get(key, 0) + prob
-        return out
-
-    # A uniformly random element of G maps q uniformly onto its orbit, so the
-    # orbit statistics at (t0, s0) are those of a uniform member of q's orbit.
-    label = _orbit_labels(G, d)
-    by_label = np.argsort(label, kind="stable")
-    members = np.split(by_label, np.flatnonzero(np.diff(label[by_label])) + 1)
-    orbits = [(orbit, law(orbit[0])) for orbit in map(np.ndarray.tolist, members)]  # with the law they share
-    if any(law(i) != target for orbit, target in orbits for i in orbit[1:]):
-        return False
-
-    def orbit_law(orbit, j):  # the law of the statistics at the j-th (t, s) of a uniform member
-        return {key: Fraction(c, len(orbit)) for key, c in Counter(stats[i][j] for i in orbit).items()}
-
-    return any(all(orbit_law(orbit, j) == target for orbit, target in orbits) for j in range(len(support)))
+    return _symmetric_orbits(strategy, G, budget) is not None
 
 
 def symmetric_worst_state(
@@ -374,10 +374,10 @@ def symmetric_worst_state(
     normalised indicator of that orbit.  The environment is trivial
     (dimension 1)."""
     _exact_delta(delta)
-    if not is_g_symmetric(strategy, G, budget=budget):
+    label = _symmetric_orbits(strategy, G, budget)
+    if label is None:
         raise NotSymmetricError("strategy is not symmetric under the given group")
     witness = eps_class_exact(strategy, delta, budget=budget).worst_case_string
     d, L = strategy.d, strategy.length
-    label = _orbit_labels(G, d)
     orbit = label == label[int(np.dot(witness.symbols, d ** np.arange(L - 1, -1, -1)))]
     return PureState(orbit / math.sqrt(np.count_nonzero(orbit)), (d,) * L + (1,))

@@ -252,14 +252,11 @@ def trace_distance(rho, sigma) -> float:
 def hybrid_trace_distance(a: CqState, b: CqState) -> float:
     """Distance between two hybrids sharing one classical distribution:
     sum_x P(x) * trace_distance(rho_E^x, rho_E'^x)."""
-    if a.env_dim != b.env_dim:
-        raise ValueError(f"environment dimensions differ: {a.env_dim} vs {b.env_dim}")
     pa = {x: p for (x, p, _) in a.entries}
     pb = {x: p for (x, p, _) in b.entries}
     if set(pa) != set(pb) or any(abs(pa[x] - pb[x]) > 1e-12 for x in pa):
         raise ValueError("hybrids do not share the same classical distribution")
-    rb = {x: rho for (x, _, rho) in b.entries}
-    return sum(p * trace_distance(rho, rb[x]) for (x, p, rho) in a.entries)
+    return cq_distance(a, b)
 
 
 def cq_distance(a: CqState, b: CqState) -> float:
@@ -303,21 +300,19 @@ def _keep_positions(keep, count: int) -> tuple[int, ...]:
 
 
 def partial_trace(rho, keep) -> DensityMatrix:
-    """Reduce to the subsystems named by ``keep`` (1-based positions)."""
-    if isinstance(rho, PureState):
-        rho = to_density(rho)
+    """Reduce to the subsystems named by ``keep`` (1-based positions).  A pure
+    state's kept axes form the rows of its amplitude matrix M, giving M M^H."""
     dims = rho.dims
-    ndim = len(dims)
-    pos = _keep_positions(keep, ndim)
-    tensor = rho.matrix.reshape(dims + dims)
-    for axis in range(ndim - 1, -1, -1):
-        if axis + 1 in pos:
-            continue
-        current = tensor.ndim // 2
-        tensor = np.trace(tensor, axis1=axis, axis2=axis + current)
+    pos = _keep_positions(keep, len(dims))
+    axes = [i - 1 for i in pos] + [i for i in range(len(dims)) if i + 1 not in pos]
     kept = tuple(dims[i - 1] for i in pos)
     dim = math.prod(kept)
-    return DensityMatrix(tensor.reshape(dim, dim), kept)
+    if isinstance(rho, PureState):
+        M = rho.tensor().transpose(axes).reshape(dim, -1)
+        return DensityMatrix(M @ M.conj().T, kept)
+    tensor = rho.matrix.reshape(dims + dims).transpose(axes + [len(dims) + i for i in axes])
+    rest = rho.dim // dim
+    return DensityMatrix(np.trace(tensor.reshape(dim, rest, dim, rest), axis1=1, axis2=3), kept)
 
 
 def to_density(state: PureState) -> DensityMatrix:

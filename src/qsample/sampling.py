@@ -712,6 +712,12 @@ def _digits(lo: int, hi: int, d: int, length: int) -> np.ndarray:
     return index // d ** np.arange(length - 1, -1, -1, dtype=np.int64) % d
 
 
+def _integer_weights(support) -> tuple[int, np.ndarray]:
+    """P(t, s) exactly as Python-int weights over one scale: (scale, weights)."""
+    scale = math.lcm(*(p.denominator for _, _, p in support))
+    return scale, np.array([p.numerator * (scale // p.denominator) for _, _, p in support], dtype=object)
+
+
 def _candidates(strategy: SamplingStrategy, lo: int, hi: int) -> np.ndarray:
     """Candidate strings lo..hi-1, whose maximum equals the maximum over all strings."""
     L = strategy.length
@@ -753,8 +759,7 @@ def eps_class_exact(
             "use eps_class_mc or raise QSAMPLE_BUDGET"
         )
     support = strategy.ts_support()
-    scale = math.lcm(*(p.denominator for _, _, p in support))
-    weights = np.array([p.numerator * (scale // p.denominator) for _, _, p in support], dtype=object)
+    scale, weights = _integer_weights(support)
     best, best_index = -1, 0
     for lo, reject in _reject_blocks(strategy, support, partial(_candidates, strategy), count, bound):
         failed = reject @ weights  # scale * Pr[fail], exact Python ints

@@ -185,15 +185,16 @@ def test_eps_quant_without_canonical_worst_case_exits_2(capsys):
 
 
 def test_eps_quant_checks_symmetry_once(capsys, monkeypatch):
+    # is_g_symmetric and symmetric_worst_state both decide symmetry in
+    # _symmetric_orbits, so its calls count every symmetry check
     calls = []
-    real = qsample.qsampling.is_g_symmetric
+    real = qsample.qsampling._symmetric_orbits
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr("qsample.qsampling.is_g_symmetric", counted)
-    monkeypatch.setattr("qsample.cli.is_g_symmetric", counted, raising=False)
+    monkeypatch.setattr("qsample.qsampling._symmetric_orbits", counted)
     code, _, _ = _run(capsys, "eps-quant", "--kind", "example1", "--n", "4", "--k", "2", "--delta", "0.3")
     assert code == 0
     assert len(calls) == 1

@@ -236,6 +236,10 @@ def _swap_first(length):
     return PermutationGroup([(2, 1) + tuple(range(3, length + 1))], length)
 
 
+def _trivial(length):
+    return PermutationGroup((), length)
+
+
 @pytest.mark.parametrize(
     "kind,params,group",
     [
@@ -250,9 +254,52 @@ def _swap_first(length):
         ("example5", {"n": 2, "k": 2}, _cyclic),
         ("example6", {"n": 2, "k": 2, "p": 0.3}, lambda L: pair_symmetry_group(L // 2)),
         ("example6", {"n": 2, "k": 2, "p": 0.5}, _swap_first),
+        ("custom", {"n": 3, "subsets": [[1], [2], [3]], "weights": [1, 1, 1], "estimator": 1}, symmetric_group),
+        ("custom", {"n": 3, "subsets": [[1], [2, 3]], "weights": [1, 2], "estimator": 3}, _swap_first),
+        ("example3", {"n": 3, "d": 3}, symmetric_group),
+        ("example3", {"n": 3, "d": 3}, _trivial),
+        ("example4", {"n": 3, "k": 2, "d": 3}, symmetric_group),
+        ("example4", {"n": 3, "k": 3, "d": 3}, _cyclic),
+        ("example1", {"n": 3, "k": 3}, _trivial),
+        ("example1", {"n": 3, "k": 2, "d": 3}, _trivial),
     ],
 )
 def test_orbit_statistics_match_fraction_oracle(kind, params, group):
-    strategy = make_strategy(kind, params)
+    if kind == "custom":  # the estimate is a Fraction from the callable, not an integer row
+        strategy = _custom(**{**params, "estimator": ESTIMATORS[params["estimator"]], "d": 2})
+    else:
+        strategy = make_strategy(kind, params)
     G = group(strategy.length)
+    assert is_g_symmetric(strategy, G) == oracle_is_g_symmetric(strategy, G)
+
+
+@st.composite
+def strategies_and_groups(draw):
+    """Kinds 1 and 3-6 on strings of length <= 6 (<= 4 when d = 3), with a
+    group generated by some transpositions and possibly the L-cycle."""
+    d = draw(st.sampled_from([2, 3]))
+    max_length = 6 if d == 2 else 4
+    kind = draw(st.sampled_from(["example1", "example3", "example4", "example5", "example6"]))
+    n = draw(st.integers(1, max_length // 2 if kind in ("example5", "example6") else max_length))
+    if kind == "example3":
+        params = {"n": n}
+    elif kind == "example6":
+        params = {"n": n, "k": 2 * draw(st.integers(1, n)), "p": draw(st.sampled_from([0.3, 0.5]))}
+    else:
+        params = {"n": n, "k": draw(st.integers(1, n))}
+    strategy = make_strategy(kind, params, d=d)
+    L = strategy.length
+    transpositions = [
+        tuple(j if x == i else i if x == j else x for x in range(1, L + 1))
+        for i, j in itertools.combinations(range(1, L + 1), 2)
+    ]
+    cycle = tuple(range(2, L + 1)) + (1,)
+    generators = draw(st.lists(st.sampled_from(transpositions + [cycle]), max_size=3))
+    return strategy, PermutationGroup(generators, L)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=strategies_and_groups())
+def test_symmetry_verdict_matches_oracle(case):
+    strategy, G = case
     assert is_g_symmetric(strategy, G) == oracle_is_g_symmetric(strategy, G)

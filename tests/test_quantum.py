@@ -191,6 +191,12 @@ def test_partial_trace_keeps_multiple_subsystems():
     direct = partial_trace(phi, (1, 4))
     two_step = partial_trace(rho, (1, 3))
     np.testing.assert_allclose(direct.matrix, two_step.matrix, atol=1e-12)
+    # a pure state reduces from its amplitudes as its density matrix does,
+    # for the environment alone too
+    for keep in ((1,), (2, 3), (1, 3, 4), (4,), (2, 4), (1, 2, 3, 4)):
+        np.testing.assert_allclose(
+            partial_trace(phi, keep).matrix, partial_trace(to_density(phi), keep).matrix, atol=1e-12
+        )
 
 
 def test_partial_trace_rejects_bad_subsets():
