@@ -19,7 +19,9 @@ constructor for custom strategies.  Each built-in (t, s) is one integer row w
 over D, f = w . z / D with z = (q != 0), and the true value is z . 1_tbar /
 |tbar|, so exact error probabilities are int64 matrix products compared with
 delta in integers; ties follow delta as written (a float 0.1 is 1/10).
-Monte-Carlo estimation covers sizes outside the exact budget.
+Monte-Carlo estimation covers sizes outside the exact budget: it decides its
+drawn (t, s) as columns of the same integer table, in blocks of bounded size,
+with the same tie rule.
 
 Positions are 1-based.  Pair-indexed strategies ("example5", "example6") view
 a string of length 2n as n pairs; the pair element (i, j) with i in [1..n] and
@@ -203,15 +205,20 @@ def _positions(J, n: int | None = None) -> tuple[int, ...]:
         return ()
     if isinstance(J, SubsetIndex):
         return J.positions
-    flat = []
-    for x in J:
-        if isinstance(x, tuple):
-            if n is None:
-                raise ValueError("pair labels need the pair count n")
-            flat.append(pair_position(x[0], x[1], n))
-        else:
-            flat.append(int(x))
-    flat.sort()
+    if iter(J) is J:  # a one-shot iterator: keep its items for a second pass
+        J = list(J)
+    try:
+        flat = sorted(map(int, J))
+    except TypeError:  # pair labels, or an item the loop below reports
+        flat = []
+        for x in J:
+            if isinstance(x, tuple):
+                if n is None:
+                    raise ValueError("pair labels need the pair count n")
+                flat.append(pair_position(x[0], x[1], n))
+            else:
+                flat.append(int(x))
+        flat.sort()
     for a, b in zip(flat, flat[1:]):
         if a == b:
             raise ValueError(f"duplicate position {a}")
@@ -293,16 +300,16 @@ class _Sample:
         self.rng = rng
 
     def subset(self, pool, k):  # an empty pool leaves the generator untouched
-        index = self.rng.choice(len(pool), size=k, replace=False) if pool else ()
+        index = self.rng.choice(len(pool), size=k, replace=False).tolist() if pool else ()
         return [(tuple(sorted(pool[i] for i in index)), 1)]
 
     def coins(self, pool, p=None):
         m = len(pool)
         keep = self.rng.integers(0, 2, size=m) if p is None else self.rng.random(m) < p
-        return [(tuple(x for x, b in zip(pool, keep) if b), 1)]
+        return [(tuple(x for x, b in zip(pool, keep.tolist()) if b), 1)]
 
     def draws(self, pool, k):
-        return [(tuple(pool[i] for i in self.rng.integers(0, len(pool), size=k)), 1)]
+        return [(tuple(pool[i] for i in self.rng.integers(0, len(pool), size=k).tolist()), 1)]
 
 
 @dataclass
@@ -611,6 +618,10 @@ def _exact_delta(delta) -> Fraction:
 # The (string, (t, s)) table is built in blocks of at most this many cells, so
 # its int64 arrays stay a few MB whatever the sizes.
 _BLOCK_CELLS = 1 << 18
+# Monte-Carlo decides at most this many drawn (t, s) columns at once: capped
+# by table cells alone, a block on short strings would hold ~10^5 trials'
+# (t, s) tuples, several MB of Python objects.
+_MC_BLOCK_TRIALS = 256
 
 
 def _table(strategy: SamplingStrategy, columns, strings, count: int):
@@ -620,15 +631,17 @@ def _table(strategy: SamplingStrategy, columns, strings, count: int):
     rows 1_tbar and w.  A custom estimator's only form is its callable, so
     its E holds Fractions over D = 1."""
     m, L = len(columns), strategy.length
+    flat = [strategy.flatten_subset(t) for t, *_ in columns]
+    sizes = np.array([len(t) for t in flat], dtype=np.int64)
     R = np.zeros((2 * m, L), dtype=np.int64)
+    R[:m] = 1  # the rows 1_tbar: ones, less one scatter of every t
+    R[np.repeat(np.arange(m), sizes), np.fromiter(itertools.chain.from_iterable(flat), np.int64) - 1] = 0
     D = np.ones(m, dtype=np.int64)
-    for j, (t, s, *_) in enumerate(columns):
-        t = strategy.flatten_subset(t)
-        R[j, _tbar(t, L)] = 1
-        if strategy.kind != "custom":
-            terms, D[j] = strategy._estimator_row(t, s)
-            for i, w in terms:
-                R[m + j, i] += w
+    if strategy.kind != "custom":  # the rows w: one scatter-add of every row's terms
+        rows = [strategy._estimator_row(t, s) for t, (_, s, *_) in zip(flat, columns)]
+        D[:] = [den for _, den in rows]
+        terms = np.fromiter(itertools.chain.from_iterable(x for row, _ in rows for x in row), np.int64).reshape(-1, 2)
+        np.add.at(R, (np.repeat(np.arange(m, 2 * m), [len(row) for row, _ in rows]), terms[:, 0]), terms[:, 1])
 
     def blocks():
         step = max(1, _BLOCK_CELLS // max(m, 1))
@@ -640,7 +653,7 @@ def _table(strategy: SamplingStrategy, columns, strings, count: int):
                 E = np.array(E, dtype=object)
             yield lo, T, E.reshape(T.shape)
 
-    return np.maximum(R[:m].sum(axis=1), 1), D, blocks()
+    return np.maximum(L - sizes, 1), D, blocks()
 
 
 def _reject_blocks(strategy: SamplingStrategy, columns, strings, count: int, bound: Fraction):
@@ -780,18 +793,24 @@ def eps_class_mc(
     """Monte-Carlo estimate of Pr[q not in B(T, S, delta)] for one fixed string.
 
     Each trial draws its own generator from (rng_seed, trial index), so the
-    result does not depend on execution order.
+    result does not depend on execution order.  The drawn (t, s) are decided
+    as columns of the integer table that exact mode uses, with the same tie
+    rule (a deviation of exactly delta fails), in blocks of at most
+    ``_MC_BLOCK_TRIALS`` trials (fewer on strings longer than
+    ``_BLOCK_CELLS / _MC_BLOCK_TRIALS``), so memory stays bounded for any
+    trial count.
     """
     bound = _exact_delta(delta)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    sym = _symbols(q)
+    string = np.array([_symbols(q, strategy.length)], dtype=np.int64)
+    step = max(1, min(_MC_BLOCK_TRIALS, _BLOCK_CELLS // max(strategy.length, 1)))
     failures = 0
-    for i in range(trials):
-        rng = np.random.default_rng((int(rng_seed), i))
-        t, s = strategy.sample_ts(rng)
-        if deviation(strategy, sym, t, s) >= bound:
-            failures += 1
+    for first in range(0, trials, step):
+        trial_range = range(first, min(first + step, trials))
+        columns = [strategy.sample_ts(np.random.default_rng((int(rng_seed), i))) for i in trial_range]
+        for _, reject in _reject_blocks(strategy, columns, lambda lo, hi: string, 1, bound):
+            failures += int(reject.sum())
     return ErrorEstimate(
         value=failures / trials,
         mode="monte-carlo",

@@ -1,0 +1,244 @@
+"""Monte-Carlo on the integer table, against the per-trial deviation loop.
+
+``eps_class_mc`` decides its drawn (t, s) in blocks, as columns of the same
+integer table that exact mode uses.  The oracle below is the per-trial loop
+it replaced: one generator per trial, one exact ``deviation`` per draw.  The
+two must agree exactly, ties at delta included, on either side of every
+block edge.  ``_positions`` keeps its old pair-label loop as the oracle of
+its plain-int path.
+"""
+
+import tracemalloc
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import qsample.sampling as sampling
+from qsample.sampling import (
+    SubsetIndex,
+    custom_strategy,
+    deviation,
+    eps_class_mc,
+    make_strategy,
+    pair_position,
+)
+
+
+# ---------------------------------------------------------------------------
+# Monte-Carlo against the per-trial loop
+# ---------------------------------------------------------------------------
+
+
+def oracle_mc(strategy, q, delta, trials, rng_seed=0):
+    """Pr[fail] estimated one trial at a time with the exact deviation."""
+    bound = delta if isinstance(delta, Fraction) else Fraction(repr(float(delta)))
+    sym = tuple(int(x) for x in q)
+    failures = 0
+    for i in range(trials):
+        t, s = strategy.sample_ts(np.random.default_rng((int(rng_seed), i)))
+        if deviation(strategy, sym, t, s) >= bound:
+            failures += 1
+    return failures / trials
+
+
+BLOCK = 4  # trials per block while the property runs
+TRIALS = [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 2]
+DELTAS = [0.1, 0.15, 0.25, Fraction(1, 3)]
+
+
+def _custom(n, d, subsets, weights, by_symbol):
+    total = sum(weights)
+    support = [(t, i % 3, Fraction(w, total)) for i, (t, w) in enumerate(zip(subsets, weights))]
+    if by_symbol:  # reads the symbols' values, not only their zero pattern
+        estimator = lambda t, qt, s: Fraction(sum(qt) + s, (d - 1) * len(qt) + 2) if qt else Fraction(s, 3)
+    else:
+        estimator = lambda t, qt, s: Fraction(sum(1 for x in qt if x), len(qt)) if qt else 0.5
+    return custom_strategy(n, support, estimator, d=d)
+
+
+@st.composite
+def mc_cases(draw):
+    kind = draw(st.sampled_from(["example2", "example3", "example4", "example5", "example6", "custom"]))
+    d = draw(st.sampled_from([2, 3]))
+    if kind == "custom":
+        n = draw(st.integers(2, 5))
+        subsets = draw(st.lists(st.sets(st.integers(1, n)).map(sorted), min_size=1, max_size=4))
+        weights = draw(st.lists(st.integers(1, 3), min_size=len(subsets), max_size=len(subsets)))
+        strategy = _custom(n, d, subsets, weights, draw(st.booleans()))
+    elif kind == "example3":
+        strategy = make_strategy(kind, n=draw(st.integers(1, 8)), d=d)
+    elif kind in ("example5", "example6"):
+        n = draw(st.integers(1, 5))
+        if kind == "example5":
+            strategy = make_strategy(kind, n=n, k=draw(st.integers(1, n)), d=d)
+        else:
+            p = draw(st.sampled_from([0.3, 0.5]))
+            strategy = make_strategy(kind, n=n, k=2 * draw(st.integers(1, n)), p=p, d=d)
+    else:
+        n = draw(st.integers(1, 8))
+        k = draw(st.integers(1, n + 2 if kind == "example2" else n))
+        strategy = make_strategy(kind, n=n, k=k, d=d)
+    q = draw(st.lists(st.integers(0, d - 1), min_size=strategy.length, max_size=strategy.length))
+    return strategy, q
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    case=mc_cases(),
+    delta=st.sampled_from(DELTAS),
+    trials=st.sampled_from(TRIALS),
+    seed=st.integers(0, 2 ** 32),
+)
+def test_mc_matches_the_per_trial_deviation_loop(case, delta, trials, seed):
+    strategy, q = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampling, "_MC_BLOCK_TRIALS", BLOCK)
+        est = eps_class_mc(strategy, q, delta, trials, rng_seed=seed)
+    assert est.value == oracle_mc(strategy, q, delta, trials, rng_seed=seed)
+    assert est.trials == trials
+
+
+@pytest.mark.parametrize("trials", [BLOCK - 1, BLOCK, BLOCK + 1])
+def test_mc_hits_ties_at_delta_on_block_edges(monkeypatch, trials):
+    # example1 n=3 k=1 on 100: every deviation is 1/2 or 1, so delta 1/2
+    # ties; a tie fails in both forms
+    strategy, q = make_strategy("example1", n=3, k=1), (1, 0, 0)
+    monkeypatch.setattr(sampling, "_MC_BLOCK_TRIALS", BLOCK)
+    for delta in (0.5, Fraction(1, 2)):
+        value = eps_class_mc(strategy, q, delta, trials, rng_seed=7).value
+        assert value == oracle_mc(strategy, q, delta, trials, rng_seed=7)
+    assert any(
+        deviation(strategy, q, *strategy.sample_ts(np.random.default_rng((7, i)))) == Fraction(1, 2)
+        for i in range(trials)
+    )
+
+
+def test_mc_custom_estimator_sees_symbol_values():
+    # the estimate is q_1 / 2, so on q = 21 it is exact only if the
+    # estimator gets the symbol 2, not the zero pattern 1
+    strategy = custom_strategy(2, [((1,), None, Fraction(1))], lambda t, qt, s: Fraction(qt[0], 2), d=3)
+    assert eps_class_mc(strategy, (2, 1), 0.25, 3).value == oracle_mc(strategy, (2, 1), 0.25, 3) == 0.0
+    assert eps_class_mc(strategy, (1, 1), 0.25, 3).value == oracle_mc(strategy, (1, 1), 0.25, 3) == 1.0
+
+
+def test_mc_string_of_the_wrong_length_raises_the_old_error():
+    strategy = make_strategy("example5", n=2, k=1)
+    with pytest.raises(ValueError) as new:
+        eps_class_mc(strategy, (1, 0, 1), 0.2, 10)
+    with pytest.raises(ValueError) as old:
+        oracle_mc(strategy, (1, 0, 1), 0.2, 10)
+    assert str(new.value) == str(old.value) == "string length 3 != strategy length 4"
+
+
+# Peak traced allocation of one call, 20 000 trials.  Blocks sized by table
+# cells alone (2621 and 131072 trials) peak at about 11 MB and 10 MB on these
+# two cases; blocks of at most _MC_BLOCK_TRIALS at about 1.5 MB and 0.2 MB.
+PEAK_LIMIT_BYTES = 2_500_000
+
+
+@pytest.mark.parametrize("kind,params,q", [
+    ("example2", {"n": 100, "k": 20}, (1, 0) * 50),
+    ("example5", {"n": 1, "k": 1}, (1, 0)),
+])
+def test_mc_block_memory_is_bounded(kind, params, q):
+    strategy = make_strategy(kind, params)
+    eps_class_mc(strategy, q, 0.1, 10)  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        eps_class_mc(strategy, q, 0.1, 20_000, rng_seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < PEAK_LIMIT_BYTES
+
+
+# ---------------------------------------------------------------------------
+# _positions against its pair-label loop
+# ---------------------------------------------------------------------------
+
+
+def oracle_positions(J, n=None):
+    if J is None:
+        return ()
+    if isinstance(J, SubsetIndex):
+        return J.positions
+    flat = []
+    for x in J:
+        if isinstance(x, tuple):
+            if n is None:
+                raise ValueError("pair labels need the pair count n")
+            flat.append(pair_position(x[0], x[1], n))
+        else:
+            flat.append(int(x))
+    flat.sort()
+    for a, b in zip(flat, flat[1:]):
+        if a == b:
+            raise ValueError(f"duplicate position {a}")
+    return tuple(flat)
+
+
+def _outcome(fn, J, n):
+    try:
+        return "ok", fn(J, n)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+POSITION_CASES = [
+    ((3, 1, 2), None),
+    ([5], None),
+    ([np.int64(4), 2, np.int32(1)], None),
+    (np.array([3, 1]), None),
+    ([2.0, 1.0, 3.7], None),
+    ((1, 3, 1), None),
+    ([2.0, 2], None),
+    ((), None),
+    ([], 3),
+    (None, None),
+    (SubsetIndex((1, 3), 4), None),
+    (SubsetIndex((), 0), 2),
+    ([(1, 0), (2, 1)], 2),
+    ([(2, 1), (1, 0)], None),
+    ([1, (2, 1)], 3),
+    ([(1, 1), 4], 3),
+    ([1, (1, 0)], 2),
+    ([(3, 0)], 2),
+    ([(1, 2)], 2),
+    (["a", (1, 0)], 2),
+    ([(1, 0), "a"], 2),
+    (["2", "1"], None),
+    ([None, 1], None),
+    ([1, None], None),
+    (5, None),
+    ("312", None),
+]
+
+
+@pytest.mark.parametrize("J,n", POSITION_CASES)
+def test_positions_match_the_pair_label_loop(J, n):
+    assert _outcome(sampling._positions, J, n) == _outcome(oracle_positions, J, n)
+
+
+@pytest.mark.parametrize("J,n", [([3, 1, 2], None), ([(1, 1), 1], 2), ([2, 2], None)])
+def test_positions_read_a_one_shot_iterator_once(J, n):
+    assert _outcome(sampling._positions, iter(J), n) == _outcome(oracle_positions, iter(J), n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    items=st.lists(
+        st.one_of(
+            st.integers(-1, 8),
+            st.integers(0, 8).map(float),
+            st.integers(0, 8).map(np.int64),
+            st.tuples(st.integers(0, 4), st.integers(0, 2)),
+        ),
+        max_size=6,
+    ),
+    n=st.one_of(st.none(), st.integers(1, 4)),
+)
+def test_positions_match_the_loop_on_mixed_items(items, n):
+    assert _outcome(sampling._positions, items, n) == _outcome(oracle_positions, items, n)

@@ -58,11 +58,20 @@ def test_accept_set_wide_delta_excludes_only_maximal_deviations():
 
 
 def test_accept_set_agrees_with_pointwise_membership():
-    strat = make_strategy("example4", n=4, k=2)
-    t, s = (1, 3), (3,)
-    members = {st.symbols for st in accept_set(strat, t, s, 0.4)}
-    for q in itertools.product((0, 1), repeat=4):
-        assert (q in members) == in_accept_set(strat, q, t, s, 0.4)
+    cases = [
+        (make_strategy("example4", n=4, k=2), (1, 3), (3,)),
+        (make_strategy("example4", n=4, k=2), (3, 1), (3,)),  # t unsorted
+        # callers may name pair-indexed columns by (i, j) labels, t and s alike
+        (make_strategy("example5", n=2, k=1), [(2, 0), (1, 1)], (2,)),
+        (make_strategy("example5", n=3, k=2), [(3, 1), (1, 0), (2, 1)], (1, 3)),
+        (make_strategy("example6", n=2, k=2, p=0.3), [(2, 1), (1, 0)], ([(1, 0)], [(2, 1)])),
+        (make_strategy("example6", n=3, k=2, p=0.3), [(1, 1), (2, 0), (3, 0)], ([(3, 0)], [(1, 1)])),
+    ]
+    for strat, t, s in cases:
+        for delta in (0.4, 0.5):
+            members = {st.symbols for st in accept_set(strat, t, s, delta)}
+            for q in itertools.product((0, 1), repeat=strat.length):
+                assert (q in members) == in_accept_set(strat, q, t, s, delta)
 
 
 def test_accept_set_respects_budget(monkeypatch):
