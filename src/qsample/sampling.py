@@ -19,9 +19,14 @@ constructor for custom strategies.  Each built-in (t, s) is one integer row w
 over D, f = w . z / D with z = (q != 0), and the true value is z . 1_tbar /
 |tbar|, so exact error probabilities are int64 matrix products compared with
 delta in integers; ties follow delta as written (a float 0.1 is 1/10).
-Monte-Carlo estimation covers sizes outside the exact budget: it decides its
-drawn (t, s) as columns of the same integer table, in blocks of bounded size,
-with the same tie rule.
+The permutation-invariant kinds ("example1", "example3", "example4") draw
+(t, s) uniformly, so their exact error probability is counted instead: per
+size class of (t, s), the number of weight-w strings one representative
+accepts, a sum of products of binomials over its cells (the positions with
+equal coefficients in the row), in exact Python ints.  Monte-Carlo
+estimation covers sizes outside the exact budget: it decides its drawn
+(t, s) as columns of the same integer table, in blocks of bounded size, with
+the same tie rule.
 
 Positions are 1-based.  Pair-indexed strategies ("example5", "example6") view
 a string of length 2n as n pairs; the pair element (i, j) with i in [1..n] and
@@ -284,13 +289,18 @@ class _Count(_Enumerate):
     """One outcome per size, weighted by the number of outcomes of that size.
 
     The weights of the law then sum to its support size, because every later
-    draw depends on an earlier outcome only through that outcome's size."""
+    draw depends on an earlier outcome only through that outcome's size.
+    ``comb`` counts the outcomes; a budget gate that needs only the sizes
+    passes `lambda m, k: 1`, since one weight can take seconds (C(10^5, 5 10^4))."""
+
+    def __init__(self, comb=math.comb):
+        self.comb = comb
 
     def subset(self, pool, k):
-        return [(tuple(pool[:k]), math.comb(len(pool), k))]
+        return [(tuple(pool[:k]), self.comb(len(pool), k))]
 
-    def coins(self, pool, p=None):
-        return [(tuple(pool[:a]), math.comb(len(pool), a)) for a in range(len(pool) + 1)]
+    def coins(self, pool, p=None):  # lazy: a budget gate may stop after a few sizes
+        return ((tuple(pool[:a]), self.comb(len(pool), a)) for a in range(len(pool) + 1))
 
 
 class _Sample:
@@ -338,6 +348,7 @@ class SamplingStrategy:
     pattern_invariant: bool = True
     estimator: Callable | None = field(default=None, repr=False)
     _support: list | None = field(default=None, repr=False)
+    _draw_p: np.ndarray | None = field(default=None, repr=False, compare=False)  # custom draws
 
     @property
     def pair_indexed(self) -> bool:
@@ -411,8 +422,7 @@ class SamplingStrategy:
     def sample_ts(self, rng: np.random.Generator) -> tuple[tuple, object]:
         """Draw one (t, s) pair."""
         if self.kind == "custom":
-            weights = np.array([float(p) for (_, _, p) in self._support])
-            t, s, _ = self._support[rng.choice(len(weights), p=weights / weights.sum())]
+            t, s, _ = self._support[rng.choice(len(self._draw_p), p=self._draw_p)]
         else:
             t, s, _ = next(self._law(_Sample(rng)))
         return t, s
@@ -462,8 +472,10 @@ class SamplingStrategy:
                 tset = set(t)
                 if any((i in tset) == (i + n in tset) for i in range(1, n + 1)):
                     raise ValueError("example5 subset must pick exactly one element per pair")
-                chosen = {i: i if i in tset else i + n for i in range(1, n + 1)}
-                picked = [chosen[int(i)] for i in s]
+                pairs = [int(i) for i in s]
+                if any(not 1 <= i <= n for i in pairs):
+                    raise ValueError(f"sample pairs {pairs} outside string of {n} pairs")
+                picked = [i if i in tset else i + n for i in pairs]
             else:
                 raise NotImplementedError(f"estimator not implemented for kind {self.kind}")
             terms, den = [(p - 1, 1) for p in picked], max(len(picked), 1)
@@ -574,6 +586,7 @@ def custom_strategy(
         total += prob
     if total != 1:
         raise ValueError(f"support probabilities must sum to 1, got {total}")
+    weights = np.array([float(p) for _, _, p in table])
     return SamplingStrategy(
         "custom",
         int(n),
@@ -581,6 +594,7 @@ def custom_strategy(
         pattern_invariant=bool(pattern_invariant),
         estimator=estimator,
         _support=table,
+        _draw_p=weights / weights.sum(),
     )
 
 
@@ -758,19 +772,43 @@ def eps_class_exact(
 
     Enumerates Hamming-weight classes when the strategy declares permutation
     invariance, zero patterns when the estimator is pattern-invariant, and all
-    d^n strings otherwise.  Refuses strategies without an enumerable (t, s)
-    support and enumerations beyond the evaluation budget.  The witness is
-    the first maximizing candidate in that order.
+    d^n strings otherwise.  The witness is the first maximizing candidate in
+    that order.  The permutation-invariant kinds draw (t, s) uniformly, so
+    their weight classes are counted, not enumerated: one representative
+    (t, s) per size class and, per weight w, the number of weight-w strings
+    it accepts, summed over count vectors (see :func:`_accepted_counts`).
+    The other kinds decide every (candidate, (t, s)) cell of the integer
+    table.  Either way the value is the float of an exact Fraction.  Refuses
+    strategies without an enumerable (t, s) law and work beyond the
+    evaluation budget, charged before any loop.
     """
     bound = _exact_delta(delta)
     limit = resolve_budget(budget)
-    count = _candidate_count(strategy)
-    cost = count * strategy.support_size()
+    if strategy.permutation_invariant:
+        value, index = _eps_class_counted(strategy, bound, limit)
+    else:
+        value, index = _eps_class_enumerated(strategy, bound, limit)
+    witness = _candidates(strategy, index, index + 1)[0]
+    return ErrorEstimate(
+        value=float(value),
+        mode="exact",
+        worst_case_string=SymbolString(tuple(witness.tolist()), strategy.d),
+    )
+
+
+def _refuse(cost: int, limit: int):
     if cost > limit:
         raise BudgetExceededError(
             f"exact enumeration needs {cost} evaluations, budget is {limit}; "
             "use eps_class_mc or raise QSAMPLE_BUDGET"
         )
+
+
+def _eps_class_enumerated(strategy: SamplingStrategy, bound: Fraction, limit: int) -> tuple[Fraction, int]:
+    """(max Pr[fail], index of the first maximizing candidate), from every cell
+    of the (candidate, (t, s)) table."""
+    count = _candidate_count(strategy)
+    _refuse(count * strategy.support_size(), limit)
     support = strategy.ts_support()
     scale, weights = _integer_weights(support)
     best, best_index = -1, 0
@@ -779,12 +817,96 @@ def eps_class_exact(
         i = int(np.argmax(failed))
         if failed[i] > best:
             best, best_index = failed[i], lo + i
-    witness = _candidates(strategy, best_index, best_index + 1)[0]
-    return ErrorEstimate(
-        value=float(Fraction(best, scale)),
-        mode="exact",
-        worst_case_string=SymbolString(tuple(witness.tolist()), strategy.d),
-    )
+    return Fraction(best, scale), best_index
+
+
+# A count vector costs a product and a sum of Python ints of ~L/3 digits:
+# 0.2-0.4 us up to L = 1000 and about linear in L beyond (3 us at L = 4000,
+# 2-core Xeon, Python 3.11), so each is charged ceil(L / 1000) evaluations.
+_COUNT_LENGTH_UNIT = 1000
+
+
+def _eps_class_counted(strategy: SamplingStrategy, bound: Fraction, limit: int) -> tuple[Fraction, int]:
+    """(max Pr[fail], first maximizing weight) for a permutation-invariant
+    kind.  Its (t, s) are uniform over the support, and every size class is
+    the orbit of its _Count representative under position permutations, so
+    with mult the class size and S = sum mult the support size,
+
+        Pr[fail | weight w] = 1 - sum_class mult * acc(class, w) / (S C(L, w)),
+
+    acc(class, w) being the number of weight-w strings the representative
+    accepts."""
+    L = strategy.length
+    classes, cost, unit = [], 0, -(-L // _COUNT_LENGTH_UNIT)
+    for t, s, _ in strategy._law(_Count(lambda m, k: 1)):
+        cells, threshold = _class_cells(strategy, t, s, bound)
+        cost += math.prod(m + 1 for _, m in cells) * unit
+        _refuse(cost, limit)  # before the counting loops; stops a long law early
+        classes.append((cells, threshold))
+    mults = [mult for _, _, mult in strategy._law(_Count())]
+    support = sum(mults)
+    rows = {m: _binomial_row(m) for cells, _ in classes for _, m in cells}  # once per cell size
+    accepted = sum(mult * _accepted_counts(*cls, L, rows) for mult, cls in zip(mults, classes))
+    best, best_total, weight = -1, 1, 0
+    for w, c in enumerate(_binomial_row(L)):
+        total = support * c
+        failed = total - accepted[w]  # rejections among the S C(L, w) pairs
+        if failed * best_total > best * total:  # strictly: the first maximizer
+            best, best_total, weight = failed, total, w
+    return Fraction(best, best_total), weight
+
+
+def _class_cells(strategy: SamplingStrategy, t, s, bound: Fraction) -> tuple[list[tuple[int, int]], int]:
+    """One (t, s) as cells: its positions grouped by their coefficient g in
+    T D - E A = g . z, with g = D 1_tbar - A w (the integer table's terms,
+    see :func:`_table`).  Returns the (g, size) cells and the reject
+    threshold ceil(bound A D) on |g . z|."""
+    L = strategy.length
+    t = strategy.flatten_subset(t)
+    terms, D = strategy._estimator_row(t, s)
+    A = max(L - len(t), 1)
+    weight: dict[int, int] = {}
+    for i, w in terms:
+        weight[i] = weight.get(i, 0) + w
+    cells = {0: len(t), D: L - len(t)}  # g with no weight yet: 0 on t, D on tbar
+    inside = set(t)
+    for i, w in weight.items():  # move each weighted position to its cell
+        g = 0 if i + 1 in inside else D
+        cells[g] -= 1
+        cells[g - A * w] = cells.get(g - A * w, 0) + 1
+    return [(g, m) for g, m in cells.items() if m], -(-bound.numerator * A * D // bound.denominator)
+
+
+def _binomial_row(m: int) -> np.ndarray:
+    """C(m, 0..m) as Python ints in an object array."""
+    row = [1]
+    for x in range(m):
+        row.append(row[-1] * (m - x) // (x + 1))
+    return np.array(row, dtype=object)
+
+
+def _accepted_counts(cells, threshold: int, L: int, rows: dict) -> np.ndarray:
+    """acc[w], w = 0..L: the number of weight-w 0/1 strings z with
+    |g . z| < threshold over the (g, m) cells, i.e. the sum over count
+    vectors x (x_c ones in cell c, sum x = w) of prod_c C(m_c, x_c).  The
+    largest cell with g != 0 is innermost: its accepted counts form one
+    interval per count vector of the other cells.  ``rows[m]`` is the
+    binomial row C(m, 0..m)."""
+    cells = sorted(cells, key=lambda c: (c[0] != 0, c[1]))
+    (g, m), prefix = cells[-1], cells[:-1]
+    if g < 0:  # |g . z| is blind to the sign
+        g, prefix = -g, [(-gc, mc) for gc, mc in prefix]
+    inner, outer = rows[m], [rows[mc] for _, mc in prefix]
+    acc = np.zeros(L + 1, dtype=object)
+    for x in itertools.product(*(range(mc + 1) for _, mc in prefix)):
+        base = sum(gc * xc for (gc, _), xc in zip(prefix, x))
+        # -threshold < base + g y < threshold, for y in 0..m; g = 0 only if
+        # every g is, and then base = 0 and every y is accepted
+        lo, hi = (max(0, (-threshold - base) // g + 1), min(m, (threshold - base - 1) // g)) if g else (0, m)
+        if lo <= hi:
+            at = sum(x) + lo
+            acc[at : at + hi - lo + 1] += math.prod(row[xc] for row, xc in zip(outer, x)) * inner[lo : hi + 1]
+    return acc
 
 
 def eps_class_mc(

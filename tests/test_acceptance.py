@@ -112,7 +112,8 @@ def test_criterion_02_tightness_symmetric_worst_case():
 
 def test_criterion_03_classical_bounds_dominate_exact():
     # exact eps_class <= every applicable closed-form bound on the grid
-    # delta in {0.1,...,0.5} for all n <= 10, and Serfling <= Hoeffding
+    # delta in {0.1,...,0.5} for all n <= 10 and at the sizes below, and
+    # Serfling <= Hoeffding
     grid = (0.1, 0.2, 0.3, 0.4, 0.5)
     checked = 0
     for n in range(2, 11):
@@ -142,6 +143,32 @@ def test_criterion_03_classical_bounds_dominate_exact():
                 hoeffding = analytic_bound("hoeffding", {"k": k}, delta)
                 assert serfling <= hoeffding + 1e-15
                 checked += 1
+
+    def dominates(strategy, *bounds):
+        for delta in grid:
+            eps = eps_class_exact(strategy, delta).value
+            for kind, params in bounds:
+                assert eps <= analytic_bound(kind, params, delta) + 1e-12
+        return len(grid) * len(bounds)
+
+    # at scale: example1 at n in the hundreds, example3 and example4 at n = 50, 100
+    for n in (100, 200, 300):
+        for k in (n // 10, n // 4, n // 2):
+            params = {"n": n, "k": k}
+            kinds = ("example1-general", "example1-simple", "example1-serfling")
+            checked += dominates(make_strategy("example1", params), *((kind, params) for kind in kinds))
+    for n in (50, 100):
+        checked += dominates(make_strategy("example3", {"n": n}), ("example3", {"n": n}))
+        for k in (n // 4, n // 2):
+            checked += dominates(make_strategy("example4", {"n": n, "k": k}), ("example4", {"n": n, "k": k}))
+    # the pair-indexed kinds at small n
+    for n in range(1, 5):
+        for k in range(1, n + 1):
+            checked += dominates(make_strategy("example5", {"n": n, "k": k}), ("example5", {"k": k}))
+    for n in range(1, 4):
+        for k in range(2, 2 * n + 1, 2):
+            params = {"n": n, "k": k, "p": 0.3}
+            checked += dominates(make_strategy("example6", params), ("example6", params))
     _passed(3, "classical-bounds", f"{checked} comparisons, all dominate")
 
 

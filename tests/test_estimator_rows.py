@@ -195,6 +195,14 @@ def test_rows_match_fraction_oracle(strategy, delta):
         assert failure_probability(strategy, witness, delta) == value
 
 
+@pytest.mark.parametrize("pair", [0, 3])
+def test_example5_seed_outside_the_pairs_raises_value_error(pair):
+    # pairs are 1..n; a seed pair outside them once surfaced as a bare KeyError
+    strategy = make_strategy("example5", n=2, k=1)
+    with pytest.raises(ValueError, match="outside string"):
+        deviation(strategy, (0, 1, 1, 0), (1, 2), (pair,))
+
+
 # ---------------------------------------------------------------------------
 # orbit statistics: is_g_symmetric against the per-string loop
 # ---------------------------------------------------------------------------

@@ -124,6 +124,20 @@ def test_mc_custom_estimator_sees_symbol_values():
     assert eps_class_mc(strategy, (1, 1), 0.25, 3).value == oracle_mc(strategy, (1, 1), 0.25, 3) == 1.0
 
 
+def test_custom_draws_match_the_per_draw_weights():
+    # sample_ts once rebuilt and renormalised the float weights on every
+    # draw; the array custom_strategy computes once must give the same draws
+    def per_draw(strategy, rng):
+        weights = np.array([float(p) for (_, _, p) in strategy._support])
+        t, s, _ = strategy._support[rng.choice(len(weights), p=weights / weights.sum())]
+        return t, s
+
+    strategy = _custom(5, 2, [[1], [2, 3], [1, 4, 5], [], [2, 5]], [1, 2, 3, 7, 11], False)
+    for seed in range(20):
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert [strategy.sample_ts(new) for _ in range(10)] == [per_draw(strategy, old) for _ in range(10)]
+
+
 def test_mc_string_of_the_wrong_length_raises_the_old_error():
     strategy = make_strategy("example5", n=2, k=1)
     with pytest.raises(ValueError) as new:
