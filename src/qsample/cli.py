@@ -380,11 +380,12 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qsample",
         description="Sampling-strategy error probabilities, quantum sampling bounds, "
         "and desk-scale protocol simulations with reproducible JSON output.",
+        allow_abbrev=False,  # a prefix such as --d would silently stand for --delta
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     def new(name: str, help_text: str, seed: bool = True) -> argparse.ArgumentParser:
-        cmd = sub.add_parser(name, help=help_text)
+        cmd = sub.add_parser(name, help=help_text, allow_abbrev=False)
         if seed:
             cmd.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
         cmd.add_argument("--out", default=None, help="write the report here instead of stdout")

@@ -28,6 +28,7 @@ from .quantum import (
     HADAMARD,
     BasisSpec,
     PureState,
+    _rotate,
     apply_cnot_pairs,
     apply_unitary,
     make_epr_pairs,
@@ -36,7 +37,7 @@ from .quantum import (
     sample_measurement,
     trace_distance,
 )
-from .sampling import BudgetExceededError, complement, rel_weight, resolve_budget, restrict
+from .sampling import _refuse, complement, rel_weight, restrict
 
 __all__ = [
     "EccModel",
@@ -606,11 +607,7 @@ def _eve_touch(state: PureState, n: int, adversary: AdversaryModel) -> PureState
 
 def _rotated_rows(state: PureState, theta: tuple[int, ...]) -> np.ndarray:
     """Amplitudes as a (2^pop, dim_E) matrix after the basis rotation."""
-    st = state
-    for pos, bit in enumerate(theta, start=1):
-        if bit:
-            st = apply_unitary(st, HADAMARD, (pos,))
-    return st.amps.reshape(2 ** len(theta), state.dim_E)
+    return _rotate(state.tensor(), range(1, len(theta) + 1), theta).reshape(2 ** len(theta), state.dim_E)
 
 
 def _qkd_exact_distance(state: PureState, n: int, k: int, code: LinearCode) -> float:
@@ -703,9 +700,7 @@ def simulate_qkd(
         if n > 7:
             raise ValueError(f"exact-distance mode supports n <= 7, got {n}")
         # bases x outcomes x test subsets x hash seeds that _qkd_exact_distance visits
-        cost, limit = 2 ** n * 4 ** n * math.comb(n, k) * 2 ** (n - k - 1), resolve_budget()
-        if cost > limit:
-            raise BudgetExceededError(f"exact distance needs {cost} evaluations, budget is {limit}; use --mc")
+        _refuse("exact distance", 2 ** n * 4 ** n * math.comb(n, k) * 2 ** (n - k - 1), instead="--mc")
     rng = np.random.default_rng(rng_seed)
     transcript = []
     code = make_linear_code(n - k, ecc.m, ecc.radius, rng)
@@ -816,10 +811,7 @@ def qkd_sampling_view(state: PureState, params: QkdParams, rng_seed: int, budget
         raise ValueError(
             f"state has {state.population_count} population qubits, expected {2 * n}"
         )
-    cost = (2 ** n) * (16 ** n) * state.dim_E
-    limit = resolve_budget(budget)
-    if cost > limit:
-        raise BudgetExceededError(f"experiment comparison needs {cost} > budget {limit}")
+    _refuse("experiment comparison", 2 ** n * 16 ** n * state.dim_E, budget=budget)
     pairs = [(i, n + i) for i in range(1, n + 1)]
     transformed = apply_cnot_pairs(state, pairs)
     max_tv = 0.0

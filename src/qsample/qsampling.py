@@ -28,16 +28,15 @@ import numpy as np
 
 from .quantum import PureState
 from .sampling import (
-    BudgetExceededError,
     SamplingStrategy,
     SymbolString,
     _digits,
     _exact_delta,
     _integer_weights,
+    _refuse,
     _reject_blocks,
     _table,
     eps_class_exact,
-    resolve_budget,
     strategy_to_json,
 )
 
@@ -110,11 +109,7 @@ def accept_set(strategy: SamplingStrategy, t, s, delta: float, n: int | None = N
     _exact_delta(delta)
     if n is not None and int(n) != strategy.length:
         raise ValueError(f"n={n} does not match the strategy's string length {strategy.length}")
-    limit = resolve_budget(None)
-    if strategy.d ** strategy.length > limit:
-        raise BudgetExceededError(
-            f"{strategy.d ** strategy.length} strings exceed the budget {limit}"
-        )
+    _refuse("accept set", strategy.d ** strategy.length)
     mask = _accept_masks(strategy, [(t, s)], delta)[:, 0]
     strings = _digits(0, strategy.d ** strategy.length, strategy.d, strategy.length)
     return {SymbolString(q, strategy.d) for q in strings[mask].tolist()}
@@ -165,12 +160,7 @@ def ideal_distance(
     sum_{t,s} P(t,s) sqrt(1 - inside_weight(t,s))."""
     _exact_delta(delta)
     weights = _population_weights(state, strategy)
-    limit = resolve_budget(budget)
-    cost = strategy.d ** strategy.length * (strategy.support_size() + 1)
-    if cost > limit:
-        raise BudgetExceededError(
-            f"accept-matrix construction needs {cost} evaluations, budget is {limit}"
-        )
+    _refuse("accept matrix", strategy.d ** strategy.length, lambda: strategy.support_size() + 1, budget)
     support = strategy.ts_support()
     mat = _accept_masks(strategy, support, delta)
     inside = weights @ mat
@@ -315,12 +305,7 @@ def _symmetric_orbits(
     if G.n != strategy.length:
         raise ValueError(f"group acts on {G.n} positions, strategy strings have length {strategy.length}")
     d, L = strategy.d, strategy.length
-    limit = resolve_budget(budget)
-    cost = d ** L * (strategy.support_size() + len(G.generators))
-    if cost > limit:
-        raise BudgetExceededError(
-            f"symmetry check needs about {cost} evaluations, budget is {limit}"
-        )
+    _refuse("symmetry check", d ** L, lambda: strategy.support_size() + len(G.generators), budget)
     support = strategy.ts_support()
     A, D, blocks = _table(strategy, support, partial(_digits, d=d, length=L), d ** L)
     T, E = (np.concatenate(parts) for parts in zip(*((T, E) for _, T, E in blocks)))

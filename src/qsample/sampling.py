@@ -113,6 +113,32 @@ def resolve_budget(budget: int | None = None) -> int:
     return value
 
 
+def _refuse(
+    work: str, cheap: int, rest: Callable[[], int] | None = None, budget: int | None = None, instead: str | None = None
+) -> None:
+    """The budget gate of every exhaustive path: refuses ``work`` with
+    BudgetExceededError when it costs more evaluations than
+    :func:`resolve_budget` allows.
+
+    The cost is cheap * rest().  ``rest``, a factor of at least 1 that may walk
+    the (t, s) law, is called only once the cheap factor (the string or
+    candidate count) fits.  A cost past 15 digits is worded as a power of ten,
+    since str() of an int past 4300 digits raises.  ``instead`` names a
+    sampled alternative."""
+    limit = resolve_budget(budget)
+    lower = rest is not None and cheap > limit  # refused on the cheap factor alone
+    cost = cheap if rest is None or lower else cheap * rest()
+    if cost <= limit:
+        return
+    if cost < 10 ** 15:
+        amount = f"at least {cost}" if lower else str(cost)
+    else:
+        e = math.floor(math.log10(cost))
+        amount = f"at least 10^{e - (10 ** e > cost)}"  # the float log may round up past a power of ten
+    hint = f"use {instead} or raise QSAMPLE_BUDGET" if instead else "raise QSAMPLE_BUDGET"
+    raise BudgetExceededError(f"{work} needs {amount} evaluations, budget is {limit}; {hint}")
+
+
 # ---------------------------------------------------------------------------
 # strings and index sets
 # ---------------------------------------------------------------------------
@@ -687,6 +713,7 @@ def failure_probability(strategy: SamplingStrategy, q, delta: float) -> Fraction
     """Exact Pr[q not in B(T, S, delta)] for one fixed string q."""
     bound = _exact_delta(delta)
     string = np.array([_symbols(q, strategy.length)], dtype=np.int64)
+    _refuse("failure probability", strategy.support_size())
     support = strategy.ts_support()
     ((_, reject),) = _reject_blocks(strategy, support, lambda lo, hi: string, 1, bound)
     return sum((p for (_, _, p), r in zip(support, reject[0]) if r), Fraction(0))
@@ -783,11 +810,10 @@ def eps_class_exact(
     evaluation budget, charged before any loop.
     """
     bound = _exact_delta(delta)
-    limit = resolve_budget(budget)
     if strategy.permutation_invariant:
-        value, index = _eps_class_counted(strategy, bound, limit)
+        value, index = _eps_class_counted(strategy, bound, budget)
     else:
-        value, index = _eps_class_enumerated(strategy, bound, limit)
+        value, index = _eps_class_enumerated(strategy, bound, budget)
     witness = _candidates(strategy, index, index + 1)[0]
     return ErrorEstimate(
         value=float(value),
@@ -796,19 +822,11 @@ def eps_class_exact(
     )
 
 
-def _refuse(cost: int, limit: int):
-    if cost > limit:
-        raise BudgetExceededError(
-            f"exact enumeration needs {cost} evaluations, budget is {limit}; "
-            "use eps_class_mc or raise QSAMPLE_BUDGET"
-        )
-
-
-def _eps_class_enumerated(strategy: SamplingStrategy, bound: Fraction, limit: int) -> tuple[Fraction, int]:
+def _eps_class_enumerated(strategy: SamplingStrategy, bound: Fraction, budget: int | None) -> tuple[Fraction, int]:
     """(max Pr[fail], index of the first maximizing candidate), from every cell
     of the (candidate, (t, s)) table."""
     count = _candidate_count(strategy)
-    _refuse(count * strategy.support_size(), limit)
+    _refuse("exact enumeration", count, strategy.support_size, budget, instead="eps_class_mc")
     support = strategy.ts_support()
     scale, weights = _integer_weights(support)
     best, best_index = -1, 0
@@ -826,7 +844,7 @@ def _eps_class_enumerated(strategy: SamplingStrategy, bound: Fraction, limit: in
 _COUNT_LENGTH_UNIT = 1000
 
 
-def _eps_class_counted(strategy: SamplingStrategy, bound: Fraction, limit: int) -> tuple[Fraction, int]:
+def _eps_class_counted(strategy: SamplingStrategy, bound: Fraction, budget: int | None) -> tuple[Fraction, int]:
     """(max Pr[fail], first maximizing weight) for a permutation-invariant
     kind.  Its (t, s) are uniform over the support, and every size class is
     the orbit of its _Count representative under position permutations, so
@@ -841,7 +859,7 @@ def _eps_class_counted(strategy: SamplingStrategy, bound: Fraction, limit: int) 
     for t, s, _ in strategy._law(_Count(lambda m, k: 1)):
         cells, threshold = _class_cells(strategy, t, s, bound)
         cost += math.prod(m + 1 for _, m in cells) * unit
-        _refuse(cost, limit)  # before the counting loops; stops a long law early
+        _refuse("exact enumeration", cost, budget=budget, instead="eps_class_mc")  # stops a long law early
         classes.append((cells, threshold))
     mults = [mult for _, _, mult in strategy._law(_Count())]
     support = sum(mults)

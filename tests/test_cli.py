@@ -116,6 +116,34 @@ def test_budget_env_gates_the_symmetry_check(capsys, monkeypatch):
     assert "budget" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "eps-quant --kind example4 --n 8000 --k 4000 --delta 0.3",
+        "eps-class --kind example5 --n 5000 --k 1 --delta 0.3",
+    ],
+)
+def test_cost_past_the_int_string_limit_is_refused_at_once(capsys, monkeypatch, argv):
+    # 2^8000 and 2^10000 strings: the cost has thousands of digits
+    monkeypatch.delenv("QSAMPLE_BUDGET", raising=False)
+    started = time.monotonic()
+    code, out, err = _run(capsys, *argv.split())
+    assert time.monotonic() - started < 1.0
+    assert code == 2 and out == ""
+    assert "budget" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("prefix", [["--d", "0.2"], ["--d", "3"]])
+def test_option_prefixes_are_not_abbreviations(capsys, prefix):
+    # with prefix matching, --d 0.2 would silently replace the delta written before it
+    argv = ["eps-class", "--kind", "example1", "--n", "12", "--k", "6", "--delta", "0.5", *prefix]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert "unrecognized arguments" in captured.err and captured.out == ""
+
+
 def test_mc_mode_requires_target_string(capsys):
     code, _, err = _run(capsys, "eps-class", "--kind", "example1", "--n", "4", "--k", "1", "--delta", "0.3", "--mc", "--trials", "100")
     assert code == 2
