@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 _PSD_TOL = 1e-9
+_EXACT_INPUT_BITS = 6  # pa_exact_check's limit: 2^n inputs, each hashed under 2^(n-1) seeds
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +357,11 @@ def _resolve_hmin(rho_XE: CqState, certificate: EntropyCertificate | None) -> fl
     return classical_env_min_entropy(rho_XE)
 
 
+def _check_exact_input_bits(n: int) -> None:
+    if n > _EXACT_INPUT_BITS:
+        raise ValueError(f"exact check supports at most {_EXACT_INPUT_BITS} input bits, got {n}")
+
+
 def pa_exact_check(
     rho_XE: CqState,
     family: HashFamily,
@@ -376,8 +382,7 @@ def pa_exact_check(
     n = family.input_bits
     if l != family.output_bits:
         raise ValueError(f"l = {l} != family output_bits {family.output_bits}")
-    if n > 6:
-        raise ValueError(f"exact check supports at most 6 input bits, got {n}")
+    _check_exact_input_bits(n)
     if rho_XE.env_dim > 8:
         raise ValueError(f"exact check supports env_dim <= 8, got {rho_XE.env_dim}")
     x = np.array([_check_bits(x, n, "classical value") for x, _, _ in rho_XE.entries], dtype=np.int64)

@@ -24,9 +24,9 @@ The permutation-invariant kinds ("example1", "example3", "example4") draw
 size class of (t, s), the number of weight-w strings one representative
 accepts, a sum of products of binomials over its cells (the positions with
 equal coefficients in the row), in exact Python ints.  Monte-Carlo
-estimation covers sizes outside the exact budget: it decides its drawn
-(t, s) as columns of the same integer table, in blocks of bounded size, with
-the same tie rule.
+estimation covers sizes outside the exact budget: it decides each block of
+trials of a built-in kind from the raw draws, in the same integers and with
+the same tie rule, in blocks of bounded size.
 
 Positions are 1-based.  Pair-indexed strategies ("example5", "example6") view
 a string of length 2n as n pairs; the pair element (i, j) with i in [1..n] and
@@ -114,7 +114,12 @@ def resolve_budget(budget: int | None = None) -> int:
 
 
 def _refuse(
-    work: str, cheap: int, rest: Callable[[], int] | None = None, budget: int | None = None, instead: str | None = None
+    work: str,
+    cheap: int,
+    rest: Callable[[], int] | None = None,
+    budget: int | None = None,
+    instead: str | None = None,
+    at_least: bool = False,
 ) -> None:
     """The budget gate of every exhaustive path: refuses ``work`` with
     BudgetExceededError when it costs more evaluations than
@@ -124,9 +129,10 @@ def _refuse(
     the (t, s) law, is called only once the cheap factor (the string or
     candidate count) fits.  A cost past 15 digits is worded as a power of ten,
     since str() of an int past 4300 digits raises.  ``instead`` names a
-    sampled alternative."""
+    sampled alternative.  ``at_least`` says that ``cheap`` is the cost
+    counted so far, a part of the whole."""
     limit = resolve_budget(budget)
-    lower = rest is not None and cheap > limit  # refused on the cheap factor alone
+    lower = at_least or (rest is not None and cheap > limit)  # refused on part of the cost
     cost = cheap if rest is None or lower else cheap * rest()
     if cost <= limit:
         return
@@ -696,17 +702,28 @@ def _table(strategy: SamplingStrategy, columns, strings, count: int):
     return np.maximum(L - sizes, 1), D, blocks()
 
 
+def _tie_rule(A: np.ndarray, D: np.ndarray, bound: Fraction, fractions: bool = False):
+    """The reject test of true values T / A against estimates E / D: a
+    function of (T, E) saying, elementwise and exactly, that the deviation is
+    at least ``bound`` (a tie rejects).  ``fractions``: E holds Fractions
+    over D = 1 (a custom estimator), compared with bound * A."""
+    # |T D - E A| / (A D) >= p / q  <=>  |T D - E A| >= ceil(p A D / q) for ints,
+    # with the threshold in Python ints: |T D - E A| q can wrap around in int64
+    if fractions:
+        threshold = np.array([bound * int(a) for a in A], dtype=object)
+    else:
+        p, q = bound.numerator, bound.denominator
+        threshold = np.array([-(-p * a * d // q) for a, d in zip(A.tolist(), D.tolist())])
+    return lambda T, E: (np.abs(T * D - E * A) >= threshold).astype(bool)
+
+
 def _reject_blocks(strategy: SamplingStrategy, columns, strings, count: int, bound: Fraction):
     """Yield (lo, reject): reject[i, j] says that string lo + i deviates by
     at least ``bound`` under column j, decided exactly."""
     A, D, blocks = _table(strategy, columns, strings, count)
-    # |T D - E A| / (A D) >= p / q  <=>  |T D - E A| >= ceil(p A D / q) for ints,
-    # with the threshold in Python ints: |T D - E A| q can wrap around in int64
-    threshold = np.array([-(-bound.numerator * int(x) // bound.denominator) for x in A * D])
-    if strategy.kind == "custom":  # D = 1 and E holds Fractions: compare with bound * A exactly
-        threshold = np.array([bound * int(a) for a in A], dtype=object)
+    rejects = _tie_rule(A, D, bound, fractions=strategy.kind == "custom")
     for lo, T, E in blocks:
-        yield lo, (np.abs(T * D - E * A) >= threshold).astype(bool)
+        yield lo, rejects(T, E)
 
 
 def failure_probability(strategy: SamplingStrategy, q, delta: float) -> Fraction:
@@ -856,10 +873,14 @@ def _eps_class_counted(strategy: SamplingStrategy, bound: Fraction, budget: int 
     accepts."""
     L = strategy.length
     classes, cost, unit = [], 0, -(-L // _COUNT_LENGTH_UNIT)
-    for t, s, _ in strategy._law(_Count(lambda m, k: 1)):
+    law = strategy._law(_Count(lambda m, k: 1))
+    following = next(law)
+    while following is not None:  # one class ahead, to tell a running sum from the whole cost
+        (t, s, _), following = following, next(law, None)
         cells, threshold = _class_cells(strategy, t, s, bound)
         cost += math.prod(m + 1 for _, m in cells) * unit
-        _refuse("exact enumeration", cost, budget=budget, instead="eps_class_mc")  # stops a long law early
+        # stops a long law early
+        _refuse("exact enumeration", cost, budget=budget, instead="eps_class_mc", at_least=following is not None)
         classes.append((cells, threshold))
     mults = [mult for _, _, mult in strategy._law(_Count())]
     support = sum(mults)
@@ -927,30 +948,172 @@ def _accepted_counts(cells, threshold: int, L: int, rows: dict) -> np.ndarray:
     return acc
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64's
+# 128-bit multiplier (numpy/random/src/pcg64/pcg64.h)
+_HASH_INIT_A, _HASH_MULT_A, _HASH_INIT_B, _HASH_MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R, _POOL_WORDS = 0xCA01F9DD, 0x4973F715, 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_WORD, _STATE = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _seed_states(seed_words: list[int], index_words: list[np.ndarray]) -> tuple[list[int], list[int]]:
+    """PCG64's (states, incs) seeded from SeedSequence(seed_words + the
+    index words of row r), for every row r of ``index_words``: SeedSequence's
+    pool hash and mix on uint32 arrays with one entry per row, then PCG64's
+    128-bit srandom in Python ints.  The multipliers of the hash depend only
+    on the entropy length, so they advance in Python ints."""
+    rows = len(index_words[0])
+    entropy = [np.full(rows, w, dtype=np.uint32) for w in seed_words] + index_words
+    const = _HASH_INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _HASH_MULT_A & _WORD
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        value = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return value ^ (value >> np.uint32(16))
+
+    zero = np.zeros(rows, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_WORDS)]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_WORDS:]:  # entropy past the pool: each word into every pool word
+        for dst in range(_POOL_WORDS):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const, out = _HASH_INIT_B, []  # generate_state(4, uint64): 8 words cycling the pool
+    for i in range(8):
+        value = pool[i % _POOL_WORDS] ^ np.uint32(const)
+        const = const * _HASH_MULT_B & _WORD
+        value = value * np.uint32(const)
+        out.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    high, low, seq_high, seq_low = (out[2 * j] | (out[2 * j + 1] << np.uint64(32)) for j in range(4))
+    states, incs = [], []
+    for h, l, sh, sl in zip(high.tolist(), low.tolist(), seq_high.tolist(), seq_low.tolist()):
+        inc = ((sh << 64 | sl) << 1 | 1) & _STATE
+        states.append(((inc + (h << 64 | l)) * _PCG64_MULT + inc) & _STATE)
+        incs.append(inc)
+    return states, incs
+
+
+def _trial_generators(seed: int, trials: range):
+    """Yield a Generator equal to ``np.random.default_rng((seed, i))`` for
+    each trial index i of ``trials`` (below 2^64), at a fraction of its cost:
+    the states of every trial come from one batched SeedSequence hash (see
+    :func:`_seed_states`), and one Generator is reloaded per trial, so each
+    yielded Generator is valid until the next is yielded."""
+    if seed < 0:
+        np.random.default_rng((seed, 0))  # raises numpy's own error
+    seed_words = [seed >> s & _WORD for s in range(0, max(seed.bit_length(), 1), 32)]
+    rng = np.random.Generator(np.random.PCG64(0))
+    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+    # an index below 2^32 is one entropy word, a larger one two
+    for part in (range(trials.start, min(trials.stop, 1 << 32)), range(max(trials.start, 1 << 32), trials.stop)):
+        if not part:
+            continue
+        index = np.arange(part.start, part.stop, dtype=np.uint64)
+        words = [(index & np.uint64(_WORD)).astype(np.uint32)]
+        if part.start >> 32:
+            words.append((index >> np.uint64(32)).astype(np.uint32))
+        for s, inc in zip(*_seed_states(seed_words, words)):
+            rng.bit_generator.state = {**state, "state": {"state": s, "inc": inc}}
+            yield rng
+
+
+def _draw_block(strategy: SamplingStrategy, z: np.ndarray, generators) -> tuple[np.ndarray, ...]:
+    """T, E, A and D (as in :func:`_table`) of one block of trials of a
+    built-in kind on the 0/1 string z, one trial per generator.  Each trial
+    makes the draws of ``sample_ts`` (``_law(_Sample(rng))``): the same
+    generator calls in the same order.  The block's draws are stacked into
+    arrays and reduced at once; no (t, s) tuple or estimator row is built."""
+    n, k, kind = strategy.n, strategy.k, strategy.kind
+    ones = int(z.sum())
+    if kind == "example1":  # w: ones on t, D = k
+        X = np.array([g.choice(n, size=k, replace=False) for g in generators])
+        E = z[X].sum(axis=1)
+        return ones - E, E, np.full(len(E), max(n - k, 1)), np.full(len(E), k)
+    if kind == "example2":  # t: the distinct draws; w counts a position drawn twice twice
+        X = np.sort([g.integers(0, n, size=k) for g in generators], axis=1)
+        first = np.ones(X.shape, dtype=bool)
+        first[:, 1:] = X[:, 1:] != X[:, :-1]
+        E = z[X].sum(axis=1)
+        return ones - (z[X] * first).sum(axis=1), E, np.maximum(n - first.sum(axis=1), 1), np.full(len(E), k)
+    if kind == "example3":  # t: the positions whose coin is 1
+        C = np.array([g.integers(0, 2, size=n) for g in generators])
+        E, size = C @ z, C.sum(axis=1)
+        return ones - E, E, np.maximum(n - size, 1), np.maximum(size, 1)
+    if kind == "example4":  # s: the elements of sorted t whose coin is 1
+        draws = [(g.choice(n, size=k, replace=False), g.integers(0, 2, size=k)) for g in generators]
+        X, C = map(np.array, zip(*draws))
+        on_t = z[np.sort(X, axis=1)]
+        E = (on_t * C).sum(axis=1)
+        return ones - on_t.sum(axis=1), E, np.full(len(E), max(n - k, 1)), np.maximum(C.sum(axis=1), 1)
+    if kind == "example5":  # t: slot 1 of pair i when its coin is 1, else slot 0; s: k pairs
+        draws = [(g.integers(0, 2, size=n), g.choice(n, size=k, replace=False)) for g in generators]
+        U, S = map(np.array, zip(*draws))
+        on_t = np.where(U == 1, z[n:], z[:n])
+        E = np.take_along_axis(on_t, S, axis=1).sum(axis=1)
+        return ones - on_t.sum(axis=1), E, np.full(len(E), n), np.full(len(E), k)
+    if kind == "example6":  # t0: slot 0 of the kept pairs, t1: slot 1 of the rest; s_j: half of t_j
+        half, kept, draws = k // 2, [], ([], [])
+        for g in generators:
+            kept.append(g.random(n) < strategy.p)
+            size = int(np.count_nonzero(kept[-1]))
+            for pool, drawn in zip((size, n - size), draws):  # an empty pool leaves the generator untouched
+                drawn.append(g.choice(pool, size=min(half, pool), replace=False) if pool else np.empty(0, np.int64))
+        K = np.array(kept)
+        size0 = K.sum(axis=1)  # |t~|
+        order = np.argsort(~K, axis=1, kind="stable")  # t0's pairs, then t1's, each ascending
+        ones_on, sizes = [], []
+        for j, (drawn, offset) in enumerate(zip(draws, (0 * size0, size0))):  # z's ones on s_j
+            size = np.array([len(x) for x in drawn])
+            row = np.repeat(np.arange(len(K)), size)
+            pairs = order[row, np.concatenate(drawn) + offset[row]]
+            ones_on.append(np.bincount(row, weights=z[pairs + j * n], minlength=len(K)).astype(np.int64))
+            sizes.append(np.maximum(size, 1))
+        (Z0, Z1), (c0, c1) = ones_on, sizes
+        E = (n - size0) * c1 * Z0 + size0 * c0 * Z1  # see _estimator_row
+        return np.where(K, z[n:], z[:n]).sum(axis=1), E, np.full(len(E), n), n * c0 * c1
+    raise NotImplementedError(f"{kind} has no Monte-Carlo kernel")
+
+
 def eps_class_mc(
     strategy: SamplingStrategy, q, delta: float, trials: int, rng_seed: int = 0
 ) -> ErrorEstimate:
     """Monte-Carlo estimate of Pr[q not in B(T, S, delta)] for one fixed string.
 
-    Each trial draws its own generator from (rng_seed, trial index), so the
-    result does not depend on execution order.  The drawn (t, s) are decided
-    as columns of the integer table that exact mode uses, with the same tie
-    rule (a deviation of exactly delta fails), in blocks of at most
-    ``_MC_BLOCK_TRIALS`` trials (fewer on strings longer than
+    Trial i draws its (t, s) from ``np.random.default_rng((rng_seed, i))``,
+    so the result does not depend on execution order; the generators of a
+    block are seeded at once (:func:`_trial_generators`).  Trials go in
+    blocks of at most ``_MC_BLOCK_TRIALS`` (fewer on strings longer than
     ``_BLOCK_CELLS / _MC_BLOCK_TRIALS``), so memory stays bounded for any
-    trial count.
+    trial count.  A built-in kind decides each block from its raw draws
+    (:func:`_draw_block`); a custom strategy draws with ``sample_ts`` and
+    decides the drawn (t, s) as columns of the integer table that exact mode
+    uses.  Both apply exact mode's tie rule: a deviation of exactly delta
+    fails.
     """
     bound = _exact_delta(delta)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     string = np.array([_symbols(q, strategy.length)], dtype=np.int64)
+    z = (string[0] != 0).astype(np.int64)
     step = max(1, min(_MC_BLOCK_TRIALS, _BLOCK_CELLS // max(strategy.length, 1)))
     failures = 0
     for first in range(0, trials, step):
-        trial_range = range(first, min(first + step, trials))
-        columns = [strategy.sample_ts(np.random.default_rng((int(rng_seed), i))) for i in trial_range]
-        for _, reject in _reject_blocks(strategy, columns, lambda lo, hi: string, 1, bound):
-            failures += int(reject.sum())
+        generators = _trial_generators(int(rng_seed), range(first, min(first + step, trials)))
+        if strategy.kind == "custom":
+            columns = [strategy.sample_ts(g) for g in generators]
+            for _, reject in _reject_blocks(strategy, columns, lambda lo, hi: string, 1, bound):
+                failures += int(reject.sum())
+        else:
+            T, E, A, D = _draw_block(strategy, z, generators)
+            failures += int(_tie_rule(A, D, bound)(T, E).sum())
     return ErrorEstimate(
         value=failures / trials,
         mode="monte-carlo",

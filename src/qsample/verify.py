@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .entropy import HashFamily, lemma2_operator_check, pa_exact_check
+from .entropy import HashFamily, _check_exact_input_bits, lemma2_operator_check, pa_exact_check
 from .protocols import (
     AdversaryModel,
     QkdParams,
@@ -74,6 +74,7 @@ def pa_batch(trials: int, n_bits: int, l: int | None, rng: np.random.Generator) 
     n_bits = int(n_bits)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_exact_input_bits(n_bits)  # before 2^n_bits states are built per trial
     holds = True
     max_distance = 0.0
     min_margin = math.inf

@@ -54,6 +54,18 @@ def test_cost_past_the_int_string_limit_is_refused_with_the_budget_message():
     assert "needs at least 10^2408 evaluations" in message
 
 
+def test_counted_refusal_partway_through_the_law_says_at_least(monkeypatch):
+    # example3 is refused in the middle of its n + 1 size classes, example1
+    # (one class) with its whole cost
+    monkeypatch.delenv("QSAMPLE_BUDGET", raising=False)
+    with pytest.raises(BudgetExceededError) as partway:
+        eps_class_exact(make_strategy("example3", n=5000), 0.3)
+    assert "needs at least 270302390 evaluations" in str(partway.value)
+    with pytest.raises(BudgetExceededError) as whole:
+        eps_class_exact(make_strategy("example1", n=20_000, k=10_000), 0.3)
+    assert "needs 2000400020 evaluations" in str(whole.value)
+
+
 def _example4():
     return make_strategy("example4", n=8000, k=4000)
 

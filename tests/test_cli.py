@@ -288,6 +288,15 @@ def test_pa_check_command(capsys):
     assert result["min_margin"] > 0
 
 
+def test_pa_check_refuses_too_many_input_bits_before_building_states(capsys):
+    # the limit of the exact check, read before 2^16 states are built
+    started = time.monotonic()
+    code, _, err = _run(capsys, "pa-check", "--n", "16", "--trials", "1")
+    assert code == 2
+    assert "exact check supports at most 6 input bits, got 16" in err
+    assert time.monotonic() - started < 1.0
+
+
 def test_qkd_plan_reports_plan(capsys):
     code, out, _ = _run(capsys, "qkd-plan", "--n", "60", "--k", "15", "--eps", "1.95")
     assert code == 0

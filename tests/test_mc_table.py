@@ -1,11 +1,13 @@
-"""Monte-Carlo on the integer table, against the per-trial deviation loop.
+"""Monte-Carlo in blocks, against the per-trial deviation loop.
 
-``eps_class_mc`` decides its drawn (t, s) in blocks, as columns of the same
-integer table that exact mode uses.  The oracle below is the per-trial loop
-it replaced: one generator per trial, one exact ``deviation`` per draw.  The
-two must agree exactly, ties at delta included, on either side of every
-block edge.  ``_positions`` keeps its old pair-label loop as the oracle of
-its plain-int path.
+``eps_class_mc`` decides a block of built-in-kind trials from their raw
+draws (``_draw_block``) and a custom strategy's drawn (t, s) as columns of
+the integer table that exact mode uses; the generators of a block are
+seeded at once (``_trial_generators``).  The oracle below is the per-trial
+loop both replaced: one ``default_rng((seed, i))`` per trial, one exact
+``deviation`` per draw.  The two must agree exactly, ties at delta
+included, on either side of every block edge.  ``_positions`` keeps its old
+pair-label loop as the oracle of its plain-int path.
 """
 
 import tracemalloc
@@ -45,8 +47,9 @@ def oracle_mc(strategy, q, delta, trials, rng_seed=0):
 
 
 BLOCK = 4  # trials per block while the property runs
+CELLS = 24  # table cells per block then: strings longer than CELLS / BLOCK get fewer trials
 TRIALS = [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 2]
-DELTAS = [0.1, 0.15, 0.25, Fraction(1, 3)]
+DELTAS = [0.1, 0.15, 0.25, Fraction(1, 3), 0.5]
 
 
 def _custom(n, d, subsets, weights, by_symbol):
@@ -61,7 +64,7 @@ def _custom(n, d, subsets, weights, by_symbol):
 
 @st.composite
 def mc_cases(draw):
-    kind = draw(st.sampled_from(["example2", "example3", "example4", "example5", "example6", "custom"]))
+    kind = draw(st.sampled_from(["example1", "example2", "example3", "example4", "example5", "example6", "custom"]))
     d = draw(st.sampled_from([2, 3]))
     if kind == "custom":
         n = draw(st.integers(2, 5))
@@ -96,24 +99,76 @@ def test_mc_matches_the_per_trial_deviation_loop(case, delta, trials, seed):
     strategy, q = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sampling, "_MC_BLOCK_TRIALS", BLOCK)
+        mp.setattr(sampling, "_BLOCK_CELLS", CELLS)
         est = eps_class_mc(strategy, q, delta, trials, rng_seed=seed)
     assert est.value == oracle_mc(strategy, q, delta, trials, rng_seed=seed)
     assert est.trials == trials
 
 
+# on each string a trial among the first three (seed 7) deviates by exactly
+# delta; e.g. example1 n=3 k=1 on 100 deviates by 1/2 or 1
+TIES = [
+    ("example1", {"n": 3, "k": 1}, (1, 0, 0), Fraction(1, 2)),
+    ("example3", {"n": 4}, (1, 0, 0, 0), Fraction(1, 4)),
+    ("example5", {"n": 2, "k": 1}, (1, 0, 0, 0), Fraction(1, 2)),
+    ("example6", {"n": 2, "k": 2, "p": 0.5}, (1, 0, 0, 0), Fraction(1, 2)),
+]
+
+
+@pytest.mark.parametrize("kind,params,q,tie", TIES, ids=[case[0] for case in TIES])
 @pytest.mark.parametrize("trials", [BLOCK - 1, BLOCK, BLOCK + 1])
-def test_mc_hits_ties_at_delta_on_block_edges(monkeypatch, trials):
-    # example1 n=3 k=1 on 100: every deviation is 1/2 or 1, so delta 1/2
-    # ties; a tie fails in both forms
-    strategy, q = make_strategy("example1", n=3, k=1), (1, 0, 0)
+def test_mc_hits_ties_at_delta_on_block_edges(monkeypatch, trials, kind, params, q, tie):
+    # a tie fails whether delta is the float or the Fraction
+    strategy = make_strategy(kind, params)
     monkeypatch.setattr(sampling, "_MC_BLOCK_TRIALS", BLOCK)
-    for delta in (0.5, Fraction(1, 2)):
+    for delta in (float(tie), tie):
         value = eps_class_mc(strategy, q, delta, trials, rng_seed=7).value
         assert value == oracle_mc(strategy, q, delta, trials, rng_seed=7)
     assert any(
-        deviation(strategy, q, *strategy.sample_ts(np.random.default_rng((7, i)))) == Fraction(1, 2)
+        deviation(strategy, q, *strategy.sample_ts(np.random.default_rng((7, i)))) == tie
         for i in range(trials)
     )
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("example1", {"n": 1100, "k": 30}),
+    ("example2", {"n": 1100, "k": 30}),
+    ("example3", {"n": 1100}),
+    ("example4", {"n": 1100, "k": 30}),
+    ("example5", {"n": 550, "k": 30}),
+    ("example6", {"n": 550, "k": 30, "p": 0.3}),
+])
+def test_mc_on_strings_longer_than_a_full_block(kind, params):
+    # L > _BLOCK_CELLS / _MC_BLOCK_TRIALS: 238 trials per block, so 300
+    # trials end in a part block
+    strategy = make_strategy(kind, params)
+    assert strategy.length * sampling._MC_BLOCK_TRIALS > sampling._BLOCK_CELLS
+    q = [int(x) for x in np.random.default_rng(5).integers(0, 2, size=strategy.length)]
+    est = eps_class_mc(strategy, q, 0.05, 300, rng_seed=11)
+    assert est.value == oracle_mc(strategy, q, 0.05, 300, rng_seed=11)
+
+
+SEEDS = [0, 1, 2 ** 31 - 2, 2 ** 32 + 5, 2 ** 64 + 3, 2 ** 100]  # one to four entropy words
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("trials", [range(3001), range(2 ** 32 - 1, 2 ** 32 + 1)])
+def test_trial_generators_load_the_states_of_default_rng(seed, trials):
+    # indices from 2^32 on are two entropy words; with four seed words the
+    # entropy runs past SeedSequence's pool
+    got = []
+    for rng in sampling._trial_generators(seed, trials):
+        got.append(rng.bit_generator.state)
+        rng.integers(0, 5, size=3, dtype=np.int32)  # leaves a buffered half-word
+    assert got == [np.random.default_rng((seed, i)).bit_generator.state for i in trials]
+
+
+def test_negative_seed_raises_the_error_of_default_rng():
+    with pytest.raises(ValueError) as new:
+        eps_class_mc(make_strategy("example1", n=4, k=2), (1, 0, 1, 0), 0.2, 10, rng_seed=-1)
+    with pytest.raises(ValueError) as old:
+        np.random.default_rng((-1, 0))
+    assert str(new.value) == str(old.value)
 
 
 def test_mc_custom_estimator_sees_symbol_values():
@@ -147,15 +202,19 @@ def test_mc_string_of_the_wrong_length_raises_the_old_error():
     assert str(new.value) == str(old.value) == "string length 3 != strategy length 4"
 
 
-# Peak traced allocation of one call, 20 000 trials.  Blocks sized by table
-# cells alone (2621 and 131072 trials) peak at about 11 MB and 10 MB on these
-# two cases; blocks of at most _MC_BLOCK_TRIALS at about 1.5 MB and 0.2 MB.
+# Peak traced allocation of one call, 20 000 trials.  Blocks of at most
+# _MC_BLOCK_TRIALS peak at about 0.2 MB on each case.  Blocks sized by
+# table cells alone (2621, 131072 and 26214 trials) peak at about 1.7 MB,
+# 8.4 MB and 12 MB, so the last two cases catch them; the first catches them
+# only on the column path, whose (t, s) tuples take far more than the
+# stacked draws of the array kernel.
 PEAK_LIMIT_BYTES = 2_500_000
 
 
 @pytest.mark.parametrize("kind,params,q", [
     ("example2", {"n": 100, "k": 20}, (1, 0) * 50),
     ("example5", {"n": 1, "k": 1}, (1, 0)),
+    ("example2", {"n": 10, "k": 20}, (1, 0) * 5),
 ])
 def test_mc_block_memory_is_bounded(kind, params, q):
     strategy = make_strategy(kind, params)
