@@ -14,6 +14,7 @@ Error correction uses a random binary linear code with syndrome decoding.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -315,14 +316,30 @@ def qot_bound(n, k, l, eps: float, delta: float) -> SecurityReport:
     )
 
 
+# Each bound optimum depends only on the protocol's parameters, and a batch of
+# runs in one process (cli.run, verify, a library loop) repeats a few
+# parameter sets: each grid search keeps the optima of its _BOUND_MEMO most
+# recently used argument tuples.
+_BOUND_MEMO = 256
+
+
 def qot_bound_optimize(n, k, l, grid: int = 40) -> dict:
     """Minimize the three-term bound over an (eps, delta) grid.
 
     Returns {"eps", "delta", "report"} for the first grid point, in (eps,
     delta) order, whose total is smallest.  Each point's total is the same
     ``sum`` of the same floats that ``SecurityReport`` forms, so the winner
-    is the one the per-point reports would pick.
+    is the one the per-point reports would pick.  The optimum (eps, delta)
+    is memoised per (n, k, l, grid), for the 256 most recently used
+    parameter sets; the dict and its report are built afresh on every call.
     """
+    eps, delta = _qot_best(n, k, l, grid)
+    return {"eps": eps, "delta": delta, "report": qot_bound(n, k, l, eps, delta)}
+
+
+@functools.lru_cache(maxsize=_BOUND_MEMO)
+def _qot_best(n, k, l, grid) -> tuple[float, float]:
+    """The (eps, delta) that :func:`qot_bound_optimize` reports."""
     deltas = [0.5 * j / (grid + 1) for j in range(1, grid + 1)]
     per_delta = [(delta, binary_entropy(delta), _qot_sampling(k, delta)) for delta in deltas]
     best = None
@@ -333,8 +350,7 @@ def qot_bound_optimize(n, k, l, grid: int = 40) -> dict:
             total = sum((_qot_pa(n, k, l, eps, h), samp, hoef))
             if best is None or total < best[0]:
                 best = (total, eps, delta)
-    _, eps, delta = best
-    return {"eps": eps, "delta": delta, "report": qot_bound(n, k, l, eps, delta)}
+    return best[1:]
 
 
 def qkd_key_length(n, k, m, beta: float) -> int:
@@ -494,7 +510,12 @@ class LinearCode:
 
 def make_linear_code(length, m, radius, rng: np.random.Generator, max_tries: int = 2000) -> LinearCode:
     """Draw a random parity-check matrix whose code corrects radius-fraction
-    errors (minimum distance > 2 * floor(radius * length))."""
+    errors (minimum distance > 2 * floor(radius * length)).
+
+    Each of up to ``max_tries`` draws may enumerate the 2^(length - m)
+    vectors of its kernel, so when the radius is positive it charges
+    max_tries * 2^(length - m) evaluations against the budget and raises
+    BudgetExceededError when that exceeds it."""
     length, m = int(length), int(m)
     if length < 1:
         raise ValueError(f"code length must be >= 1, got {length}")
@@ -507,8 +528,7 @@ def make_linear_code(length, m, radius, rng: np.random.Generator, max_tries: int
         return LinearCode(rng.integers(0, 2, size=(m, length)).astype(np.int64), float(radius))
     if length > 20:
         raise ValueError(f"distance checking supports length <= 20, got {length}")
-    if 2 ** (length - m) > 1 << 16:
-        raise ValueError("kernel enumeration over budget (length - m too large)")
+    _refuse("kernel enumeration", max_tries * 2 ** (length - m))
     for _ in range(max_tries):
         H = rng.integers(0, 2, size=(m, length)).astype(np.int64)
         basis = _gf2_kernel_basis(H)
@@ -683,7 +703,9 @@ def simulate_qkd(
     ``exact=None`` selects it for exactly those runs.  Before it builds the
     state it charges 2^n 4^n C(n, k) 2^(n-k-1) evaluations against the budget
     and raises BudgetExceededError when that exceeds it: under the default
-    budget every n <= 6 run fits and every n = 7 run is refused.
+    budget every n <= 6 run fits and every n = 7 run is refused.  The report's
+    delta comes from a 200-point scan that depends only on (n, k, m, l, beta);
+    its optimum is memoised for the 256 most recently used parameter sets.
     """
     n, k, ecc = params.n, params.k, params.ecc
     exact_ok = adversary.kind in ("none", "entangling-probe", "custom-unitary") and (
@@ -765,7 +787,10 @@ def simulate_qkd(
     return transcript, alice_key, bob_key, report
 
 
+@functools.lru_cache(maxsize=_BOUND_MEMO)
 def _best_qkd_terms(n, k, m, l, beta):
+    """(delta, bound terms) of the first of 200 deltas in (0, 1/2 - beta]
+    whose two-term total is smallest, memoised like :func:`_qot_best`."""
     if beta >= 0.5:
         return 0.0, (("privacy-amplification", math.inf), ("sampling", 2.0))
     best = None
@@ -932,7 +957,9 @@ def simulate_qot(params: QotParams, bob: AdversaryModel, rng_seed: int):
 
     Returns (transcript, k0, k1, bob_output, report); on abort the keys and
     bob_output are None and the abort is recorded in the transcript along
-    with the exact detection probability for the adversary model.
+    with the exact detection probability for the adversary model.  The
+    report's (eps, delta) is ``qot_bound_optimize(n, k, l, grid=30)``, whose
+    optimum is memoised for the 256 most recently used parameter sets.
     """
     n, k, l = params.n, params.k, params.l
     rng = np.random.default_rng(rng_seed)

@@ -670,11 +670,19 @@ _BLOCK_CELLS = 1 << 18
 _MC_BLOCK_TRIALS = 256
 
 
+def _exact_dtype(bound: int):
+    """The dtype of integer arrays whose values stay within ``bound`` in
+    magnitude: int64 below 2^63, else Python ints (object), since int64
+    would wrap."""
+    return np.int64 if bound < 1 << 63 else object
+
+
 def _table(strategy: SamplingStrategy, columns, strings, count: int):
     """A, D and the blocks (lo, T, E) of the exact true values T / A and
     estimates E / D of strings 0..count-1 of ``strings(lo, hi)`` (rows) under
     the (t, s, ...) columns, e.g. ts_support(): int64 products of z with the
-    rows 1_tbar and w.  A custom estimator's only form is its callable, so
+    rows 1_tbar and w, in Python ints once a D reaches 2^63 (E <= D, see
+    :func:`_tie_rule`).  A custom estimator's only form is its callable, so
     its E holds Fractions over D = 1."""
     m, L = len(columns), strategy.length
     flat = [strategy.flatten_subset(t) for t, *_ in columns]
@@ -685,15 +693,18 @@ def _table(strategy: SamplingStrategy, columns, strings, count: int):
     D = np.ones(m, dtype=np.int64)
     if strategy.kind != "custom":  # the rows w: one scatter-add of every row's terms
         rows = [strategy._estimator_row(t, s) for t, (_, s, *_) in zip(flat, columns)]
-        D[:] = [den for _, den in rows]
-        terms = np.fromiter(itertools.chain.from_iterable(x for row, _ in rows for x in row), np.int64).reshape(-1, 2)
-        np.add.at(R, (np.repeat(np.arange(m, 2 * m), [len(row) for row, _ in rows]), terms[:, 0]), terms[:, 1])
+        dens = [den for _, den in rows]
+        dtype = _exact_dtype(max(dens, default=0))
+        R, D = R.astype(dtype, copy=False), np.array(dens, dtype=dtype)
+        terms = np.fromiter(itertools.chain.from_iterable(x for row, _ in rows for x in row), dtype).reshape(-1, 2)
+        position = terms[:, 0].astype(np.int64, copy=False)
+        np.add.at(R, (np.repeat(np.arange(m, 2 * m), [len(row) for row, _ in rows]), position), terms[:, 1])
 
     def blocks():
         step = max(1, _BLOCK_CELLS // max(m, 1))
         for lo in range(0, count, step):
             block = strings(lo, min(lo + step, count))
-            T, E = np.split((block != 0).astype(np.int64) @ R.T, 2, axis=1)
+            T, E = np.split((block != 0).astype(R.dtype) @ R.T, 2, axis=1)
             if strategy.kind == "custom":
                 E = [[strategy.estimate_frac(q, t, s) for t, s, *_ in columns] for q in block.tolist()]
                 E = np.array(E, dtype=object)
@@ -706,14 +717,20 @@ def _tie_rule(A: np.ndarray, D: np.ndarray, bound: Fraction, fractions: bool = F
     """The reject test of true values T / A against estimates E / D: a
     function of (T, E) saying, elementwise and exactly, that the deviation is
     at least ``bound`` (a tie rejects).  ``fractions``: E holds Fractions
-    over D = 1 (a custom estimator), compared with bound * A."""
+    over D = 1 (a custom estimator), compared with bound * A.  Otherwise
+    0 <= T <= A and 0 <= E <= D (a relative weight and its estimate lie in
+    [0, 1]), so T D and E A lie in [0, A D]: the test runs in int64 unless
+    some A D reaches 2^63, and then in Python ints, since int64 would wrap."""
     # |T D - E A| / (A D) >= p / q  <=>  |T D - E A| >= ceil(p A D / q) for ints,
     # with the threshold in Python ints: |T D - E A| q can wrap around in int64
     if fractions:
         threshold = np.array([bound * int(a) for a in A], dtype=object)
     else:
         p, q = bound.numerator, bound.denominator
-        threshold = np.array([-(-p * a * d // q) for a, d in zip(A.tolist(), D.tolist())])
+        AD = [a * d for a, d in zip(A.tolist(), D.tolist())]
+        dtype = _exact_dtype(max(AD, default=0))
+        A, D = A.astype(dtype, copy=False), D.astype(dtype, copy=False)
+        threshold = np.array([-(-p * x // q) for x in AD], dtype=dtype)
     return lambda T, E: (np.abs(T * D - E * A) >= threshold).astype(bool)
 
 
@@ -1077,6 +1094,8 @@ def _draw_block(strategy: SamplingStrategy, z: np.ndarray, generators) -> tuple[
             ones_on.append(np.bincount(row, weights=z[pairs + j * n], minlength=len(K)).astype(np.int64))
             sizes.append(np.maximum(size, 1))
         (Z0, Z1), (c0, c1) = ones_on, sizes
+        dtype = _exact_dtype(n * int(c0.max()) * int(c1.max()))  # D = n c0 c1, and E <= D
+        c0, c1 = c0.astype(dtype, copy=False), c1.astype(dtype, copy=False)
         E = (n - size0) * c1 * Z0 + size0 * c0 * Z1  # see _estimator_row
         return np.where(K, z[n:], z[:n]).sum(axis=1), E, np.full(len(E), n), n * c0 * c1
     raise NotImplementedError(f"{kind} has no Monte-Carlo kernel")

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qsample.protocols
 import qsample.qsampling
 from qsample.cli import RunConfig, main, run
 from qsample.quantum import random_density_matrix, random_pure_state, state_to_json
@@ -114,6 +115,14 @@ def test_budget_env_gates_the_symmetry_check(capsys, monkeypatch):
     code, _, err = _run(capsys, "eps-quant", "--kind", "example1", "--n", "8", "--k", "2", "--delta", "0.3")
     assert code == 2
     assert "budget" in err
+
+
+def test_budget_env_gates_the_code_search(capsys, monkeypatch):
+    # a code of length 24 - 6 with m = 10: 2000 tries of 2^8 kernel vectors
+    monkeypatch.setenv("QSAMPLE_BUDGET", "1000")
+    code, out, err = _run(capsys, "qkd-sim", "--n", "24", "--k", "6", "--m", "10", "--beta", "0.1", "--mc")
+    assert code == 2 and out == ""
+    assert err == "error: kernel enumeration needs 512000 evaluations, budget is 1000; raise QSAMPLE_BUDGET\n"
 
 
 @pytest.mark.parametrize(
@@ -431,6 +440,29 @@ def test_bound_search_reports_are_unchanged(capsys, name, argv):
     code, out, _ = _run(capsys, *argv.split())
     assert code == 0
     assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+PROTOCOL_GOLDENS = {
+    "qkd-sim-none": "qkd-sim --n 24 --k 6 --mc --seed 1",
+    "qkd-sim-entangling-probe": "qkd-sim --n 24 --k 6 --mc --adversary entangling-probe --seed 2",
+    "qot-sim-honest": "qot-sim --n 10 --k 3 --l 2 --seed 3",
+    "qot-sim-open-flip": "qot-sim --n 10 --k 3 --l 2 --adversary open-flip --flips 2,5 --seed 7",
+}
+
+
+def test_protocol_goldens_hold_in_a_warm_process(capsys):
+    # the bound optima are memoised per parameter set: a run that finds its
+    # optimum in the memo, after the other three have run, must print the
+    # same bytes as a cold one
+    qsample.protocols._qot_best.cache_clear()
+    qsample.protocols._best_qkd_terms.cache_clear()
+    for _ in range(2):  # cold, then warm
+        for name, argv in PROTOCOL_GOLDENS.items():
+            code, out, _ = _run(capsys, *argv.split())
+            assert code == 0
+            assert out == (GOLDEN / f"{name}.json").read_text()
+    assert qsample.protocols._qot_best.cache_info().hits >= 2
+    assert qsample.protocols._best_qkd_terms.cache_info().hits >= 2
 
 
 # ---------------------------------------------------------------------------

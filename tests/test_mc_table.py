@@ -202,6 +202,37 @@ def test_mc_string_of_the_wrong_length_raises_the_old_error():
     assert str(new.value) == str(old.value) == "string length 3 != strategy length 4"
 
 
+def test_tie_rule_decides_products_past_int64_exactly():
+    # A = n and D = n c0 c1 of example6 at n = k = 10^6: T D and E A reach
+    # 10^22, so T D - E A wraps in int64; two cells of each row sit exactly
+    # on delta and just inside it
+    bound = Fraction(1, 10 ** 4)
+    A = np.array([10 ** 6, 999_999, 10 ** 6, 10 ** 6])
+    D = np.array([6 * 10 ** 16, 10 ** 16 + 7, 6 * 10 ** 16, 6 * 10 ** 16])
+    rng = np.random.default_rng(3)
+    T = rng.integers(0, A + 1, size=(40, 4))
+    E = rng.integers(0, D + 1, size=(40, 4))
+    T[:, 2:] = 500_000
+    E[:, 2] = 3 * 10 ** 16 - 6 * 10 ** 12  # D (T / A - delta): a tie, rejected
+    E[:, 3] = E[:, 2] + 1
+    got = sampling._tie_rule(A, D, bound)(T, E)
+    want = [
+        [abs(Fraction(int(t), int(a)) - Fraction(int(e), int(d))) >= bound for t, e, a, d in zip(*row, A, D)]
+        for row in zip(T, E)
+    ]
+    assert got.tolist() == want
+    assert got[:, 2].all() and not got[:, 3].any()
+
+
+def test_mc_past_int64_matches_the_per_trial_deviation():
+    # the per-trial deviation (oracle_mc, about 15 s here) rejects 4 of these
+    # 5 draws; deciding in int64 wrapped and read 0.0
+    n = 10 ** 6
+    q = np.random.default_rng(0).integers(0, 2, 2 * n)
+    estimate = eps_class_mc(make_strategy("example6", n=n, k=n, p=0.5), q, 1e-4, 5, rng_seed=0)
+    assert estimate.value == 0.8
+
+
 # Peak traced allocation of one call, 20 000 trials.  Blocks of at most
 # _MC_BLOCK_TRIALS peak at about 0.2 MB on each case.  Blocks sized by
 # table cells alone (2621, 131072 and 26214 trials) peak at about 1.7 MB,

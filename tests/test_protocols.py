@@ -43,6 +43,7 @@ from qsample import (
     simulate_qot,
     transcript_to_json,
 )
+from qsample import protocols
 from qsample.protocols import _best_qkd_terms, apply_unitary
 from qsample.sampling import BudgetExceededError
 
@@ -192,13 +193,31 @@ def _qkd_cases(draw):
     return n, k, m, l, beta
 
 
+_QOT_EXAMPLES = [(10, 3, 2, 30), (10, 3, 2, 1), (2, 0, 1, 1), (400, 0, 7, 30), _QOT_OVERFLOW]
+_QKD_EXAMPLES = [
+    (24, 6, 0, 10, 0.0),
+    (24, 0, 0, 10, 0.0),
+    (24, 6, 0, 0, 0.5),
+    (24, 6, 0, 0, 2 / 3),
+    (24, 6, 0, 3, 1 / 6),
+    _QKD_OVERFLOW,
+]
+
+
+def _examples(cases):
+    """One hypothesis @example per case."""
+
+    def apply(test):
+        for case in reversed(cases):
+            test = example(case=case)(test)
+        return test
+
+    return apply
+
+
 @settings(max_examples=120, deadline=None)
 @given(case=_qot_cases())
-@example(case=(10, 3, 2, 30))
-@example(case=(10, 3, 2, 1))
-@example(case=(2, 0, 1, 1))
-@example(case=(400, 0, 7, 30))
-@example(case=_QOT_OVERFLOW)
+@_examples(_QOT_EXAMPLES)
 def test_qot_bound_optimize_matches_per_point_reports(case):
     got, want = qot_bound_optimize(*case), _per_point_qot_bound_optimize(*case)
     assert (got["eps"], got["delta"]) == (want["eps"], want["delta"])
@@ -208,12 +227,7 @@ def test_qot_bound_optimize_matches_per_point_reports(case):
 
 @settings(max_examples=300, deadline=None)
 @given(case=_qkd_cases())
-@example(case=(24, 6, 0, 10, 0.0))
-@example(case=(24, 0, 0, 10, 0.0))
-@example(case=(24, 6, 0, 0, 0.5))
-@example(case=(24, 6, 0, 0, 2 / 3))
-@example(case=(24, 6, 0, 3, 1 / 6))
-@example(case=_QKD_OVERFLOW)
+@_examples(_QKD_EXAMPLES)
 def test_best_qkd_terms_matches_per_point_reports(case):
     assert _best_qkd_terms(*case) == _per_point_best_qkd_terms(*case)
 
@@ -229,6 +243,52 @@ def test_overflow_cases_overflow_on_part_of_the_grid():
     qkd = [qkd_bound(n, k, m, l, beta, 0.5 * i / 200).total_bound for i in range(1, 201)]
     for totals in (qot, qkd):
         assert 0 < sum(map(math.isinf, totals)) < len(totals)
+
+
+# Each optimizer memoises its optimum per argument tuple in a bounded
+# functools.lru_cache.  A warm call must give what a cold search and the
+# per-point oracle give, and no caller may reach another through the memo.
+
+
+@pytest.mark.parametrize("case", _QOT_EXAMPLES)
+def test_qot_optimum_from_the_memo_equals_a_cold_search(case):
+    protocols._qot_best.cache_clear()
+    cold, warm = qot_bound_optimize(*case), qot_bound_optimize(*case)
+    assert protocols._qot_best.cache_info().hits == 1
+    assert cold == warm == _per_point_qot_bound_optimize(*case)
+
+
+@pytest.mark.parametrize("case", _QKD_EXAMPLES)
+def test_qkd_optimum_from_the_memo_equals_a_cold_search(case):
+    _best_qkd_terms.cache_clear()
+    cold, warm = _best_qkd_terms(*case), _best_qkd_terms(*case)
+    assert _best_qkd_terms.cache_info().hits == 1
+    assert cold == warm == _per_point_best_qkd_terms(*case)
+
+
+def test_mutating_a_returned_optimum_does_not_reach_the_next_call():
+    first = qot_bound_optimize(10, 3, 2, grid=30)
+    want = dict(first)
+    first.update(eps=-1.0, delta=-1.0, report=None)
+    assert qot_bound_optimize(10, 3, 2, grid=30) == want
+
+
+@pytest.mark.parametrize(
+    "memo, call",
+    [
+        (protocols._qot_best, lambda i: qot_bound_optimize(10 + i, 3, 2, grid=1)),
+        (_best_qkd_terms, lambda i: _best_qkd_terms(24 + i, 6, 0, 0, 0.0)),
+    ],
+    ids=["qot", "qkd"],
+)
+def test_memo_keeps_at_most_maxsize_parameter_sets(memo, call):
+    maxsize = memo.cache_info().maxsize
+    memo.cache_clear()
+    for i in range(maxsize + 10):
+        call(i)
+    info = memo.cache_info()
+    assert info.misses == maxsize + 10
+    assert info.currsize <= maxsize
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +484,20 @@ def test_code_trivial_and_validation():
         make_linear_code(0, 0, 0.0, rng)
     with pytest.raises(ValueError, match="syndrome length"):
         make_linear_code(6, 7, 0.0, rng)
+
+
+def test_code_kernel_enumeration_over_the_budget_is_refused(monkeypatch):
+    # up to 2000 tries, each of up to 2^(8 - 4) kernel vectors
+    monkeypatch.setenv("QSAMPLE_BUDGET", "31999")
+    with pytest.raises(BudgetExceededError) as info:
+        make_linear_code(8, 4, 0.125, np.random.default_rng(49))
+    assert str(info.value) == "kernel enumeration needs 32000 evaluations, budget is 31999; raise QSAMPLE_BUDGET"
+
+
+def test_code_kernel_enumeration_within_a_raised_budget_is_admitted(monkeypatch):
+    monkeypatch.setenv("QSAMPLE_BUDGET", "32000")
+    code = make_linear_code(8, 4, 0.125, np.random.default_rng(49))
+    assert code.correct((1,) + (0,) * 7, code.syndrome((0,) * 8)) == (0,) * 8
 
 
 def test_code_impossible_distance_raises():
