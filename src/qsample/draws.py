@@ -1,0 +1,278 @@
+"""numpy's Generator draws for blocks of seeded Monte-Carlo trials, redone
+on raw PCG64 words.
+
+Trial i of a Monte-Carlo run draws from ``np.random.default_rng((seed, i))``.
+Seeding one Generator per trial, and one Generator call per draw, costs
+microseconds of interpreter work each.  Here the seeds of a block of trials
+come from one batched SeedSequence hash (:func:`_trial_seeds`), each trial
+seeds one PCG64 and reads its words with one ``random_raw`` call, and
+:class:`_Words` makes the draws numpy would make from those words, as array
+operations on the whole block: ``random`` compared with a bias, bounded
+``integers`` by Lemire's method, and ``choice`` without replacement by
+Floyd's algorithm.  :class:`_Calls` makes the same draws by Generator
+calls; it makes the trials :class:`_Words` leaves, and is its test oracle.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+
+import numpy as np
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx)
+_HASH_INIT_A, _HASH_MULT_A, _HASH_INIT_B, _HASH_MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R, _POOL_WORDS = 0xCA01F9DD, 0x4973F715, 4
+_WORD = (1 << 32) - 1
+
+
+def _hash_seeds(seed_words: list[int], index_words: list[np.ndarray]) -> np.ndarray:
+    """``SeedSequence(seed_words + the index words of row r).generate_state(4,
+    uint64)`` for every row r of ``index_words``, as rows of 4 words:
+    SeedSequence's pool hash and mix on uint32 arrays with one entry per
+    row.  The multipliers of the hash depend only on the entropy length, so
+    they advance in Python ints."""
+    rows = len(index_words[0])
+    entropy = [np.full(rows, w, dtype=np.uint32) for w in seed_words] + index_words
+    const = _HASH_INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _HASH_MULT_A & _WORD
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        value = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return value ^ (value >> np.uint32(16))
+
+    zero = np.zeros(rows, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_WORDS)]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_WORDS:]:  # entropy past the pool: each word into every pool word
+        for dst in range(_POOL_WORDS):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const, out = _HASH_INIT_B, np.empty((rows, 8), dtype="<u4")  # 8 words cycling the pool
+    for i in range(8):
+        value = pool[i % _POOL_WORDS] ^ np.uint32(const)
+        const = const * _HASH_MULT_B & _WORD
+        value = value * np.uint32(const)
+        out[:, i] = value ^ (value >> np.uint32(16))
+    return out.view("<u8").astype(np.uint64)  # word pairs, low half first
+
+
+@functools.cache
+def _entropy_type() -> type:
+    """The seed sequence of :func:`_pcg64`, made at first use: importing
+    qsample leaves numpy.random unloaded, as importing numpy does."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Entropy(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return Entropy
+
+
+def _pcg64(words: np.ndarray) -> np.random.PCG64:
+    """A PCG64 seeded with one row of :func:`_hash_seeds`, as it stands in
+    ``default_rng((seed, i))``, in about a microsecond: PCG64 asks its seed
+    sequence for generate_state(4, uint64) and runs its own srandom on the
+    answer."""
+    return np.random.PCG64(_entropy_type()(words))
+
+
+def _trial_seeds(seed: int, trials: range) -> np.ndarray:
+    """The seed words of ``np.random.default_rng((seed, i))`` for each trial
+    index i of ``trials`` (below 2^64), at a fraction of its cost: one
+    batched SeedSequence hash (see :func:`_hash_seeds`), one row per
+    trial."""
+    if seed < 0:
+        np.random.default_rng((seed, 0))  # raises numpy's own error
+    seed_words = [seed >> s & _WORD for s in range(0, max(seed.bit_length(), 1), 32)]
+    out = [np.empty((0, 4), dtype=np.uint64)]
+    # an index below 2^32 is one entropy word, a larger one two
+    for part in (range(trials.start, min(trials.stop, 1 << 32)), range(max(trials.start, 1 << 32), trials.stop)):
+        if not part:
+            continue
+        index = np.arange(part.start, part.stop, dtype=np.uint64)
+        words = [(index & np.uint64(_WORD)).astype(np.uint32)]
+        if part.start >> 32:
+            words.append((index >> np.uint64(32)).astype(np.uint32))
+        out.append(_hash_seeds(seed_words, words))
+    return np.concatenate(out)
+
+
+def _generators(seeds: np.ndarray) -> list[np.random.Generator]:
+    """A fresh Generator per row of :func:`_trial_seeds`."""
+    return [np.random.Generator(_pcg64(words)) for words in seeds]
+
+
+def _trial_generators(seed: int, trials: range):
+    """Yield a Generator equal to ``np.random.default_rng((seed, i))`` for
+    each trial index i of ``trials``, seeded from :func:`_trial_seeds`."""
+    yield from _generators(_trial_seeds(seed, trials))
+
+
+# Floyd's set costs the array form about 0.1-0.2 us a pick against 20-40 ns
+# in numpy's own loop, a gap that passes the 10 us of a Generator call near
+# 100 picks (2-core Xeon), so a larger choice is left to the Generator call.
+# That covers numpy's one other branch too: a partial Fisher-Yates shuffle of
+# arange(pop), taken when pop > 10000 and size > pop // 50, so size > 200
+# (numpy/random/_generator.pyx).
+_FLOYD_PICKS = 128
+
+
+class _Words:
+    """The draws of a block of trials, made from each trial's raw PCG64
+    words as numpy's Generator makes them, on every trial at once.
+
+    Each draw method returns one row per trial, as the Generator call it
+    names would give on that trial's state (``choice`` gives the picked set,
+    not its order).  The first draw reads ``words`` words of every trial:
+    one PCG64 seeded and one ``random_raw`` per trial.  ``random_below`` reads
+    whole words; the bounded draws read the uint32 stream of the words after
+    them, the low half of each word, then the high half.  ``lost`` marks the
+    trials this cannot make, those that run past their words or whose
+    ``choice`` picks more than ``_FLOYD_PICKS``, for :class:`_Calls` to
+    make."""
+
+    def __init__(self, seeds: np.ndarray, words: int):
+        self.seeds, self.per_trial = seeds, words
+        self.lost = np.zeros(len(seeds), dtype=bool)
+        self.words = self.stream = None
+        self.read = 0  # whole words read by random_below
+
+    def _words(self) -> np.ndarray:
+        """The words of every trial, read at the first draw."""
+        if self.words is None:
+            self.words = np.empty((len(self.seeds), self.per_trial), dtype=np.uint64)
+            for row, seed in zip(self.words, self.seeds):
+                row[:] = _pcg64(seed).random_raw(self.per_trial)
+        return self.words
+
+    def random_below(self, n: int, p: float) -> np.ndarray:
+        """Generator.random(n) < p, made before any bounded draw.  A draw is
+        (w >> 11) 2^-53 of a whole word w, below p iff w < ceil(p 2^53) 2^11."""
+        below = self._words()[:, self.read : self.read + n] < np.uint64(math.ceil(p * 2.0 ** 53) << 11)
+        self.read += n
+        return below
+
+    def integers(self, m: int, size: int) -> np.ndarray:
+        return self._bounded(np.full((1, size), m, dtype=np.uint64))
+
+    def choice(self, pop, size) -> np.ndarray:
+        """Floyd's set: step i draws v in [0, j] for j = pop - size + i, and
+        takes j instead when v is taken; the shuffle's draws that follow, in
+        [0, i] for i = size - 1 .. 1, are only read.  pop and size are one
+        number for every trial, or one per trial; rows are padded to the
+        largest size with -1."""
+        pop, size = (np.reshape(x, (-1, 1)).astype(np.int64) for x in (pop, size))
+        width, base = int(size.max(initial=0)), pop - size
+        self.lost |= size[:, 0] > _FLOYD_PICKS
+        step = np.arange(width)
+        inside = step < size
+        shuffle = np.where(step[:-1] < size - 1, size - step[:-1], 1)  # a range of 1 reads nothing
+        v = self._bounded(np.hstack([np.where(inside, base + 1 + step, 1), shuffle]).astype(np.uint64))
+        v = np.where(inside, v[:, :width], -1 - step)  # the padding repeats nothing
+        # step i repeats a taken value iff v_i is an earlier draw (the same
+        # value at a lower step, sorted first by the step in the low bits), or
+        # is the j of an earlier repeating step l = v_i - base < i.  So it
+        # repeats iff some step on its chain i, l, ... repeats an earlier
+        # draw: pointer doubling ORs along the chains, which end in column
+        # ``width``.
+        bits = width.bit_length()
+        keys = np.sort(v << bits | step, axis=1)
+        row, col = np.nonzero(keys[:, 1:] >> bits == keys[:, :-1] >> bits)
+        repeat = np.zeros((len(v), width + 1), dtype=bool)
+        repeat[row, keys[row, col + 1] & ((1 << bits) - 1)] = True
+        link = np.full(repeat.shape, width)
+        link[:, :width] = np.where(inside & (v >= base) & (v < base + step), v - base, width)
+        while (link < width).any():
+            repeat |= np.take_along_axis(repeat, link, axis=1)
+            link = np.take_along_axis(link, link, axis=1)
+        repeat = repeat[:, :width]
+        return np.where(inside, np.where(repeat, base + step, v), -1)
+
+    def _bounded(self, ranges: np.ndarray) -> np.ndarray:
+        """Generator.integers(0, m) for each entry m of ``ranges`` (rows of
+        ranges up to 2^32, or one row for every trial), drawn in row order
+        from each trial's uint32 stream by Lemire's method: x m >> 32, with x
+        rejected while x m mod 2^32 < (2^32 - m) mod m.  A range of 1 reads
+        nothing."""
+        if self.stream is None:
+            self.stream = np.ascontiguousarray(self._words()[:, self.read :]).astype("<u8", copy=False).view("<u4")
+            self.at = np.zeros(len(self.seeds), dtype=np.int64)
+        width, rows, stream, at = self.stream.shape[1], np.arange(len(self.seeds)), self.stream, self.at.copy()
+        if len(ranges) == 1 and (at == at[0]).all():  # every trial at the same read: one row of positions
+            at = at[:1]
+        reads, product = (ranges > 1).astype(np.int64), None
+        while True:  # a rejection reads again: each pass settles the first rejection of each row that has one
+            last = at[:, None] + np.cumsum(reads, axis=1) - 1  # the read each draw keeps
+            x = _gather(stream, last) * ranges
+            if product is None:
+                product = x
+            else:
+                product[rows] = x
+            # x m mod 2^32 < m bounds the rejections, so the threshold is
+            # taken only where that holds (rarely, unless m nears 2^32)
+            row, col = np.nonzero((x & np.uint64(_WORD)) < ranges)
+            m, at_end = (np.broadcast_to(a, x.shape)[row, col] for a in (ranges, last))
+            reject = ((x[row, col] & np.uint64(_WORD)) < (np.uint64(1 << 32) - m) % m) & (m > 1) & (at_end < width)
+            row, col = row[reject], col[reject]
+            again = np.zeros(len(x), dtype=bool)
+            again[row] = True
+            done = rows[~again]
+            self.at[done] += np.broadcast_to(reads.sum(axis=1), again.shape)[~again]
+            self.lost[done] |= np.broadcast_to(((last >= width) & (reads > 0)).any(axis=1), again.shape)[~again]
+            if not len(row):
+                product >>= np.uint64(32)
+                return product.view(np.int64)
+            first = np.unique(row, return_index=True)[1]  # row-major: the first rejection of each row
+            rows, at, stream = rows[again], np.broadcast_to(at, again.shape)[again], stream[again]
+            reads, ranges = (np.broadcast_to(a, x.shape)[again] for a in (reads, ranges))
+            reads[np.arange(len(rows)), col[first]] += 1
+
+
+def _gather(stream: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """stream[r, last[r, i]] for every row r of the stream, from one row of
+    ``last`` shared by all or one per row; positions past the stream read
+    its last entry."""
+    width = stream.shape[1]
+    if len(last) > 1:
+        return np.take_along_axis(stream, np.clip(last, 0, width - 1), axis=1)
+    (last,) = last
+    if len(last) and 0 <= last[0] and last[-1] < width and last[-1] - last[0] == len(last) - 1:
+        return stream[:, last[0] : last[-1] + 1]  # consecutive reads
+    return stream[:, np.clip(last, 0, width - 1)]
+
+
+class _Calls:
+    """The draws of :class:`_Words` made by Generator calls, one Generator
+    per trial: the calls of ``sample_ts``.  It makes the trials
+    :class:`_Words` marks lost, and is its test oracle."""
+
+    def __init__(self, seeds: np.ndarray):
+        self.generators = _generators(seeds)
+
+    def random_below(self, n: int, p: float) -> np.ndarray:
+        return np.array([g.random(n) < p for g in self.generators]).reshape(len(self.generators), n)
+
+    def integers(self, m: int, size: int) -> np.ndarray:
+        draws = [g.integers(0, m, size=size) for g in self.generators]
+        return np.array(draws, dtype=np.int64).reshape(len(self.generators), size)
+
+    def choice(self, pop, size) -> np.ndarray:
+        pop, size = (np.broadcast_to(x, (len(self.generators),)).tolist() for x in (pop, size))
+        out = np.full((len(pop), max(size, default=0)), -1, dtype=np.int64)
+        for row, g, p, k in zip(out, self.generators, pop, size):
+            if p:  # an empty pool leaves the generator untouched
+                row[:k] = g.choice(p, size=k, replace=False)
+        return out

@@ -515,7 +515,8 @@ def make_linear_code(length, m, radius, rng: np.random.Generator, max_tries: int
     Each of up to ``max_tries`` draws may enumerate the 2^(length - m)
     vectors of its kernel, so when the radius is positive it charges
     max_tries * 2^(length - m) evaluations against the budget and raises
-    BudgetExceededError when that exceeds it."""
+    BudgetExceededError when that exceeds it.  Parameters that the
+    sphere-packing bound rules out raise ValueError before that charge."""
     length, m = int(length), int(m)
     if length < 1:
         raise ValueError(f"code length must be >= 1, got {length}")
@@ -526,6 +527,11 @@ def make_linear_code(length, m, radius, rng: np.random.Generator, max_tries: int
     need = 2 * math.floor(radius * length + 1e-9)
     if need == 0:
         return LinearCode(rng.integers(0, 2, size=(m, length)).astype(np.int64), float(radius))
+    impossible = f"no random code of length {length} with m={m} corrects a {radius} error fraction"
+    # sphere packing: 2^(length - m) or more codewords at distance > need
+    # have disjoint balls of radius need / 2, which must fit in 2^length
+    if sum(math.comb(length, i) for i in range(need // 2 + 1)) > 2 ** m:
+        raise ValueError(impossible)
     if length > 20:
         raise ValueError(f"distance checking supports length <= 20, got {length}")
     _refuse("kernel enumeration", max_tries * 2 ** (length - m))
@@ -545,9 +551,7 @@ def make_linear_code(length, m, radius, rng: np.random.Generator, max_tries: int
                 break
         if ok:
             return LinearCode(H, float(radius))
-    raise ValueError(
-        f"no random code of length {length} with m={m} corrects a {radius} error fraction"
-    )
+    raise ValueError(impossible)
 
 
 # ---------------------------------------------------------------------------

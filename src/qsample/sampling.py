@@ -25,8 +25,9 @@ size class of (t, s), the number of weight-w strings one representative
 accepts, a sum of products of binomials over its cells (the positions with
 equal coefficients in the row), in exact Python ints.  Monte-Carlo
 estimation covers sizes outside the exact budget: it decides each block of
-trials of a built-in kind from the raw draws, in the same integers and with
-the same tie rule, in blocks of bounded size.
+trials of a built-in kind from the trials' raw PCG64 words, numpy's draws
+redone as array operations (see :mod:`qsample.draws`), in the same integers
+and with the same tie rule, in blocks of bounded size.
 
 Positions are 1-based.  Pair-indexed strategies ("example5", "example6") view
 a string of length 2n as n pairs; the pair element (i, j) with i in [1..n] and
@@ -45,6 +46,8 @@ from functools import partial
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
+
+from .draws import _FLOYD_PICKS, _Calls, _trial_generators, _trial_seeds, _Words
 
 __all__ = [
     "SymbolString",
@@ -229,10 +232,16 @@ def position_pair(pos: int, n: int) -> tuple[int, int]:
     return (pos, 0) if pos <= n else (pos - n, 1)
 
 
-def _symbols(q, length: int | None = None) -> tuple[int, ...]:
+def _symbols(q, strategy: SamplingStrategy | None = None) -> tuple[int, ...]:
+    """The symbols of q; given a strategy, checked against its length and
+    its alphabet 0..d-1."""
     sym = q.symbols if isinstance(q, SymbolString) else tuple(map(int, q))
-    if length is not None and len(sym) != length:
-        raise ValueError(f"string length {len(sym)} != strategy length {length}")
+    if strategy is not None:
+        if len(sym) != strategy.length:
+            raise ValueError(f"string length {len(sym)} != strategy length {strategy.length}")
+        if sym and not 0 <= min(sym) <= max(sym) < strategy.d:
+            bad = next(x for x in sym if not 0 <= x < strategy.d)
+            raise ValueError(f"symbol {bad} outside alphabet [0, {strategy.d})")
     return sym
 
 
@@ -463,7 +472,7 @@ class SamplingStrategy:
 
     def estimate_frac(self, q, t, s) -> Fraction:
         """The estimate f(t, q|t, s) as an exact Fraction."""
-        return self._estimate(_symbols(q, self.length), self.flatten_subset(t), s)
+        return self._estimate(_symbols(q, self), self.flatten_subset(t), s)
 
     def _estimate(self, sym, t, s) -> Fraction:
         """:meth:`estimate_frac` of checked symbols under a flat subset t."""
@@ -642,7 +651,7 @@ def estimate(strategy: SamplingStrategy, q, t, s=None) -> float:
 
 def deviation(strategy: SamplingStrategy, q, t, s=None) -> Fraction:
     """|relwt(q|tbar) - f(t, q|t, s)| as an exact Fraction."""
-    sym = _symbols(q, strategy.length)
+    sym = _symbols(q, strategy)
     t = strategy.flatten_subset(t)
     tbar = _tbar(t, strategy.length)
     true = Fraction(sum(1 for i in tbar if sym[i]), max(len(tbar), 1))
@@ -664,9 +673,9 @@ def _exact_delta(delta) -> Fraction:
 # The (string, (t, s)) table is built in blocks of at most this many cells, so
 # its int64 arrays stay a few MB whatever the sizes.
 _BLOCK_CELLS = 1 << 18
-# Monte-Carlo decides at most this many drawn (t, s) columns at once: capped
-# by table cells alone, a block on short strings would hold ~10^5 trials'
-# (t, s) tuples, several MB of Python objects.
+# Monte-Carlo decides at most this many trials at once: capped by cells
+# alone, a block on short strings would hold ~10^5 trials, several MB of
+# draws (or of a custom strategy's (t, s) tuples).
 _MC_BLOCK_TRIALS = 256
 
 
@@ -746,7 +755,7 @@ def _reject_blocks(strategy: SamplingStrategy, columns, strings, count: int, bou
 def failure_probability(strategy: SamplingStrategy, q, delta: float) -> Fraction:
     """Exact Pr[q not in B(T, S, delta)] for one fixed string q."""
     bound = _exact_delta(delta)
-    string = np.array([_symbols(q, strategy.length)], dtype=np.int64)
+    string = np.array([_symbols(q, strategy)], dtype=np.int64)
     _refuse("failure probability", strategy.support_size())
     support = strategy.ts_support()
     ((_, reject),) = _reject_blocks(strategy, support, lambda lo, hi: string, 1, bound)
@@ -965,140 +974,101 @@ def _accepted_counts(cells, threshold: int, L: int, rows: dict) -> np.ndarray:
     return acc
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64's
-# 128-bit multiplier (numpy/random/src/pcg64/pcg64.h)
-_HASH_INIT_A, _HASH_MULT_A, _HASH_INIT_B, _HASH_MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R, _POOL_WORDS = 0xCA01F9DD, 0x4973F715, 4
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_WORD, _STATE = (1 << 32) - 1, (1 << 128) - 1
+def _trial_words(strategy: SamplingStrategy) -> int | None:
+    """The words one trial of a built-in kind reads when no draw is
+    rejected, and two to spare: twice this bounds the entries per trial of
+    every array :func:`_draw_block` makes.  None when every trial makes a
+    choice of more than ``_FLOYD_PICKS``, which is left to Generator calls:
+    the choice of kinds 1, 4 and 5, or example6's from the larger half of
+    the pairs."""
+    n, k = strategy.n, strategy.k or 0
+    picks = min(k // 2, n - n // 2) if strategy.kind == "example6" else k
+    if strategy.kind in ("example1", "example4", "example5", "example6") and picks > _FLOYD_PICKS:
+        return None
+    floyd = 2 * k - 1 - (k == n)  # choice(n, k): Floyd's steps, then the shuffle's, a uint32 each
+    whole, reads = {  # whole words, then uint32 reads, half a word each
+        "example1": (0, floyd),
+        "example2": (0, k),
+        "example3": (0, n),
+        "example4": (0, floyd + k),
+        "example5": (0, n + floyd),
+        "example6": (n, 2 * k - 2),  # two choices of at most k / 2 each
+    }[strategy.kind]
+    return whole + reads // 2 + 2
 
 
-def _seed_states(seed_words: list[int], index_words: list[np.ndarray]) -> tuple[list[int], list[int]]:
-    """PCG64's (states, incs) seeded from SeedSequence(seed_words + the
-    index words of row r), for every row r of ``index_words``: SeedSequence's
-    pool hash and mix on uint32 arrays with one entry per row, then PCG64's
-    128-bit srandom in Python ints.  The multipliers of the hash depend only
-    on the entropy length, so they advance in Python ints."""
-    rows = len(index_words[0])
-    entropy = [np.full(rows, w, dtype=np.uint32) for w in seed_words] + index_words
-    const = _HASH_INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * _HASH_MULT_A & _WORD
-        value = value * np.uint32(const)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x, y):
-        value = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return value ^ (value >> np.uint32(16))
-
-    zero = np.zeros(rows, dtype=np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_WORDS)]
-    for src in range(_POOL_WORDS):
-        for dst in range(_POOL_WORDS):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_WORDS:]:  # entropy past the pool: each word into every pool word
-        for dst in range(_POOL_WORDS):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    const, out = _HASH_INIT_B, []  # generate_state(4, uint64): 8 words cycling the pool
-    for i in range(8):
-        value = pool[i % _POOL_WORDS] ^ np.uint32(const)
-        const = const * _HASH_MULT_B & _WORD
-        value = value * np.uint32(const)
-        out.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
-    high, low, seq_high, seq_low = (out[2 * j] | (out[2 * j + 1] << np.uint64(32)) for j in range(4))
-    states, incs = [], []
-    for h, l, sh, sl in zip(high.tolist(), low.tolist(), seq_high.tolist(), seq_low.tolist()):
-        inc = ((sh << 64 | sl) << 1 | 1) & _STATE
-        states.append(((inc + (h << 64 | l)) * _PCG64_MULT + inc) & _STATE)
-        incs.append(inc)
-    return states, incs
-
-
-def _trial_generators(seed: int, trials: range):
-    """Yield a Generator equal to ``np.random.default_rng((seed, i))`` for
-    each trial index i of ``trials`` (below 2^64), at a fraction of its cost:
-    the states of every trial come from one batched SeedSequence hash (see
-    :func:`_seed_states`), and one Generator is reloaded per trial, so each
-    yielded Generator is valid until the next is yielded."""
-    if seed < 0:
-        np.random.default_rng((seed, 0))  # raises numpy's own error
-    seed_words = [seed >> s & _WORD for s in range(0, max(seed.bit_length(), 1), 32)]
-    rng = np.random.Generator(np.random.PCG64(0))
-    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
-    # an index below 2^32 is one entropy word, a larger one two
-    for part in (range(trials.start, min(trials.stop, 1 << 32)), range(max(trials.start, 1 << 32), trials.stop)):
-        if not part:
-            continue
-        index = np.arange(part.start, part.stop, dtype=np.uint64)
-        words = [(index & np.uint64(_WORD)).astype(np.uint32)]
-        if part.start >> 32:
-            words.append((index >> np.uint64(32)).astype(np.uint32))
-        for s, inc in zip(*_seed_states(seed_words, words)):
-            rng.bit_generator.state = {**state, "state": {"state": s, "inc": inc}}
-            yield rng
-
-
-def _draw_block(strategy: SamplingStrategy, z: np.ndarray, generators) -> tuple[np.ndarray, ...]:
+def _draw_block(strategy: SamplingStrategy, z: np.ndarray, draws) -> tuple[np.ndarray, ...]:
     """T, E, A and D (as in :func:`_table`) of one block of trials of a
-    built-in kind on the 0/1 string z, one trial per generator.  Each trial
-    makes the draws of ``sample_ts`` (``_law(_Sample(rng))``): the same
-    generator calls in the same order.  The block's draws are stacked into
-    arrays and reduced at once; no (t, s) tuple or estimator row is built."""
+    built-in kind on the 0/1 string z, from ``draws``, a :class:`_Words` or
+    :class:`_Calls` over the block's trials.  Each trial draws what
+    ``sample_ts`` (``_law(_Sample(rng))``) draws, in the same order; the
+    rows are reduced at once, and no (t, s) tuple or estimator row is built."""
     n, k, kind = strategy.n, strategy.k, strategy.kind
     ones = int(z.sum())
     if kind == "example1":  # w: ones on t, D = k
-        X = np.array([g.choice(n, size=k, replace=False) for g in generators])
-        E = z[X].sum(axis=1)
+        E = z[draws.choice(n, k)].sum(axis=1)
         return ones - E, E, np.full(len(E), max(n - k, 1)), np.full(len(E), k)
     if kind == "example2":  # t: the distinct draws; w counts a position drawn twice twice
-        X = np.sort([g.integers(0, n, size=k) for g in generators], axis=1)
+        X = np.sort(draws.integers(n, k), axis=1)
         first = np.ones(X.shape, dtype=bool)
         first[:, 1:] = X[:, 1:] != X[:, :-1]
         E = z[X].sum(axis=1)
         return ones - (z[X] * first).sum(axis=1), E, np.maximum(n - first.sum(axis=1), 1), np.full(len(E), k)
     if kind == "example3":  # t: the positions whose coin is 1
-        C = np.array([g.integers(0, 2, size=n) for g in generators])
+        C = draws.integers(2, n)
         E, size = C @ z, C.sum(axis=1)
         return ones - E, E, np.maximum(n - size, 1), np.maximum(size, 1)
     if kind == "example4":  # s: the elements of sorted t whose coin is 1
-        draws = [(g.choice(n, size=k, replace=False), g.integers(0, 2, size=k)) for g in generators]
-        X, C = map(np.array, zip(*draws))
-        on_t = z[np.sort(X, axis=1)]
+        on_t = z[np.sort(draws.choice(n, k), axis=1)]
+        C = draws.integers(2, k)
         E = (on_t * C).sum(axis=1)
         return ones - on_t.sum(axis=1), E, np.full(len(E), max(n - k, 1)), np.maximum(C.sum(axis=1), 1)
     if kind == "example5":  # t: slot 1 of pair i when its coin is 1, else slot 0; s: k pairs
-        draws = [(g.integers(0, 2, size=n), g.choice(n, size=k, replace=False)) for g in generators]
-        U, S = map(np.array, zip(*draws))
-        on_t = np.where(U == 1, z[n:], z[:n])
-        E = np.take_along_axis(on_t, S, axis=1).sum(axis=1)
-        return ones - on_t.sum(axis=1), E, np.full(len(E), n), np.full(len(E), k)
+        low, flip = z[:n], z[n:] - z[:n]  # z on slot 0, and its change on slot 1
+        C = draws.integers(2, n)
+        S = draws.choice(n, k)
+        E = low[S].sum(axis=1) + (np.take_along_axis(C, S, axis=1) * flip[S]).sum(axis=1)
+        return ones - low.sum() - C @ flip, E, np.full(len(E), n), np.full(len(E), k)
     if kind == "example6":  # t0: slot 0 of the kept pairs, t1: slot 1 of the rest; s_j: half of t_j
-        half, kept, draws = k // 2, [], ([], [])
-        for g in generators:
-            kept.append(g.random(n) < strategy.p)
-            size = int(np.count_nonzero(kept[-1]))
-            for pool, drawn in zip((size, n - size), draws):  # an empty pool leaves the generator untouched
-                drawn.append(g.choice(pool, size=min(half, pool), replace=False) if pool else np.empty(0, np.int64))
-        K = np.array(kept)
+        half = k // 2
+        K = draws.random_below(n, strategy.p)
         size0 = K.sum(axis=1)  # |t~|
         order = np.argsort(~K, axis=1, kind="stable")  # t0's pairs, then t1's, each ascending
         ones_on, sizes = [], []
-        for j, (drawn, offset) in enumerate(zip(draws, (0 * size0, size0))):  # z's ones on s_j
-            size = np.array([len(x) for x in drawn])
-            row = np.repeat(np.arange(len(K)), size)
-            pairs = order[row, np.concatenate(drawn) + offset[row]]
-            ones_on.append(np.bincount(row, weights=z[pairs + j * n], minlength=len(K)).astype(np.int64))
+        for j, (pool, offset) in enumerate(((size0, 0), (n - size0, size0))):  # z's ones on s_j
+            size = np.minimum(half, pool)
+            X = draws.choice(pool, size)
+            pairs = np.take_along_axis(order, np.where(X >= 0, X + np.reshape(offset, (-1, 1)), 0), axis=1)
+            ones_on.append(np.where(X >= 0, z[pairs + j * n], 0).sum(axis=1))
             sizes.append(np.maximum(size, 1))
         (Z0, Z1), (c0, c1) = ones_on, sizes
         dtype = _exact_dtype(n * int(c0.max()) * int(c1.max()))  # D = n c0 c1, and E <= D
         c0, c1 = c0.astype(dtype, copy=False), c1.astype(dtype, copy=False)
         E = (n - size0) * c1 * Z0 + size0 * c0 * Z1  # see _estimator_row
-        return np.where(K, z[n:], z[:n]).sum(axis=1), E, np.full(len(E), n), n * c0 * c1
+        return z[:n].sum() + K @ (z[n:] - z[:n]), E, np.full(len(E), n), n * c0 * c1
     raise NotImplementedError(f"{kind} has no Monte-Carlo kernel")
+
+
+def _mc_block(strategy: SamplingStrategy, z: np.ndarray, seeds: np.ndarray) -> tuple[np.ndarray, ...]:
+    """:func:`_draw_block` of the trials seeded by ``seeds`` (rows of
+    :func:`_trial_seeds`) from their raw words; the trials
+    :class:`_Words` marks lost, or all when :func:`_trial_words` says so,
+    are made by Generator calls."""
+    per_trial = _trial_words(strategy)
+    if per_trial is None:
+        return _draw_block(strategy, z, _Calls(seeds))
+    words = _Words(seeds, per_trial)
+    block = _draw_block(strategy, z, words)
+    lost = np.flatnonzero(words.lost)
+    if not len(lost):
+        return block
+    again = _draw_block(strategy, z, _Calls(seeds[lost]))
+    out = []
+    for whole, part in zip(block, again):
+        whole = whole.astype(np.result_type(whole, part))
+        whole[lost] = part
+        out.append(whole)
+    return tuple(out)
 
 
 def eps_class_mc(
@@ -1106,32 +1076,40 @@ def eps_class_mc(
 ) -> ErrorEstimate:
     """Monte-Carlo estimate of Pr[q not in B(T, S, delta)] for one fixed string.
 
-    Trial i draws its (t, s) from ``np.random.default_rng((rng_seed, i))``,
-    so the result does not depend on execution order; the generators of a
-    block are seeded at once (:func:`_trial_generators`).  Trials go in
-    blocks of at most ``_MC_BLOCK_TRIALS`` (fewer on strings longer than
-    ``_BLOCK_CELLS / _MC_BLOCK_TRIALS``), so memory stays bounded for any
-    trial count.  A built-in kind decides each block from its raw draws
-    (:func:`_draw_block`); a custom strategy draws with ``sample_ts`` and
-    decides the drawn (t, s) as columns of the integer table that exact mode
-    uses.  Both apply exact mode's tie rule: a deviation of exactly delta
-    fails.
+    Trial i draws its (t, s) as ``sample_ts`` would from
+    ``np.random.default_rng((rng_seed, i))``, so the result does not depend
+    on execution order; the seeds of a block's trials are hashed at once
+    (:func:`_trial_seeds`).  A built-in kind seeds each trial's PCG64 once,
+    reads the words the trial needs with one ``random_raw`` call, and
+    decides the block from the stacked words as arrays (:func:`_mc_block`):
+    numpy's bounded draws and Floyd selection redone, with no Generator call
+    unless a trial runs past its words (after rejected draws) or makes a
+    choice of more than ``_FLOYD_PICKS`` (which holds numpy's partial
+    Fisher-Yates branch), where numpy's own loop is faster.  Its blocks
+    hold at most ``_MC_BLOCK_TRIALS`` trials, fewer once twice a trial's
+    words pass ``_BLOCK_CELLS / _MC_BLOCK_TRIALS``.  A custom strategy draws
+    with ``sample_ts`` and decides the drawn (t, s) as columns of the
+    integer table that exact mode uses, in blocks sized the same way by the
+    string length.  Memory stays bounded for any trial count, and both paths
+    apply exact mode's tie rule: a deviation of exactly delta fails.
     """
     bound = _exact_delta(delta)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    string = np.array([_symbols(q, strategy.length)], dtype=np.int64)
+    string = np.array([_symbols(q, strategy)], dtype=np.int64)
     z = (string[0] != 0).astype(np.int64)
-    step = max(1, min(_MC_BLOCK_TRIALS, _BLOCK_CELLS // max(strategy.length, 1)))
+    words = None if strategy.kind == "custom" else _trial_words(strategy)
+    cells = strategy.length if words is None else 2 * words
+    step = max(1, min(_MC_BLOCK_TRIALS, _BLOCK_CELLS // max(cells, 1)))
     failures = 0
     for first in range(0, trials, step):
-        generators = _trial_generators(int(rng_seed), range(first, min(first + step, trials)))
+        block = range(first, min(first + step, trials))
         if strategy.kind == "custom":
-            columns = [strategy.sample_ts(g) for g in generators]
+            columns = [strategy.sample_ts(g) for g in _trial_generators(int(rng_seed), block)]
             for _, reject in _reject_blocks(strategy, columns, lambda lo, hi: string, 1, bound):
                 failures += int(reject.sum())
         else:
-            T, E, A, D = _draw_block(strategy, z, generators)
+            T, E, A, D = _mc_block(strategy, z, _trial_seeds(int(rng_seed), block))
             failures += int(_tie_rule(A, D, bound)(T, E).sum())
     return ErrorEstimate(
         value=failures / trials,

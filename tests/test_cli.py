@@ -125,6 +125,23 @@ def test_budget_env_gates_the_code_search(capsys, monkeypatch):
     assert err == "error: kernel enumeration needs 512000 evaluations, budget is 1000; raise QSAMPLE_BUDGET\n"
 
 
+def test_code_ruled_out_by_sphere_packing_exits_2_before_the_budget_gate(capsys, monkeypatch):
+    # distance 3 at length 22 - 2 with m = 2 is ruled out; the search would
+    # be charged 2000 * 2^18 evaluations, past the default budget
+    monkeypatch.delenv("QSAMPLE_BUDGET", raising=False)
+    code, out, err = _run(capsys, "qkd-sim", "--n", "22", "--k", "2", "--m", "2", "--beta", "0.05", "--mc")
+    assert code == 2 and out == ""
+    assert err == "error: no random code of length 20 with m=2 corrects a 0.05 error fraction\n"
+
+
+def test_mc_symbol_outside_the_alphabet_exits_2(capsys):
+    argv = ["eps-class", "--kind", "example1", "--n", "3", "--k", "2", "--delta", "0.2", "--mc", "--trials", "5"]
+    code, out, err = _run(capsys, *argv, "--q", "012")
+    assert code == 2 and out == ""
+    assert err == "error: symbol 2 outside alphabet [0, 2)\n"
+    assert _run(capsys, *argv, "--q", "011")[0] == 0
+
+
 @pytest.mark.parametrize(
     "argv",
     [

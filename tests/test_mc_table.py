@@ -1,11 +1,17 @@
 """Monte-Carlo in blocks, against the per-trial deviation loop.
 
-``eps_class_mc`` decides a block of built-in-kind trials from their raw
-draws (``_draw_block``) and a custom strategy's drawn (t, s) as columns of
-the integer table that exact mode uses; the generators of a block are
-seeded at once (``_trial_generators``).  The oracle below is the per-trial
-loop both replaced: one ``default_rng((seed, i))`` per trial, one exact
-``deviation`` per draw.  The two must agree exactly, ties at delta
+``eps_class_mc`` decides a block of built-in-kind trials from each trial's
+raw PCG64 words: ``draws._Words`` redoes numpy's draws on them as array
+operations (Lemire's bounded draws, Floyd's selection), and
+``_draw_block`` reduces the stacked draws.  ``draws._Calls`` makes the same
+draws by Generator calls; it makes the trials the words leave (a choice of
+over 128 picks, which holds numpy's partial Fisher-Yates branch, or a trial
+past its words) and is the oracle of the draws below, compared call by call
+and kernel by kernel.  A custom strategy's drawn (t, s) are decided as
+columns of the integer table that exact mode uses.  The seeds of a block
+are hashed at once (``_trial_seeds``).  The oracle of the whole is the
+per-trial loop all of this replaced: one ``default_rng((seed, i))`` per
+trial, one exact ``deviation`` per draw.  The two must agree exactly, ties at delta
 included, on either side of every block edge.  ``_positions`` keeps its old
 pair-label loop as the oracle of its plain-int path.
 """
@@ -18,6 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import qsample.draws as draws
 import qsample.sampling as sampling
 from qsample.sampling import (
     SubsetIndex,
@@ -47,7 +54,7 @@ def oracle_mc(strategy, q, delta, trials, rng_seed=0):
 
 
 BLOCK = 4  # trials per block while the property runs
-CELLS = 24  # table cells per block then: strings longer than CELLS / BLOCK get fewer trials
+CELLS = 24  # cells per block then: a trial with more than CELLS / BLOCK gets fewer per block
 TRIALS = [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 2]
 DELTAS = [0.1, 0.15, 0.25, Fraction(1, 3), 0.5]
 
@@ -139,7 +146,8 @@ def test_mc_hits_ties_at_delta_on_block_edges(monkeypatch, trials, kind, params,
     ("example6", {"n": 550, "k": 30, "p": 0.3}),
 ])
 def test_mc_on_strings_longer_than_a_full_block(kind, params):
-    # L > _BLOCK_CELLS / _MC_BLOCK_TRIALS: 238 trials per block, so 300
+    # L > _BLOCK_CELLS / _MC_BLOCK_TRIALS; a block of a built-in kind is
+    # sized by twice a trial's words instead, 225 to 256 trials here, so 300
     # trials end in a part block
     strategy = make_strategy(kind, params)
     assert strategy.length * sampling._MC_BLOCK_TRIALS > sampling._BLOCK_CELLS
@@ -161,6 +169,124 @@ def test_trial_generators_load_the_states_of_default_rng(seed, trials):
         got.append(rng.bit_generator.state)
         rng.integers(0, 5, size=3, dtype=np.int32)  # leaves a buffered half-word
     assert got == [np.random.default_rng((seed, i)).bit_generator.state for i in trials]
+
+
+# ---------------------------------------------------------------------------
+# raw-word draws against the Generator calls
+# ---------------------------------------------------------------------------
+
+# (pool, size) on both sides of the 128 picks past which the words leave a
+# choice to the Generator call, and of numpy's partial Fisher-Yates branch
+# (pool > 10000 and size > pool // 50) past it
+FLOYD_EDGE = [(20000, 128), (20000, 129), (200, 128), (200, 129), (10001, 200), (10001, 201), (20000, 401)]
+
+
+@st.composite
+def draw_programs(draw):
+    """A few trials' draw calls, in the order a kernel makes them: perhaps
+    random(n) < p first, then choice and integers calls; a choice's pool and
+    size may differ per trial."""
+    rows = draw(st.integers(1, 4))
+    bias = st.floats(0, 1, exclude_min=True, exclude_max=True) | st.sampled_from([0.3, 0.5, 2 ** -53, 1 - 2 ** -53])
+    calls = [("random_below", draw(st.integers(1, 5)), draw(bias))] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            small = st.integers(0, 30).flatmap(lambda p: st.tuples(st.just(p), st.sampled_from([0, p]) | st.integers(0, p)))
+            pairs = draw(st.lists(small | st.sampled_from(FLOYD_EDGE), min_size=rows, max_size=rows))
+            calls.append(("choice", np.array([p for p, _ in pairs]), np.array([s for _, s in pairs])))
+        else:  # odd counts leave half a word for the next call
+            m = draw(st.integers(1, 6) | st.integers(2 ** 31, 2 ** 32) | st.integers(1, 2 ** 32))
+            calls.append(("integers", m, draw(st.integers(0, 7))))
+    return rows, calls
+
+
+@settings(max_examples=150, deadline=None)
+@given(program=draw_programs(), seed=st.integers(0, 2 ** 32))
+def test_raw_word_draws_match_the_generator_calls(program, seed):
+    # choice is compared as a set, the only thing the kernels read of it
+    rows, calls = program
+    seeds = draws._trial_seeds(seed, range(rows))
+    reads = sum(2 * int(np.max(c[2])) if c[0] == "choice" else c[2] for c in calls if c[0] != "random_below")
+    whole = sum(c[1] for c in calls if c[0] == "random_below")
+    words, oracle = draws._Words(seeds, whole + 2 * reads + 64), draws._Calls(seeds)  # room for rejections
+    replayed = np.zeros(rows, dtype=bool)
+    for op, *args in calls:
+        got, want = getattr(words, op)(*args), getattr(oracle, op)(*args)
+        if op == "choice":
+            replayed |= args[1] > 128  # left to the Generator call
+            got, want = np.sort(got, axis=1), np.sort(want, axis=1)
+        assert got.shape == want.shape
+        assert (got[~replayed] == want[~replayed]).all()
+    assert words.lost.tolist() == replayed.tolist()
+
+
+def test_bounded_draw_rejects_as_numpy_does():
+    # a range of 3 * 2^30 rejects x m mod 2^32 < 2^30: a quarter of the draws
+    m, size = 3 * 2 ** 30, 400
+    seeds = draws._trial_seeds(9, range(8))
+    words = draws._Words(seeds, size)
+    got = words.integers(m, size)
+    want = [np.random.default_rng((9, i)).integers(0, m, size=size) for i in range(8)]
+    assert not words.lost.any()
+    assert got.tolist() == [w.tolist() for w in want]
+    assert 1.25 < words.at.mean() / size < 1.42  # 4/3 reads per draw
+
+
+def test_a_trial_past_its_words_is_lost_and_replayed(monkeypatch):
+    # one word holds two uint32 reads, so a third draw runs out
+    words = draws._Words(draws._trial_seeds(2, range(6)), 1)
+    words.integers(7, 3)
+    assert words.lost.all()
+    # example6 reads a whole word per pair for its coins, then 3 uint32 for
+    # its two choices of 2 of 8 pairs when at most one pair is kept, and 5
+    # or 6 otherwise, so with two words more the trials that keep 3 to 5
+    # pairs run out before their second choice's last pick
+    monkeypatch.setattr(sampling, "_trial_words", lambda strategy: strategy.n + 2)
+    strategy = make_strategy("example6", n=8, k=4, p=0.3)
+    seeds = draws._trial_seeds(4, range(60))
+    z = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 1, 1])
+    words = draws._Words(seeds, strategy.n + 2)
+    raw = sampling._draw_block(strategy, z, words)
+    want = sampling._draw_block(strategy, z, draws._Calls(seeds))
+    assert 0 < words.lost.sum() < len(seeds)
+    assert any((x != y)[words.lost].any() for x, y in zip(raw, want))
+    block = sampling._mc_block(strategy, z, seeds)
+    assert [x.tolist() for x in block] == [x.tolist() for x in want]
+
+
+@st.composite
+def kernel_cases(draw):
+    kind = draw(st.sampled_from(["example1", "example2", "example3", "example4", "example5", "example6"]))
+    if kind in ("example1", "example4", "example5") and draw(st.integers(0, 3)) == 0:
+        n, k = draw(st.sampled_from(FLOYD_EDGE))  # on either side of a branch
+    else:
+        n = draw(st.integers(1, 12))
+        k = draw(st.integers(1, n) | st.just(n))
+    if kind == "example3":
+        return make_strategy(kind, n=n)
+    if kind == "example6":
+        return make_strategy(kind, n=n, k=2 * draw(st.integers(1, n)), p=draw(st.sampled_from([0.1, 0.5, 0.9])))
+    return make_strategy(kind, n=n, k=draw(st.integers(1, 2 * n)) if kind == "example2" else k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(strategy=kernel_cases(), trials=st.integers(1, 6), seed=st.integers(0, 2 ** 32))
+def test_raw_word_blocks_match_the_generator_calls_of_each_kind(strategy, trials, seed):
+    seeds = draws._trial_seeds(seed, range(trials))
+    z = np.random.default_rng(seed).integers(0, 2, size=strategy.length)
+    block = sampling._mc_block(strategy, z, seeds)
+    want = sampling._draw_block(strategy, z, draws._Calls(seeds))
+    assert [x.tolist() for x in block] == [x.tolist() for x in want]
+
+
+@pytest.mark.parametrize("k", [500, 5000])
+def test_mc_on_pools_past_floyd_matches_the_per_trial_loop(k):
+    # choice(20000, k) takes numpy's partial Fisher-Yates branch for k > 400,
+    # so every trial is replayed by its Generator calls
+    strategy = make_strategy("example1", n=20_000, k=k)
+    q = [int(x) for x in np.random.default_rng(4).integers(0, 2, size=strategy.length)]
+    est = eps_class_mc(strategy, q, 0.01, 12, rng_seed=3)
+    assert est.value == oracle_mc(strategy, q, 0.01, 12, rng_seed=3)
 
 
 def test_negative_seed_raises_the_error_of_default_rng():
@@ -234,11 +360,9 @@ def test_mc_past_int64_matches_the_per_trial_deviation():
 
 
 # Peak traced allocation of one call, 20 000 trials.  Blocks of at most
-# _MC_BLOCK_TRIALS peak at about 0.2 MB on each case.  Blocks sized by
-# table cells alone (2621, 131072 and 26214 trials) peak at about 1.7 MB,
-# 8.4 MB and 12 MB, so the last two cases catch them; the first catches them
-# only on the column path, whose (t, s) tuples take far more than the
-# stacked draws of the array kernel.
+# _MC_BLOCK_TRIALS peak at about 0.1 to 0.25 MB on each case.  Blocks sized
+# by twice a trial's words alone (10922, 65536 and 10922 trials) peak at
+# about 6.7, 8.3 and 6.7 MB, so each case catches them.
 PEAK_LIMIT_BYTES = 2_500_000
 
 

@@ -508,6 +508,27 @@ def test_code_impossible_distance_raises():
         make_linear_code(4, 1, 0.3, rng, max_tries=25)
 
 
+def test_code_ruled_out_by_sphere_packing_raises_before_the_search():
+    # distance 3 at length 20 needs 2^18 disjoint balls of 1 + 20 strings,
+    # more than 2^20 strings; the search would be charged 2000 * 2^18
+    # evaluations, past the default budget
+    rng = np.random.default_rng(50)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="no random code of length 20 with m=2 corrects a 0.05 error fraction"):
+        make_linear_code(20, 2, 0.05, rng)
+    assert rng.bit_generator.state == before
+
+
+def test_a_perfect_code_meets_the_sphere_packing_bound():
+    # the [7, 4] Hamming code fills 2^7 with 2^4 balls of 1 + 7 strings; one
+    # check bit fewer is ruled out
+    code = make_linear_code(7, 3, 1 / 7, np.random.default_rng(0))
+    words = [v for v in itertools.product((0, 1), repeat=7) if any(v) and not (code.parity @ v % 2).any()]
+    assert len(words) == 15 and min(sum(v) for v in words) == 3
+    with pytest.raises(ValueError, match="no random code"):
+        make_linear_code(7, 2, 1 / 7, np.random.default_rng(0))
+
+
 def test_decode_failure_returns_none():
     rng = np.random.default_rng(49)
     code = make_linear_code(8, 4, 0.125, rng)

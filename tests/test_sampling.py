@@ -254,6 +254,20 @@ def test_estimate_rejects_wrong_length():
         estimate(strat, (0, 1), (1,))
 
 
+@pytest.mark.parametrize("q,bad", [((0, 1, 2), 2), ((0, -1, 1), -1), (SymbolString((2, 0, 1), d=3), 2)])
+@pytest.mark.parametrize("call", [
+    lambda s, q: deviation(s, q, (1, 2)),
+    lambda s, q: s.estimate_frac(q, (1, 2), None),
+    lambda s, q: failure_probability(s, q, 0.2),
+    lambda s, q: eps_class_mc(s, q, 0.2, 5),
+], ids=["deviation", "estimate_frac", "failure_probability", "eps_class_mc"])
+def test_strategy_calls_reject_symbols_outside_the_alphabet(call, q, bad):
+    # a d = 2 strategy must not read 2 as a nonzero symbol (deviation would give 1/2)
+    with pytest.raises(ValueError, match=rf"symbol {bad} outside alphabet \[0, 2\)"):
+        call(make_strategy("example1", n=3, k=2), q)
+    assert call(make_strategy("example1", n=3, k=2, d=3), (0, 1, 2)) is not None
+
+
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
