@@ -13,9 +13,10 @@ rank), which makes the extractor output exactly uniform on uniform input, and
 the family is two-universal with collision probability exactly 2^-l for
 distinct inputs that differ outside the identity block.
 
-The hash is written once, ``_hash_keys`` (many inputs under many seeds; the
-checked ``hash_eval`` calls it), and so is the extraction distance of (key,
-public view, E) from (uniform key, view, E), ``_extraction_distance``, which
+The hash is written twice: ``_hash_keys`` takes many inputs under many seeds
+as int64 arrays (l <= 64), and the checked ``hash_eval`` takes one input in
+Python ints, at any l.  The extraction distance of (key, public view, E) from
+(uniform key, view, E) is written once, ``_extraction_distance``, which
 ``pa_exact_check`` and the exact key-distribution distance both call.
 """
 
@@ -283,12 +284,12 @@ class HashFamily:
 
 
 def _check_bits(bits, length: int, what: str) -> tuple[int, ...]:
-    vals = tuple(int(b) for b in bits)
+    vals = tuple(map(int, bits))
     if len(vals) != length:
         raise ValueError(f"{what} length {len(vals)} != expected {length}")
-    for b in vals:
-        if b not in (0, 1):
-            raise ValueError(f"{what} must be bits, got {b}")
+    if not {0, 1}.issuperset(vals):
+        bad = next(b for b in vals if b not in (0, 1))
+        raise ValueError(f"{what} must be bits, got {bad}")
     return vals
 
 
@@ -310,7 +311,10 @@ def _hash_keys(x: np.ndarray, r: np.ndarray, l: int) -> np.ndarray:
     """Keys sum_i g_i 2^i of every input row of x under every seed row of r,
     shape (seeds, inputs): g = x[:l] XOR T_r x[l:], T_r[i, j] = r[m-1+i-j],
     m = n - l, as one integer product against the stacked Toeplitz blocks.
-    With no Toeplitz block (l = 0 or l = n) r has one empty row."""
+    With no Toeplitz block (l = 0 or l = n) r has one empty row.  The keys
+    are int64, so l is at most 64."""
+    if l > 64:
+        raise ValueError(f"batched keys hold at most 64 bits, got l = {l}")
     m = x.shape[1] - l
     toeplitz = r[:, m - 1 + np.arange(l)[:, None] - np.arange(m)]  # (seeds, l, m)
     mixed = (x[:, l:] @ toeplitz.reshape(len(r) * l, m).T).reshape(len(x), len(r), l)
@@ -319,12 +323,18 @@ def _hash_keys(x: np.ndarray, r: np.ndarray, l: int) -> np.ndarray:
 
 
 def hash_eval(family: HashFamily, r, x) -> tuple[int, ...]:
-    """Evaluate the hash; lengths must match the family exactly."""
+    """Evaluate the hash; lengths must match the family exactly.
+
+    One input in Python ints, any l: with the tail x[l:] read as a binary
+    numeral, x[l] first (bit m-1-j is x[l+j]), and the seed with r[0] as its
+    lowest bit (bit t is r[t]), row i of T_r x[l:] is the parity of
+    (seed >> i) & tail."""
     n, l = family.input_bits, family.output_bits
     x = _check_bits(x, n, "input")
     r = _check_bits(r, family.seed_bits, "seed")
-    key = int(_hash_keys(np.array([x], dtype=np.int64), np.array([r], dtype=np.int64), l)[0, 0])
-    return tuple((key >> i) & 1 for i in range(l))
+    tail = int("".join(map(str, x[l:])) or "0", 2)
+    seed = int("".join(map(str, r[::-1])) or "0", 2)
+    return tuple(x[i] ^ ((seed >> i) & tail).bit_count() & 1 for i in range(l))
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,7 @@ __all__ = [
     "simulate_qot",
     "qot_catch_probability",
     "qkd_sampling_view",
+    "security_report_to_dict",
     "security_report_to_json",
     "transcript_to_json",
     "rate_curve_csv",
@@ -222,17 +223,19 @@ class SecurityReport:
             object.__setattr__(self, "exact_distance", d)
 
 
+def security_report_to_dict(report: SecurityReport) -> dict:
+    """The report as JSON data: its terms as [label, value] pairs and its total."""
+    return {
+        "bound_terms": [[label, value] for label, value in report.bound_terms],
+        "total_bound": report.total_bound,
+        "delta_used": report.delta_used,
+        "exact_distance": report.exact_distance,
+        "transcript_digest": report.transcript_digest,
+    }
+
+
 def security_report_to_json(report: SecurityReport) -> str:
-    return json.dumps(
-        {
-            "bound_terms": [[label, value] for label, value in report.bound_terms],
-            "total_bound": report.total_bound,
-            "delta_used": report.delta_used,
-            "exact_distance": report.exact_distance,
-            "transcript_digest": report.transcript_digest,
-        },
-        sort_keys=True,
-    )
+    return json.dumps(security_report_to_dict(report), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -559,8 +562,15 @@ def make_linear_code(length, m, radius, rng: np.random.Generator, max_tries: int
 # ---------------------------------------------------------------------------
 
 
+def _int_row(value) -> bool:
+    """A flat tuple or list of plain ints, such as a bit string: JSON data as a list."""
+    return type(value) in (tuple, list) and all(type(v) is int for v in value)
+
+
 def _jsonable(value):
     """JSON data: numpy scalars and arrays as Python values, tuples as lists, keys as strings."""
+    if _int_row(value):
+        return list(value)
     if isinstance(value, np.generic):
         return value.item()
     if isinstance(value, np.ndarray):
@@ -578,6 +588,8 @@ def _digest(data) -> str:
 
 
 def _scalar_count(payload) -> int | None:
+    if _int_row(payload):
+        return len(payload)
     if isinstance(payload, list):
         counts = [_scalar_count(v) for v in payload]
         return None if None in counts else sum(counts)
@@ -602,7 +614,7 @@ def transcript_to_json(transcript) -> str:
 
 
 def _bits(rng: np.random.Generator, count: int) -> tuple[int, ...]:
-    return tuple(int(b) for b in rng.integers(0, 2, size=count))
+    return tuple(rng.integers(0, 2, size=count).tolist())
 
 
 def _subset(rng: np.random.Generator, n: int, k: int) -> tuple[int, ...]:

@@ -73,6 +73,7 @@ __all__ = [
     "STRATEGY_KINDS",
     "strategy_to_json",
     "strategy_from_json",
+    "error_estimate_to_dict",
     "error_estimate_to_json",
     "mc_halfwidth",
     "resolve_budget",
@@ -243,6 +244,19 @@ def _symbols(q, strategy: SamplingStrategy | None = None) -> tuple[int, ...]:
             bad = next(x for x in sym if not 0 <= x < strategy.d)
             raise ValueError(f"symbol {bad} outside alphabet [0, {strategy.d})")
     return sym
+
+
+def _symbol_row(q, strategy: SamplingStrategy) -> np.ndarray:
+    """The symbols of q as one int64 row, checked as :func:`_symbols` checks
+    them; an integer ndarray is checked with numpy, not as a Python tuple."""
+    if not (isinstance(q, np.ndarray) and q.ndim == 1 and q.dtype.kind in "biu"):
+        return np.array([_symbols(q, strategy)], dtype=np.int64)
+    if len(q) != strategy.length:
+        raise ValueError(f"string length {len(q)} != strategy length {strategy.length}")
+    outside = (q < 0) | (q >= strategy.d)
+    if outside.any():
+        raise ValueError(f"symbol {int(q[outside.argmax()])} outside alphabet [0, {strategy.d})")
+    return q.astype(np.int64)[None, :]
 
 
 def _positions(J, n: int | None = None) -> tuple[int, ...]:
@@ -755,7 +769,7 @@ def _reject_blocks(strategy: SamplingStrategy, columns, strings, count: int, bou
 def failure_probability(strategy: SamplingStrategy, q, delta: float) -> Fraction:
     """Exact Pr[q not in B(T, S, delta)] for one fixed string q."""
     bound = _exact_delta(delta)
-    string = np.array([_symbols(q, strategy)], dtype=np.int64)
+    string = _symbol_row(q, strategy)
     _refuse("failure probability", strategy.support_size())
     support = strategy.ts_support()
     ((_, reject),) = _reject_blocks(strategy, support, lambda lo, hi: string, 1, bound)
@@ -1096,7 +1110,7 @@ def eps_class_mc(
     bound = _exact_delta(delta)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    string = np.array([_symbols(q, strategy)], dtype=np.int64)
+    string = _symbol_row(q, strategy)
     z = (string[0] != 0).astype(np.int64)
     words = None if strategy.kind == "custom" else _trial_words(strategy)
     cells = strategy.length if words is None else 2 * words
@@ -1264,18 +1278,20 @@ def strategy_from_json(text: str) -> SamplingStrategy:
     return make_strategy(kind, obj)
 
 
-def error_estimate_to_json(est: ErrorEstimate) -> str:
-    """Serialize an ErrorEstimate with all fields."""
+def error_estimate_to_dict(est: ErrorEstimate) -> dict:
+    """An ErrorEstimate with all fields as JSON data."""
     wcs = None
     if est.worst_case_string is not None:
         wcs = {"symbols": list(est.worst_case_string.symbols), "d": est.worst_case_string.d}
-    return json.dumps(
-        {
-            "value": est.value,
-            "mode": est.mode,
-            "trials": est.trials,
-            "confidence_halfwidth": est.confidence_halfwidth,
-            "worst_case_string": wcs,
-        },
-        sort_keys=True,
-    )
+    return {
+        "value": est.value,
+        "mode": est.mode,
+        "trials": est.trials,
+        "confidence_halfwidth": est.confidence_halfwidth,
+        "worst_case_string": wcs,
+    }
+
+
+def error_estimate_to_json(est: ErrorEstimate) -> str:
+    """Serialize an ErrorEstimate with all fields."""
+    return json.dumps(error_estimate_to_dict(est), sort_keys=True)

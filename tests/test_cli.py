@@ -1,15 +1,18 @@
 """Command-line behavior: exit codes, report shape, replay determinism."""
 
 import json
+import math
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qsample.protocols
 import qsample.qsampling
-from qsample.cli import RunConfig, main, run
+from qsample.cli import RunConfig, _indented_json, main, run
 from qsample.quantum import random_density_matrix, random_pure_state, state_to_json
 
 
@@ -75,6 +78,55 @@ def test_out_flag_writes_file(capsys, tmp_path):
 def test_json_keys_are_sorted(capsys):
     _, out, _ = _run(capsys, "tightness", "--n", "3", "--k", "1")
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+_JSON_FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1e16, math.inf, -math.inf, math.nan])
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | _JSON_FLOATS
+    | st.text()
+    | st.text(st.characters(max_codepoint=0x1F))
+)
+_JSON_KEYS = st.text() | st.integers(-(2**70), 2**70) | st.booleans() | st.none() | _JSON_FLOATS
+_JSON_DATA = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_DATA)
+def test_report_writer_is_indented_sorted_json(value):
+    assert _indented_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(st.integers(-(2**70), 2**70) | st.booleans() | st.floats(allow_nan=False), _JSON_SCALARS, max_size=4)
+    | st.dictionaries(_JSON_KEYS, _JSON_SCALARS, max_size=1)
+)
+def test_report_writer_writes_non_string_keys_as_json(value):
+    # json sorts keys as Python compares them, so numbers share a dict and
+    # other key types come one at a time
+    assert _indented_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [np.int64(3), np.bool_(True), {1, 2}, [1, (2, b"x")], {"a": {"b": object()}}, {(1, 2): 3}],
+    ids=["int64", "bool_", "set", "bytes", "object", "tuple-key"],
+)
+def test_report_writer_rejects_what_json_rejects(value):
+    with pytest.raises(TypeError) as ours:
+        _indented_json(value)
+    with pytest.raises(TypeError) as theirs:
+        json.dumps(value, indent=2, sort_keys=True)
+    assert str(ours.value) == str(theirs.value)
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +532,16 @@ def test_protocol_goldens_hold_in_a_warm_process(capsys):
             assert out == (GOLDEN / f"{name}.json").read_text()
     assert qsample.protocols._qot_best.cache_info().hits >= 2
     assert qsample.protocols._best_qkd_terms.cache_info().hits >= 2
+
+
+def test_keys_past_bit_64_are_hashed(capsys):
+    # key bits from 64 on must be hashed too: int64 key weights leave them at zero
+    code, out, _ = _run(capsys, "qkd-sim", "--n", "400", "--k", "40", "--mc", "--seed", "1")
+    result = _result(out)
+    assert code == 0 and result["keys_match"]
+    key = result["alice_key"]
+    assert len(key) == 359
+    assert 100 < sum(key[64:]) < 195
 
 
 # ---------------------------------------------------------------------------

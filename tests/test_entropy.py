@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsample import (
     BasisSpec,
@@ -438,6 +440,49 @@ def test_hash_matches_matrix_oracle(n, l):
             expect = tuple(int(v) for v in (M @ np.array(x)) % 2)
             assert hash_eval(fam, r, x) == expect
             assert keys[ridx, xidx] == sum(b << i for i, b in enumerate(expect))
+
+
+def _oracle_key(family: HashFamily, r, x) -> tuple[int, ...]:
+    return tuple(int(v) for v in _hash_matrix(family, r) @ np.array(x) % 2)
+
+
+@pytest.mark.parametrize("l", [63, 64, 65, 100, 300])
+def test_long_keys_match_matrix_oracle(l):
+    # int64 key weights wrap past bit 63: the one-input hash must not use
+    # them, and the batched hash must refuse a key it cannot hold
+    rng = np.random.default_rng(l)
+    for m in (1, 9, 40):
+        fam = HashFamily(l + m, l)
+        for _ in range(6):
+            r = tuple(rng.integers(0, 2, size=fam.seed_bits).tolist())
+            x = tuple(rng.integers(0, 2, size=l + m).tolist())
+            expect = _oracle_key(fam, r, x)
+            assert hash_eval(fam, r, x) == expect
+            if l <= 64:  # bit 63 is the int64 sign bit
+                key = int(_hash_keys(np.array([x]), np.array([r]), l)[0, 0])
+                assert key % 2**64 == sum(b << i for i, b in enumerate(expect))
+            else:
+                with pytest.raises(ValueError, match=f"at most 64 bits, got l = {l}"):
+                    _hash_keys(np.array([x]), np.array([r]), l)
+
+
+@st.composite
+def _hash_case(draw):
+    n = draw(st.integers(1, 40))
+    l = draw(st.integers(0, n))
+    fam = HashFamily(n, l)
+    bits = lambda size: tuple(draw(st.lists(st.integers(0, 1), min_size=size, max_size=size)))
+    return fam, bits(fam.seed_bits), bits(n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hash_case())
+def test_one_input_hash_matches_batched_and_matrix(case):
+    fam, r, x = case
+    expect = _oracle_key(fam, r, x)
+    assert hash_eval(fam, r, x) == expect
+    key = int(_hash_keys(np.array([x]), np.array([r], dtype=np.int64), fam.output_bits)[0, 0])
+    assert key == sum(b << i for i, b in enumerate(expect))
 
 
 def test_hash_zero_input():

@@ -697,6 +697,20 @@ def test_qkd_replay_is_byte_identical():
     assert transcript_to_json(other[0]) != transcript_to_json(runs[0][0])
 
 
+@pytest.mark.parametrize(
+    "protocol, kind",
+    [("qkd", kind) for kind in ("none", "intercept-resend", "entangling-probe")]
+    + [("qot", kind) for kind in ("none", "commit-flip", "open-flip", "no-measure", "delay-measure")],
+)
+def test_transcripts_are_json_data(protocol, kind):
+    # lists, not tuples: a tuple would read back from JSON unequal
+    if protocol == "qkd":
+        run = simulate_qkd(QkdParams(12, 3, EccModel(3, 0.1)), AdversaryModel(kind=kind), 5, exact=False)
+    else:
+        run = simulate_qot(QotParams(10, 3, 2), AdversaryModel(kind=kind, flips=(2,)), 5)
+    assert json.loads(transcript_to_json(run[0])) == run[0]
+
+
 def _mean_beta(params, adv, seeds):
     total = 0.0
     for seed in seeds:

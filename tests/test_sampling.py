@@ -268,6 +268,27 @@ def test_strategy_calls_reject_symbols_outside_the_alphabet(call, q, bad):
     assert call(make_strategy("example1", n=3, k=2, d=3), (0, 1, 2)) is not None
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.int8, np.uint8, bool])
+def test_array_strings_are_checked_like_tuples(dtype):
+    # an ndarray q is checked with numpy, not turned into a tuple and back
+    strat = make_strategy("example6", n=6, k=2, p=0.3)
+    q = (0, 1, 1, 0, 1, 0, 0, 0, 1, 1, 0, 1)
+    for call in (lambda s, q: eps_class_mc(s, q, 0.2, 50, rng_seed=4), lambda s, q: failure_probability(s, q, 0.2)):
+        assert call(strat, np.array(q, dtype=dtype)) == call(strat, q)
+    if dtype is not bool:
+        small = make_strategy("example1", n=3, k=2)
+        for q, bad in (((0, 1, 2), 2), ((0, 3, 2), 3)):
+            with pytest.raises(ValueError, match=rf"^symbol {bad} outside alphabet \[0, 2\)$"):
+                eps_class_mc(small, np.array(q, dtype=dtype), 0.2, 5)
+    with pytest.raises(ValueError, match=r"^string length 2 != strategy length 12$"):
+        eps_class_mc(strat, np.array((0, 1), dtype=dtype), 0.2, 5)
+
+
+def test_negative_array_symbol_is_named():
+    with pytest.raises(ValueError, match=r"^symbol -1 outside alphabet \[0, 2\)$"):
+        eps_class_mc(make_strategy("example1", n=3, k=2), np.array([0, -1, 1]), 0.2, 5)
+
+
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
