@@ -111,14 +111,10 @@ def _trial_seeds(seed: int, trials: range) -> np.ndarray:
 
 
 def _generators(seeds: np.ndarray) -> list[np.random.Generator]:
-    """A fresh Generator per row of :func:`_trial_seeds`."""
+    """A fresh Generator per row of :func:`_trial_seeds`: row i of
+    ``_trial_seeds(seed, trials)`` gives one equal to
+    ``np.random.default_rng((seed, trials[i]))``."""
     return [np.random.Generator(_pcg64(words)) for words in seeds]
-
-
-def _trial_generators(seed: int, trials: range):
-    """Yield a Generator equal to ``np.random.default_rng((seed, i))`` for
-    each trial index i of ``trials``, seeded from :func:`_trial_seeds`."""
-    yield from _generators(_trial_seeds(seed, trials))
 
 
 # Floyd's set costs the array form about 0.1-0.2 us a pick against 20-40 ns

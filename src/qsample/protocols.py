@@ -29,7 +29,6 @@ from .quantum import (
     HADAMARD,
     BasisSpec,
     PureState,
-    _rotate,
     apply_cnot_pairs,
     apply_unitary,
     make_epr_pairs,
@@ -38,6 +37,7 @@ from .quantum import (
     sample_measurement,
     trace_distance,
 )
+from . import sampling
 from .sampling import _refuse, complement, rel_weight, restrict
 
 __all__ = [
@@ -641,9 +641,33 @@ def _eve_touch(state: PureState, n: int, adversary: AdversaryModel) -> PureState
     return state
 
 
-def _rotated_rows(state: PureState, theta: tuple[int, ...]) -> np.ndarray:
-    """Amplitudes as a (2^pop, dim_E) matrix after the basis rotation."""
-    return _rotate(state.tensor(), range(1, len(theta) + 1), theta).reshape(2 ** len(theta), state.dim_E)
+def _hadamard_pair(stack: np.ndarray, n: int, i: int) -> np.ndarray:
+    """H (x) H on qubits i and n + i (0-based) of every row of ``stack``, a
+    (bases, 4^n dim_E) array of amplitudes: sums and differences over the
+    two axes, halved, with no matrix product."""
+    x = stack.reshape(len(stack), 2 ** i, 2, 2 ** (n - 1), 2, -1)
+    out = np.empty_like(x)
+    for c, half in enumerate((x[:, :, 0] + x[:, :, 1], x[:, :, 0] - x[:, :, 1])):
+        np.add(half[:, :, :, 0], half[:, :, :, 1], out=out[:, :, c, :, 0])
+        np.subtract(half[:, :, :, 0], half[:, :, :, 1], out=out[:, :, c, :, 1])
+    out *= 0.5
+    return out.reshape(stack.shape)
+
+
+def _qkd_block_rows(tensor: np.ndarray, n: int, first: int, run: int) -> np.ndarray:
+    """Amplitudes of the bases first..first+run-1 as a (run, 4^n, dim_E)
+    array: run is a power of two and first a multiple of it, so the block
+    shares the basis bits of its first n - log2(run) qubit pairs, rotated
+    once, and each later pair doubles a stacked basis axis with its
+    unrotated and its H (x) H copy (the basis's last bit varies fastest)."""
+    fixed = n - (run.bit_length() - 1)
+    stack = tensor.reshape(1, -1)
+    for i in range(n):
+        if i >= fixed:
+            stack = np.stack([stack, _hadamard_pair(stack, n, i)], axis=1).reshape(-1, stack.shape[1])
+        elif (first >> (n - 1 - i)) & 1:
+            stack = _hadamard_pair(stack, n, i)
+    return stack.reshape(run, 4 ** n, tensor.shape[-1])
 
 
 def _qkd_exact_distance(state: PureState, n: int, k: int, code: LinearCode) -> float:
@@ -652,26 +676,34 @@ def _qkd_exact_distance(state: PureState, n: int, k: int, code: LinearCode) -> f
 
     The view contains the probe register and every announced classical value
     (basis string, test subset, exchanged test bits, syndrome, hash seed).
-    Per basis, every (outcome, subset) branch is sliced from one outcome-bit
-    matrix and hashed under every seed at once, grouped by key length.
+    The bases are taken in blocks: a power-of-two run of them whose
+    basis x outcome x subset cells number at most ``sampling._BLOCK_CELLS``
+    (all 2^n bases at n <= 4, one basis per block at n = 7).  Every live
+    (basis, outcome, subset) cell of a block is sliced from one outcome-bit
+    matrix, with the basis folded into its view label, and hashed under
+    every seed at once, one call per key length.
     """
     subsets = np.array(list(itertools.combinations(range(n), k)))
     rests = np.array([[i for i in range(n) if i not in s] for s in subsets])
     key_len = np.array([qkd_key_length(n, k, code.m, e / k) for e in range(k + 1)])  # by test errors
     seeds = {l: _bit_rows(HashFamily(n - k, l).seed_bits) for l in set(key_len.tolist())}
     weight = 1.0 / (2 ** n * len(subsets))
+    fit = sampling._BLOCK_CELLS // (4 ** n * len(subsets))
+    run = 1 << min(n, max(fit.bit_length() - 1, 0))
+    tensor = state.tensor()
     distance = 0.0
-    for tidx in range(2 ** n):
-        theta = _row_bits(tidx, n)
-        rows = _rotated_rows(state, theta + theta)
-        live = np.nonzero(np.einsum("ij,ij->i", rows, rows.conj()).real >= 1e-15)[0]
-        cond = weight * rows[live, :, None] * rows[live, None, :].conj()
-        bits = (live[:, None] >> np.arange(2 * n - 1, -1, -1)) & 1
+    for first in range(0, 2 ** n, run):
+        rows = _qkd_block_rows(tensor, n, first, run)
+        basis, outcome = np.nonzero(np.einsum("bij,bij->bi", rows, rows.conj()).real >= 1e-15)
+        amps = rows[basis, outcome]
+        cond = weight * amps[:, :, None] * amps[:, None, :].conj()
+        bits = (outcome[:, None] >> np.arange(2 * n - 1, -1, -1)) & 1
         xs, ys, raw = bits[:, subsets], bits[:, n + subsets], bits[:, rests]
         syn = raw @ code.parity.T & 1
-        announced = np.concatenate([xs, ys, syn], axis=2)  # with the subset, they label the view
+        announced = np.concatenate([xs, ys, syn], axis=2)  # with the basis and subset, they label the view
         width = announced.shape[2]
-        views = announced @ (1 << np.arange(width)) + (np.arange(len(subsets)) << width)
+        labels = basis[:, None] * len(subsets) + np.arange(len(subsets))  # (basis, subset)
+        views = announced @ (1 << np.arange(width)) + (labels << width)
         lengths = key_len[(xs != ys).sum(axis=2)]
         for l in np.unique(lengths).tolist():
             branch, subset = np.nonzero(lengths == l)
@@ -719,9 +751,13 @@ def simulate_qkd(
     ``exact=None`` selects it for exactly those runs.  Before it builds the
     state it charges 2^n 4^n C(n, k) 2^(n-k-1) evaluations against the budget
     and raises BudgetExceededError when that exceeds it: under the default
-    budget every n <= 6 run fits and every n = 7 run is refused.  The report's
-    delta comes from a 200-point scan that depends only on (n, k, m, l, beta);
-    its optimum is memoised for the 256 most recently used parameter sets.
+    budget every n <= 6 run fits and every n = 7 run is refused.  The
+    distance takes the 2^n bases in blocks of at most
+    ``sampling._BLOCK_CELLS`` basis x outcome x subset cells, so its memory
+    does not grow with 2^n (:func:`_qkd_exact_distance`).  The report's
+    delta comes from a 200-point scan that depends only on (n, k, m, l,
+    beta); its optimum is memoised for the 256 most recently used parameter
+    sets.
     """
     n, k, ecc = params.n, params.k, params.ecc
     exact_ok = adversary.kind in ("none", "entangling-probe", "custom-unitary") and (
@@ -922,6 +958,20 @@ def qkd_sampling_view(state: PureState, params: QkdParams, rng_seed: int, budget
 # ---------------------------------------------------------------------------
 
 
+def _product_amps(x, theta) -> np.ndarray:
+    """Amplitudes prod_i <j_i|H^theta_i|x_i> of the product state, one per
+    basis string j (qubit 1 its highest bit): zero unless j agrees with x
+    where theta is 0, else (-1)^(sum of j_i x_i where theta is 1) times one
+    factor 1/sqrt(2) per rotated qubit, multiplied in the order in which
+    np.kron of the one-qubit states multiplies them."""
+    n = len(x)
+    x, turned = np.array(x), np.array(theta, dtype=bool)
+    j = (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    keep = (j[:, ~turned] == x[~turned]).all(axis=1)
+    sign = 1 - 2 * (j @ (x * turned) & 1)
+    return np.where(keep, sign * math.prod([HADAMARD[0, 0].real] * int(turned.sum())), 0.0)
+
+
 def _qot_bob_commit(rng, n, theta, x, bob: AdversaryModel):
     """Bob's measurement and commitment step.
 
@@ -942,14 +992,7 @@ def _qot_bob_commit(rng, n, theta, x, bob: AdversaryModel):
         if n > 10:
             raise ValueError(f"delay-measure exact mode supports n <= 10, got {n}")
         x_hat = _bits(rng, n)
-        amps = np.ones(1, dtype=complex)
-        for i in range(n):
-            qubit = np.zeros(2, dtype=complex)
-            qubit[x[i]] = 1.0
-            if theta[i]:
-                qubit = HADAMARD @ qubit
-            amps = np.kron(amps, qubit)
-        stored = PureState.from_population(amps, d=2)
+        stored = PureState.from_population(_product_amps(x, theta), d=2)
     else:
         raise ValueError(f"adversary kind {kind!r} is not an oblivious-transfer model")
     flips = set(bob.flips)

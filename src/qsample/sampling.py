@@ -47,7 +47,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .draws import _FLOYD_PICKS, _Calls, _trial_generators, _trial_seeds, _Words
+from .draws import _FLOYD_PICKS, _Calls, _generators, _trial_seeds, _Words
 
 __all__ = [
     "SymbolString",
@@ -1092,14 +1092,16 @@ def eps_class_mc(
 
     Trial i draws its (t, s) as ``sample_ts`` would from
     ``np.random.default_rng((rng_seed, i))``, so the result does not depend
-    on execution order; the seeds of a block's trials are hashed at once
-    (:func:`_trial_seeds`).  A built-in kind seeds each trial's PCG64 once,
-    reads the words the trial needs with one ``random_raw`` call, and
-    decides the block from the stacked words as arrays (:func:`_mc_block`):
-    numpy's bounded draws and Floyd selection redone, with no Generator call
-    unless a trial runs past its words (after rejected draws) or makes a
-    choice of more than ``_FLOYD_PICKS`` (which holds numpy's partial
-    Fisher-Yates branch), where numpy's own loop is faster.  Its blocks
+    on execution order; the seeds of every ``_MC_BLOCK_TRIALS`` trials are
+    hashed at once (:func:`_trial_seeds`) and sliced for the blocks below,
+    so a block of a few trials does not pay a hash of its own.  A built-in
+    kind seeds each trial's PCG64 once, reads the words the trial needs with
+    one ``random_raw`` call, and decides the block from the stacked words as
+    arrays (:func:`_mc_block`): numpy's bounded draws and Floyd selection
+    redone, with no Generator call unless a trial runs past its words (after
+    rejected draws) or makes a choice of more than ``_FLOYD_PICKS`` (which
+    holds numpy's partial Fisher-Yates branch), where numpy's own loop is
+    faster.  Its blocks
     hold at most ``_MC_BLOCK_TRIALS`` trials, fewer once twice a trial's
     words pass ``_BLOCK_CELLS / _MC_BLOCK_TRIALS``.  A custom strategy draws
     with ``sample_ts`` and decides the drawn (t, s) as columns of the
@@ -1116,15 +1118,17 @@ def eps_class_mc(
     cells = strategy.length if words is None else 2 * words
     step = max(1, min(_MC_BLOCK_TRIALS, _BLOCK_CELLS // max(cells, 1)))
     failures = 0
-    for first in range(0, trials, step):
-        block = range(first, min(first + step, trials))
-        if strategy.kind == "custom":
-            columns = [strategy.sample_ts(g) for g in _trial_generators(int(rng_seed), block)]
-            for _, reject in _reject_blocks(strategy, columns, lambda lo, hi: string, 1, bound):
-                failures += int(reject.sum())
-        else:
-            T, E, A, D = _mc_block(strategy, z, _trial_seeds(int(rng_seed), block))
-            failures += int(_tie_rule(A, D, bound)(T, E).sum())
+    for first in range(0, trials, _MC_BLOCK_TRIALS):  # one seed hash, sliced into blocks of step trials
+        chunk = _trial_seeds(int(rng_seed), range(first, min(first + _MC_BLOCK_TRIALS, trials)))
+        for at in range(0, len(chunk), step):
+            seeds = chunk[at : at + step]
+            if strategy.kind == "custom":
+                columns = [strategy.sample_ts(g) for g in _generators(seeds)]
+                for _, reject in _reject_blocks(strategy, columns, lambda lo, hi: string, 1, bound):
+                    failures += int(reject.sum())
+            else:
+                T, E, A, D = _mc_block(strategy, z, seeds)
+                failures += int(_tie_rule(A, D, bound)(T, E).sum())
     return ErrorEstimate(
         value=failures / trials,
         mode="monte-carlo",

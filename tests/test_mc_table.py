@@ -8,8 +8,9 @@ draws by Generator calls; it makes the trials the words leave (a choice of
 over 128 picks, which holds numpy's partial Fisher-Yates branch, or a trial
 past its words) and is the oracle of the draws below, compared call by call
 and kernel by kernel.  A custom strategy's drawn (t, s) are decided as
-columns of the integer table that exact mode uses.  The seeds of a block
-are hashed at once (``_trial_seeds``).  The oracle of the whole is the
+columns of the integer table that exact mode uses.  The seeds of every
+``_MC_BLOCK_TRIALS`` trials are hashed at once (``_trial_seeds``) and
+sliced into blocks.  The oracle of the whole is the
 per-trial loop all of this replaced: one ``default_rng((seed, i))`` per
 trial, one exact ``deviation`` per draw.  The two must agree exactly, ties at delta
 included, on either side of every block edge.  ``_positions`` keeps its old
@@ -156,6 +157,20 @@ def test_mc_on_strings_longer_than_a_full_block(kind, params):
     assert est.value == oracle_mc(strategy, q, 0.05, 300, rng_seed=11)
 
 
+def test_mc_hashes_the_seeds_once_per_block_trials(monkeypatch):
+    # a choice of 500 picks is made by Generator calls, so a block is sized
+    # by the 20 000 positions: 13 trials; the seeds are still hashed once
+    # per _MC_BLOCK_TRIALS trials and sliced
+    strategy = make_strategy("example1", {"n": 20000, "k": 500})
+    hashed, trial_seeds = [], sampling._trial_seeds
+    monkeypatch.setattr(sampling, "_trial_seeds", lambda seed, trials: hashed.append(trials) or trial_seeds(seed, trials))
+    q = [int(x) for x in np.random.default_rng(8).integers(0, 2, size=strategy.length)]
+    est = eps_class_mc(strategy, q, 0.02, 300, rng_seed=3)
+    assert sampling._trial_words(strategy) is None and sampling._BLOCK_CELLS // strategy.length == 13
+    assert hashed == [range(0, 256), range(256, 300)]
+    assert est.value == oracle_mc(strategy, q, 0.02, 300, rng_seed=3)
+
+
 SEEDS = [0, 1, 2 ** 31 - 2, 2 ** 32 + 5, 2 ** 64 + 3, 2 ** 100]  # one to four entropy words
 
 
@@ -165,7 +180,7 @@ def test_trial_generators_load_the_states_of_default_rng(seed, trials):
     # indices from 2^32 on are two entropy words; with four seed words the
     # entropy runs past SeedSequence's pool
     got = []
-    for rng in sampling._trial_generators(seed, trials):
+    for rng in draws._generators(draws._trial_seeds(seed, trials)):
         got.append(rng.bit_generator.state)
         rng.integers(0, 5, size=3, dtype=np.int32)  # leaves a buffered half-word
     assert got == [np.random.default_rng((seed, i)).bit_generator.state for i in trials]

@@ -4,6 +4,7 @@ import json
 import math
 import time
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,8 +44,10 @@ from qsample import (
     simulate_qot,
     transcript_to_json,
 )
-from qsample import protocols
+from qsample import protocols, sampling
+from qsample.entropy import _bit_rows, _extraction_distance, _hash_keys
 from qsample.protocols import _best_qkd_terms, apply_unitary
+from qsample.quantum import HADAMARD, _rotate
 from qsample.sampling import BudgetExceededError
 
 
@@ -611,6 +614,10 @@ def _probe_state(n, adv):
     return state
 
 
+def _exact_state(n, adv):
+    return make_epr_pairs(n) if adv.kind == "none" else _probe_state(n, adv)
+
+
 def _custom_probe():
     c, s = math.cos(0.4), math.sin(0.4)
     U = np.eye(4, dtype=complex)
@@ -635,7 +642,7 @@ def test_qkd_exact_distance_against_hybrid_assembly(n, k, m, adv):
     transcript, _, _, report = simulate_qkd(QkdParams(n, k, ecc=EccModel(m=m)), adv, rng_seed=seed)
     parity = np.array(next(e["payload"] for e in transcript if e["type"] == "parity-check"))
 
-    state = make_epr_pairs(n) if adv.kind == "none" else _probe_state(n, adv)
+    state = _exact_state(n, adv)
     env_dim = state.dim_E
     subsets = list(itertools.combinations(range(1, n + 1), k))
     real = {}
@@ -675,6 +682,96 @@ def test_qkd_exact_distance_against_hybrid_assembly(n, k, m, adv):
         return CqState(tuple(entries), env_dim=env_dim)
     expected = cq_distance(hybrid(real), hybrid(ideal))
     assert report.exact_distance == pytest.approx(expected, abs=1e-12)
+
+
+def _per_basis_distance(state, n, k, code):
+    """The exact distance one basis at a time, as _qkd_exact_distance took
+    it before it took blocks of bases: its oracle."""
+    subsets = np.array(list(itertools.combinations(range(n), k)))
+    rests = np.array([[i for i in range(n) if i not in s] for s in subsets])
+    key_len = np.array([qkd_key_length(n, k, code.m, e / k) for e in range(k + 1)])
+    seeds = {l: _bit_rows(HashFamily(n - k, l).seed_bits) for l in set(key_len.tolist())}
+    weight = 1.0 / (2 ** n * len(subsets))
+    distance = 0.0
+    for tidx in range(2 ** n):
+        theta = tuple((tidx >> (n - 1 - j)) & 1 for j in range(n))
+        rows = _rotate(state.tensor(), range(1, 2 * n + 1), theta + theta).reshape(4 ** n, state.dim_E)
+        live = np.nonzero(np.einsum("ij,ij->i", rows, rows.conj()).real >= 1e-15)[0]
+        cond = weight * rows[live, :, None] * rows[live, None, :].conj()
+        bits = (live[:, None] >> np.arange(2 * n - 1, -1, -1)) & 1
+        xs, ys, raw = bits[:, subsets], bits[:, n + subsets], bits[:, rests]
+        syn = raw @ code.parity.T & 1
+        announced = np.concatenate([xs, ys, syn], axis=2)
+        width = announced.shape[2]
+        views = announced @ (1 << np.arange(width)) + (np.arange(len(subsets)) << width)
+        lengths = key_len[(xs != ys).sum(axis=2)]
+        for l in np.unique(lengths).tolist():
+            branch, subset = np.nonzero(lengths == l)
+            r = seeds[l]
+            keys = _hash_keys(raw[branch, subset], r, l)
+            seen = views[branch, subset] * len(r) + np.arange(len(r))[:, None]
+            distance += _extraction_distance(seen, keys, cond[branch] / len(r), l)
+    return distance
+
+
+EXACT_ADVERSARIES = [
+    AdversaryModel(),
+    AdversaryModel(kind="entangling-probe"),
+    AdversaryModel(kind="entangling-probe", probe_dim=3),
+    _custom_probe(),
+]
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 6) for k in range(1, n)])
+def test_qkd_exact_distance_in_blocks_matches_the_per_basis_loop(n, k):
+    for adv in EXACT_ADVERSARIES:
+        state = _exact_state(n, adv)
+        for m in (0, 1):
+            code = make_linear_code(n - k, m, 0.0, np.random.default_rng(10 * n + k))
+            got = protocols._qkd_exact_distance(state, n, k, code)
+            assert got == pytest.approx(_per_basis_distance(state, n, k, code), abs=1e-12), (adv.kind, m)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_qkd_exact_distance_is_the_same_in_any_number_of_blocks(monkeypatch, k):
+    # 16 bases of 4^4 outcomes and C(4, k) subsets: one block at the
+    # default cell limit; 2, 4 and 16 blocks at 8, 4 and 1 bases' cells
+    n, adv = 4, AdversaryModel(kind="entangling-probe")
+    state, code = _probe_state(n, adv), make_linear_code(n - k, 1, 0.0, np.random.default_rng(k))
+    per_basis = 4 ** n * math.comb(n, k)
+    block_rows, runs = protocols._qkd_block_rows, []
+    monkeypatch.setattr(
+        protocols, "_qkd_block_rows", lambda *args: runs.append(args[-1]) or block_rows(*args)
+    )
+    whole = protocols._qkd_exact_distance(state, n, k, code)
+    assert runs == [16]
+    for bases, blocks in ((8, 2), (4, 4), (1, 16)):
+        runs.clear()
+        monkeypatch.setattr(sampling, "_BLOCK_CELLS", bases * per_basis)
+        assert protocols._qkd_exact_distance(state, n, k, code) == pytest.approx(whole, abs=1e-12)
+        assert runs == [bases] * blocks
+    monkeypatch.setattr(sampling, "_BLOCK_CELLS", per_basis - 1)  # a basis is never split
+    assert protocols._qkd_exact_distance(state, n, k, code) == pytest.approx(whole, abs=1e-12)
+
+
+def test_qkd_exact_distance_memory_is_bounded_by_the_cell_limit():
+    # The largest arrays of a block are its buckets, one dE x dE complex
+    # matrix per (view, key): per basis, C(n, k) subsets x 2^(2k + m)
+    # announced bits x 2^(n-k-1) seeds x 2^l keys, with l < n - k - m, at
+    # most C(n, k) 4^n / 4 against the basis's C(n, k) 4^n cells.  At dE = 2
+    # that is 16 bytes a cell; the mean subtraction and eigvalsh copy them,
+    # so the bound allows four times as much.  The per-basis loop peaked at
+    # 2.4 MB here, and one block of all 64 bases at about 73 MB.
+    n, k, adv = 6, 1, AdversaryModel(kind="entangling-probe")
+    state, code = _probe_state(n, adv), make_linear_code(n - k, 0, 0.0, np.random.default_rng(0))
+    bound = 4 * 16 * sampling._BLOCK_CELLS
+    tracemalloc.start()
+    try:
+        protocols._qkd_exact_distance(state, n, k, code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, f"peak {peak / 1e6:.1f} MB over {bound / 1e6:.1f} MB"
 
 
 def test_qkd_exact_mode_refusals():
@@ -918,6 +1015,19 @@ def test_qot_delay_measure_learns_both_keys():
     assert accepted >= 10
     with pytest.raises(ValueError, match="n <= 10"):
         simulate_qot(QotParams(12, 2, 2), adv, rng_seed=0)
+
+
+def test_delay_measure_product_state_equals_the_kron_chain():
+    # the stored state of the delay-measure Bob, once built qubit by qubit
+    for n in range(1, 7):
+        for x in itertools.product((0, 1), repeat=n):
+            for theta in itertools.product((0, 1), repeat=n):
+                chain = np.ones(1, dtype=complex)
+                for i in range(n):
+                    qubit = np.zeros(2, dtype=complex)
+                    qubit[x[i]] = 1.0
+                    chain = np.kron(chain, HADAMARD @ qubit if theta[i] else qubit)
+                assert np.array_equal(protocols._product_amps(x, theta), chain), (x, theta)
 
 
 def test_qot_replay_and_report():
