@@ -9,8 +9,8 @@ seeds one PCG64 and reads its words with one ``random_raw`` call, and
 :class:`_Words` makes the draws numpy would make from those words, as array
 operations on the whole block: ``random`` compared with a bias, bounded
 ``integers`` by Lemire's method, and ``choice`` without replacement by
-Floyd's algorithm.  :class:`_Calls` makes the same draws by Generator
-calls; it makes the trials :class:`_Words` leaves, and is its test oracle.
+Floyd's algorithm.  :class:`_Calls` makes them by Generator calls, for the
+trials :class:`_Words` leaves and for ``sample_ts``, and is its test oracle.
 """
 
 from __future__ import annotations
@@ -251,12 +251,12 @@ def _gather(stream: np.ndarray, last: np.ndarray) -> np.ndarray:
 
 
 class _Calls:
-    """The draws of :class:`_Words` made by Generator calls, one Generator
-    per trial: the calls of ``sample_ts``.  It makes the trials
-    :class:`_Words` marks lost, and is its test oracle."""
+    """The draws of :class:`_Words` by Generator calls, one Generator per row
+    of ``seeds`` (:func:`_trial_seeds`) or per Generator given: it makes the
+    lost trials and ``sample_ts``'s draw, and is the test oracle of the words."""
 
-    def __init__(self, seeds: np.ndarray):
-        self.generators = _generators(seeds)
+    def __init__(self, seeds):
+        self.generators = _generators(seeds) if isinstance(seeds, np.ndarray) else list(seeds)
 
     def random_below(self, n: int, p: float) -> np.ndarray:
         return np.array([g.random(n) < p for g in self.generators]).reshape(len(self.generators), n)

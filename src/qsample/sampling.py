@@ -15,19 +15,20 @@ probability of falling outside the accept set,
     eps_class(delta) = max_q Pr[ q not in B(T, S, delta) ].
 
 Six built-in strategy kinds are provided ("example1" .. "example6") plus a
-constructor for custom strategies.  Each built-in (t, s) is one integer row w
-over D, f = w . z / D with z = (q != 0), and the true value is z . 1_tbar /
+constructor for custom strategies.  A built-in kind is its (t, s) law,
+drawn as index rows for many trials at once (``SamplingStrategy._draws``),
+and its estimator, an integer row w over D per (t, s), f = w . z / D with
+z = (q != 0) (``SamplingStrategy._rows``).  The true value is z . 1_tbar /
 |tbar|, so exact error probabilities are int64 matrix products compared with
-delta in integers; ties follow delta as written (a float 0.1 is 1/10).
-The permutation-invariant kinds ("example1", "example3", "example4") draw
-(t, s) uniformly, so their exact error probability is counted instead: per
-size class of (t, s), the number of weight-w strings one representative
-accepts, a sum of products of binomials over its cells (the positions with
-equal coefficients in the row), in exact Python ints.  Monte-Carlo
-estimation covers sizes outside the exact budget: it decides each block of
-trials of a built-in kind from the trials' raw PCG64 words, numpy's draws
-redone as array operations (see :mod:`qsample.draws`), in the same integers
-and with the same tie rule, in blocks of bounded size.
+delta in integers; ties follow delta as written (a float 0.1 is 1/10).  The
+permutation-invariant kinds ("example1", "example3", "example4") draw (t, s)
+uniformly, so their exact error probability is counted instead: per size
+class of (t, s), the number of weight-w strings one representative accepts,
+a sum of products of binomials over its cells (the positions with equal
+coefficients in the row), in exact Python ints.  Monte-Carlo estimation
+covers sizes outside the exact budget: each block of trials draws through
+``_draws`` from the trials' raw PCG64 words (see :mod:`qsample.draws`), in
+the same integers and with the same tie rule.
 
 Positions are 1-based.  Pair-indexed strategies ("example5", "example6") view
 a string of length 2n as n pairs; the pair element (i, j) with i in [1..n] and
@@ -40,6 +41,7 @@ import itertools
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -304,13 +306,8 @@ def restrict(q, J, n: int | None = None) -> tuple[int, ...]:
 
 def complement(J, n: int) -> tuple[int, ...]:
     """Positions of [1..n] not in J."""
-    return tuple(i + 1 for i in _tbar(_positions(J), n))
-
-
-def _tbar(t, length: int) -> list[int]:
-    """0-based indices of the positions of [1..length] outside the flat subset t."""
-    inside = set(t)
-    return [i for i in range(length) if i + 1 not in inside]
+    inside = set(_positions(J))
+    return tuple(i for i in range(1, n + 1) if i not in inside)
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +331,6 @@ class _Enumerate:
             kept += [c + (x,) for c in kept]
         return [(c, probs[len(c)]) for c in kept]
 
-    def draws(self, pool, k):
-        raise NotImplementedError(
-            "sampling with replacement has no enumerable (t, s) support; use eps_class_mc per string"
-        )
-
 
 class _Count(_Enumerate):
     """One outcome per size, weighted by the number of outcomes of that size.
@@ -358,23 +350,16 @@ class _Count(_Enumerate):
         return ((tuple(pool[:a]), self.comb(len(pool), a)) for a in range(len(pool) + 1))
 
 
-class _Sample:
-    """One random draw from ``rng``, taken when the primitive is called."""
+def _sizes(rows: np.ndarray) -> np.ndarray:
+    """The entries of each index row that are not padding (summed in int32, twice as fast as int64)."""
+    full = rows.min(initial=0) >= 0  # one pass, where rows without padding are common (pair kinds)
+    return np.full(len(rows), rows.shape[1]) if full else (rows >= 0).sum(axis=1, dtype=np.int32)
 
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
 
-    def subset(self, pool, k):  # an empty pool leaves the generator untouched
-        index = self.rng.choice(len(pool), size=k, replace=False).tolist() if pool else ()
-        return [(tuple(sorted(pool[i] for i in index)), 1)]
-
-    def coins(self, pool, p=None):
-        m = len(pool)
-        keep = self.rng.integers(0, 2, size=m) if p is None else self.rng.random(m) < p
-        return [(tuple(x for x, b in zip(pool, keep.tolist()) if b), 1)]
-
-    def draws(self, pool, k):
-        return [(tuple(pool[i] for i in self.rng.integers(0, len(pool), size=k).tolist()), 1)]
+def _index_rows(rows) -> np.ndarray:
+    """Tuples of 1-based ints as rows of 0-based ints padded with -1."""
+    columns = list(itertools.zip_longest(*rows, fillvalue=0))
+    return np.array(columns, dtype=np.int64).reshape(len(columns), len(rows)).T - 1
 
 
 @dataclass
@@ -423,21 +408,63 @@ class SamplingStrategy:
 
     # -- the (t, s) law -----------------------------------------------------
 
+    def _draws(self, draws) -> tuple[np.ndarray, np.ndarray | None]:
+        """The built-in (t, s) laws, drawn: one row of t and of s per trial
+        of ``draws`` (a :class:`_Words` or :class:`_Calls`), padded with -1.
+        A t row holds t's 0-based positions, on the pair-indexed kinds pair
+        i's in column i; an s row the seed's 0-based positions (pairs on
+        example5; None without a seed), ordered as :meth:`sample_ts` reads
+        them."""
+        n, k, kind = self.n, self.k, self.kind
+        if kind == "example1":
+            return draws.choice(n, k), None
+        if kind == "example2":  # s: the ordered draws; t: the distinct ones
+            s = draws.integers(n, k)
+            X = np.sort(s, axis=1)
+            X[:, 1:][X[:, 1:] == X[:, :-1]] = -1
+            return X, s
+        if kind == "example3":  # t: the positions whose coin is 1, as (i + 1) coin_i - 1
+            t = draws.integers(2, n)
+            t *= np.arange(1, n + 1)  # in place, as below: a fresh n-wide array costs more
+            t -= 1
+            return t, None
+        if kind == "example4":  # s: the elements of sorted t whose coin is 1
+            t = np.sort(draws.choice(n, k), axis=1)
+            return t, (t + 1) * draws.integers(2, k) - 1
+        if kind == "example5":  # pair i gives slot 1 when its coin is 1; s: k pairs
+            t = draws.integers(2, n)
+            t *= n
+            t += np.arange(n)
+            return t, draws.choice(n, k)
+        # example6: slot 0 of the kept pairs, slot 1 of the rest; s_j: half of t_j
+        kept = draws.random_below(n, self.p)
+        size0 = kept.sum(axis=1)
+        order = np.argsort(~kept, axis=1, kind="stable")  # t0's pairs, then t1's, each ascending
+        s = []
+        for j, (pool, offset) in enumerate(((size0, 0), (n - size0, size0))):
+            X = draws.choice(pool, np.minimum(k // 2, pool))
+            pairs = np.take_along_axis(order, np.where(X >= 0, X + np.reshape(offset, (-1, 1)), 0), axis=1)
+            s.append(np.where(X >= 0, pairs + j * n, -1))
+        t = n * ~kept
+        t += np.arange(n)
+        return t, np.hstack(s)
+
     def _law(self, pick):
-        """Yield (t, s, weight) per outcome; the only definition of the built-in
-        (t, s) laws.  ``pick`` interprets three draws, each yielding (outcome,
-        weight) pairs: subset(pool, k), k elements of pool, uniformly, sorted;
-        coins(pool, p), each element kept with probability p (fair if None);
-        draws(pool, k), k ordered draws with replacement.  The law multiplies
-        the weights: _Enumerate reads them as exact probabilities of every
-        outcome, _Sample as one random draw, _Count as numbers of outcomes."""
+        """Yield (t, s, weight) per outcome: the laws of :meth:`_draws` as
+        tuples, for ``ts_support``, support sizes and the counted classes
+        (enumerating through :meth:`_draws` gave the same lists at 5 to 34
+        times the cost at the benchmark's sizes: example5 n=3 k=2 took 364 us
+        against 77, the counted example4 n=8 k=3 134 us against 4).  ``pick``
+        interprets two draws, each yielding (outcome, weight) pairs:
+        subset(pool, k), k elements of pool, uniformly, sorted; coins(pool,
+        p), each element kept with probability p (fair if None).  _Enumerate
+        reads the product of the weights as the exact probability of an
+        outcome, _Count as a number of outcomes.  Sampling with replacement
+        (example2) has no enumerable support."""
         n, k, every = self.n, self.k, range(1, self.n + 1)
         if self.kind == "example1":
             for t, w in pick.subset(every, k):
                 yield t, None, w
-        elif self.kind == "example2":  # s is the ordered draw sequence
-            for s, w in pick.draws(every, k):
-                yield tuple(sorted(set(s))), s, w
         elif self.kind == "example3":
             for t, w in pick.coins(every):
                 yield t, None, w
@@ -460,7 +487,9 @@ class SamplingStrategy:
                     for s1, w1 in pick.subset(t1, min(k // 2, len(t1))):
                         yield t0 + t1, (s0, s1), w0 * w1
         else:
-            raise NotImplementedError(f"{self.kind} has no (t, s) law in this implementation")
+            raise NotImplementedError(
+                "sampling with replacement has no enumerable (t, s) support; use eps_class_mc per string"
+            )
 
     def support_size(self) -> int:
         """Number of (t, s) pairs with positive probability."""
@@ -475,14 +504,77 @@ class SamplingStrategy:
         return self._support
 
     def sample_ts(self, rng: np.random.Generator) -> tuple[tuple, object]:
-        """Draw one (t, s) pair."""
+        """Draw one (t, s) pair.  A built-in kind makes the Generator calls
+        that trial i of :func:`eps_class_mc` makes on
+        ``default_rng((rng_seed, i))``: :meth:`_draws` on ``rng`` alone."""
         if self.kind == "custom":
-            t, s, _ = self._support[rng.choice(len(self._draw_p), p=self._draw_p)]
-        else:
-            t, s, _ = next(self._law(_Sample(rng)))
-        return t, s
+            return self._support[rng.choice(len(self._draw_p), p=self._draw_p)][:2]
+        rows = self._draws(_Calls([rng]))
+        t, s = (None if x is None else [i + 1 for i in x[0].tolist() if i >= 0] for x in rows)
+        if self.kind == "example6":  # (s0, s1), one per slot
+            s = sorted(s)
+            return tuple(sorted(t)), (tuple(x for x in s if x <= self.n), tuple(x for x in s if x > self.n))
+        return tuple(sorted(t)), s if s is None else tuple(s if self.kind == "example2" else sorted(s))
 
     # -- estimation ---------------------------------------------------------
+
+    def _rows(self, t: np.ndarray, s: np.ndarray | None) -> tuple[np.ndarray, ...]:
+        """The built-in estimators: for the index rows t and s of :meth:`_draws`,
+        (P, W, D, A) with f(t, q|t, s) = sum_j W[r, j] z[P[r, j]] / D[r] on
+        row r and z = (q != 0), and the true value's A = max(|tbar|, 1).  P is
+        t itself when f is t's weight; W is 1 when every weight is."""
+        n, size = self.n, _sizes(t)
+        A = np.maximum(self.length - size, 1)
+        if self.kind == "example6":  # ((n - |t~|) w0 + |t~| w1) / n, w_j the weight of q on s_j
+            size0 = size - (t >= n).sum(axis=1, dtype=np.int32)  # |t~|, and |tbar_0| = n - |t~|
+            slot0 = (s >= 0) & (s < n)
+            c0, c1 = (np.maximum(x.sum(axis=1), 1) for x in (slot0, s >= n))
+            dtype = _exact_dtype(n * int(c0.max(initial=1)) * int(c1.max(initial=1)))  # D, and E <= D
+            c0, c1 = c0.astype(dtype, copy=False), c1.astype(dtype, copy=False)
+            return s, np.where(slot0, ((n - size0) * c1)[:, None], (size0 * c0)[:, None]), n * c0 * c1, A
+        if self.kind == "example5":  # pair i is read at its element in t, column i
+            P = t[np.arange(len(t))[:, None], s]
+            P[s < 0] = -1
+        else:  # t (example1, example3), or the seed's positions, a repeated draw twice
+            P = t if s is None else s
+        return P, 1, np.maximum(size if P is t else _sizes(P), 1), A
+
+    def _seed(self, s, t: tuple[int, ...]) -> tuple[int, ...]:
+        """The elements of a built-in seed under the flat subset t, checked:
+        1-based positions inside t, or pairs of the string on example5."""
+        kind, n = self.kind, self.n
+        halves = kind == "example6" and isinstance(s, tuple) and len(s) == 2
+        if kind == "example2" and not s:
+            raise ValueError("example2 needs the ordered draw sequence as seed")
+        if kind in ("example2", "example5"):  # ordered draws, or pairs; a repeat counts twice
+            s = tuple(map(int, s))
+        elif halves and all(isinstance(x, (tuple, list)) for x in s):
+            s0, s1 = _positions(s[0], n), _positions(s[1], n)
+            if s0 and s0[-1] > n or s1 and s1[0] <= n:
+                raise ValueError(f"sample {[s0, s1]} outside the slots of t")
+            s = s0 + s1
+        else:  # a flat seed of example6: positions <= n are slot 0, the rest slot 1
+            s = _positions(s, n if kind == "example6" else None)
+        if not set(s) <= set(range(1, n + 1) if kind == "example5" else t):  # the estimate reads only t
+            where = f"string of {n} pairs" if kind == "example5" else f"the subset {t}"
+            raise ValueError(f"sample {list(s)} outside {where}")
+        return s
+
+    def _stack(self, columns) -> tuple[np.ndarray, ...]:
+        """The t rows and the rows (P, W, D, A) of :meth:`_rows` for
+        (t, s, ...) columns given as tuples, as :meth:`sample_ts` and
+        ``ts_support`` give them, checked (see :meth:`_seed`); an example5
+        subset must pick one element per pair."""
+        flat = [self.flatten_subset(t) for t, *_ in columns]
+        t = _index_rows(flat)
+        s = None if self.kind in ("example1", "example3") else _index_rows(
+            [self._seed(x, f) for f, (_, x, *_) in zip(flat, columns)])
+        if self.kind == "example5":  # to pair order: pair i's element in column i
+            n = self.n
+            if t.shape[1] != n or (t < 0).any() or (np.sort(t % n, axis=1) != np.arange(n)).any():
+                raise ValueError("example5 subset must pick exactly one element per pair")
+            t[np.arange(len(t))[:, None], t % n] = t.copy()
+        return (t, *self._rows(t, s))
 
     def estimate_frac(self, q, t, s) -> Fraction:
         """The estimate f(t, q|t, s) as an exact Fraction."""
@@ -493,50 +585,9 @@ class SamplingStrategy:
         if self.kind == "custom":
             value = self.estimator(t, restrict(sym, t), s)
             return value if isinstance(value, Fraction) else Fraction(value)
-        terms, den = self._estimator_row(t, s)
-        return Fraction(sum(w for i, w in terms if sym[i]), den)
-
-    def _estimator_row(self, t, s) -> tuple[list[tuple[int, int]], int]:
-        """The built-in estimator as one integer row w over a denominator D:
-        f(t, q|t, s) = w . z / D, given as w's (0-based position, weight)
-        terms, for a flat subset t (see :meth:`flatten_subset`).  This is the
-        only definition of the built-in estimators."""
-        n, L = self.n, self.length
-        if self.kind == "example6":
-            if isinstance(s, tuple) and len(s) == 2 and all(isinstance(x, (tuple, list)) for x in s):
-                s0, s1 = _positions(s[0], n), _positions(s[1], n)
-            else:  # a flat seed: positions <= n are slot 0, the rest slot 1
-                flat = _positions(s, n)
-                s0, s1 = [x for x in flat if x <= n], [x for x in flat if x > n]
-            size_tilde = sum(1 for x in t if x <= n)
-            c0, c1 = max(len(s0), 1), max(len(s1), 1)
-            # ((n - |t~|) w0 + |t~| w1) / n with w_j the weight of q on s_j,
-            # since |tbar_0| = n - |t~| and |tbar_1| = |t~|
-            terms = [(p - 1, (n - size_tilde) * c1) for p in s0] + [(p - 1, size_tilde * c0) for p in s1]
-            den = n * c0 * c1
-        else:
-            if self.kind in ("example1", "example3"):
-                picked = t
-            elif self.kind == "example2":
-                if not s:
-                    raise ValueError("example2 needs the ordered draw sequence as seed")
-                picked = [int(j) for j in s]  # a position drawn twice counts twice
-            elif self.kind == "example4":
-                picked = _positions(s)
-            elif self.kind == "example5":
-                tset = set(t)
-                if any((i in tset) == (i + n in tset) for i in range(1, n + 1)):
-                    raise ValueError("example5 subset must pick exactly one element per pair")
-                pairs = [int(i) for i in s]
-                if any(not 1 <= i <= n for i in pairs):
-                    raise ValueError(f"sample pairs {pairs} outside string of {n} pairs")
-                picked = [i if i in tset else i + n for i in pairs]
-            else:
-                raise NotImplementedError(f"estimator not implemented for kind {self.kind}")
-            terms, den = [(p - 1, 1) for p in picked], max(len(picked), 1)
-        if any(not 0 <= i < L for i, _ in terms):
-            raise ValueError(f"sample {[i + 1 for i, _ in terms]} outside string of length {L}")
-        return terms, den
+        _, P, W, D, _ = self._stack([(t, s)])
+        W = np.broadcast_to(W, P.shape)[0].tolist()
+        return Fraction(sum(w for i, w in zip(P[0].tolist(), W) if i >= 0 and sym[i]), int(D[0]))
 
     def flatten_subset(self, t) -> tuple[int, ...]:
         """Normalize a subset given as positions or, on a pair-indexed kind,
@@ -665,10 +716,9 @@ def estimate(strategy: SamplingStrategy, q, t, s=None) -> float:
 
 def deviation(strategy: SamplingStrategy, q, t, s=None) -> Fraction:
     """|relwt(q|tbar) - f(t, q|t, s)| as an exact Fraction."""
-    sym = _symbols(q, strategy)
-    t = strategy.flatten_subset(t)
-    tbar = _tbar(t, strategy.length)
-    true = Fraction(sum(1 for i in tbar if sym[i]), max(len(tbar), 1))
+    sym, t = _symbols(q, strategy), strategy.flatten_subset(t)
+    tbar = complement(t, strategy.length)
+    true = Fraction(sum(1 for i in tbar if sym[i - 1]), max(len(tbar), 1))
     return abs(true - strategy._estimate(sym, t, s))
 
 
@@ -700,31 +750,34 @@ def _exact_dtype(bound: int):
     return np.int64 if bound < 1 << 63 else object
 
 
+def _dense_rows(strategy: SamplingStrategy, columns) -> tuple[np.ndarray, ...]:
+    """A, D and the rows R of the (t, s, ...) columns, e.g. ts_support(): the
+    rows 1_tbar, then the rows w, in Python ints once a D reaches 2^63 (a
+    custom estimator's only form is its callable: its w is 0 and D is 1)."""
+    m, L = len(columns), strategy.length
+    if strategy.kind == "custom":
+        t, D = _index_rows([strategy.flatten_subset(t) for t, *_ in columns]), np.ones(m, dtype=np.int64)
+        A = np.maximum(L - _sizes(t), 1)
+    else:
+        t, P, W, D, A = strategy._stack(columns)
+    rows = np.arange(m)[:, None]
+    R = np.zeros((2 * m, L + 1), dtype=_exact_dtype(int(D.max(initial=0))))  # column L takes the padding
+    R[:m] = 1  # the rows 1_tbar: ones, less one scatter of every t
+    R[rows, t] = 0
+    if strategy.kind != "custom":  # the rows w: one scatter-add of every row's weights
+        np.add.at(R[m:], (rows, P), W)
+    return A, D, R[:, :L]
+
+
 def _table(strategy: SamplingStrategy, columns, strings, count: int):
     """A, D and the blocks (lo, T, E) of the exact true values T / A and
     estimates E / D of strings 0..count-1 of ``strings(lo, hi)`` (rows) under
-    the (t, s, ...) columns, e.g. ts_support(): int64 products of z with the
-    rows 1_tbar and w, in Python ints once a D reaches 2^63 (E <= D, see
-    :func:`_tie_rule`).  A custom estimator's only form is its callable, so
-    its E holds Fractions over D = 1."""
-    m, L = len(columns), strategy.length
-    flat = [strategy.flatten_subset(t) for t, *_ in columns]
-    sizes = np.array([len(t) for t in flat], dtype=np.int64)
-    R = np.zeros((2 * m, L), dtype=np.int64)
-    R[:m] = 1  # the rows 1_tbar: ones, less one scatter of every t
-    R[np.repeat(np.arange(m), sizes), np.fromiter(itertools.chain.from_iterable(flat), np.int64) - 1] = 0
-    D = np.ones(m, dtype=np.int64)
-    if strategy.kind != "custom":  # the rows w: one scatter-add of every row's terms
-        rows = [strategy._estimator_row(t, s) for t, (_, s, *_) in zip(flat, columns)]
-        dens = [den for _, den in rows]
-        dtype = _exact_dtype(max(dens, default=0))
-        R, D = R.astype(dtype, copy=False), np.array(dens, dtype=dtype)
-        terms = np.fromiter(itertools.chain.from_iterable(x for row, _ in rows for x in row), dtype).reshape(-1, 2)
-        position = terms[:, 0].astype(np.int64, copy=False)
-        np.add.at(R, (np.repeat(np.arange(m, 2 * m), [len(row) for row, _ in rows]), position), terms[:, 1])
+    the (t, s, ...) columns: products of z with :func:`_dense_rows` (E <= D,
+    see :func:`_tie_rule`); a custom estimator's E holds Fractions over 1."""
+    A, D, R = _dense_rows(strategy, columns)
 
     def blocks():
-        step = max(1, _BLOCK_CELLS // max(m, 1))
+        step = max(1, _BLOCK_CELLS // max(len(columns), 1))
         for lo in range(0, count, step):
             block = strings(lo, min(lo + step, count))
             T, E = np.split((block != 0).astype(R.dtype) @ R.T, 2, axis=1)
@@ -733,7 +786,7 @@ def _table(strategy: SamplingStrategy, columns, strings, count: int):
                 E = np.array(E, dtype=object)
             yield lo, T, E.reshape(T.shape)
 
-    return np.maximum(L - sizes, 1), D, blocks()
+    return A, D, blocks()
 
 
 def _tie_rule(A: np.ndarray, D: np.ndarray, bound: Fraction, fractions: bool = False):
@@ -742,18 +795,16 @@ def _tie_rule(A: np.ndarray, D: np.ndarray, bound: Fraction, fractions: bool = F
     at least ``bound`` (a tie rejects).  ``fractions``: E holds Fractions
     over D = 1 (a custom estimator), compared with bound * A.  Otherwise
     0 <= T <= A and 0 <= E <= D (a relative weight and its estimate lie in
-    [0, 1]), so T D and E A lie in [0, A D]: the test runs in int64 unless
-    some A D reaches 2^63, and then in Python ints, since int64 would wrap."""
-    # |T D - E A| / (A D) >= p / q  <=>  |T D - E A| >= ceil(p A D / q) for ints,
-    # with the threshold in Python ints: |T D - E A| q can wrap around in int64
+    [0, 1]), so T D and E A lie in [0, A D]: the test runs in int64, or in
+    Python ints where p A D or q (bound = p / q) can reach 2^63."""
+    # |T D - E A| / (A D) >= p / q  <=>  |T D - E A| >= ceil(p A D / q) for ints
     if fractions:
         threshold = np.array([bound * int(a) for a in A], dtype=object)
     else:
         p, q = bound.numerator, bound.denominator
-        AD = [a * d for a, d in zip(A.tolist(), D.tolist())]
-        dtype = _exact_dtype(max(AD, default=0))
+        dtype = _exact_dtype(max(p * int(A.max(initial=0)) * int(D.max(initial=0)), q))
         A, D = A.astype(dtype, copy=False), D.astype(dtype, copy=False)
-        threshold = np.array([-(-p * x // q) for x in AD], dtype=dtype)
+        threshold = -(-p * (A * D) // q)
     return lambda T, E: (np.abs(T * D - E * A) >= threshold).astype(bool)
 
 
@@ -913,15 +964,16 @@ def _eps_class_counted(strategy: SamplingStrategy, bound: Fraction, budget: int 
     accepts."""
     L = strategy.length
     classes, cost, unit = [], 0, -(-L // _COUNT_LENGTH_UNIT)
-    law = strategy._law(_Count(lambda m, k: 1))
-    following = next(law)
-    while following is not None:  # one class ahead, to tell a running sum from the whole cost
-        (t, s, _), following = following, next(law, None)
-        cells, threshold = _class_cells(strategy, t, s, bound)
-        cost += math.prod(m + 1 for _, m in cells) * unit
-        # stops a long law early
-        _refuse("exact enumeration", cost, budget=budget, instead="eps_class_mc", at_least=following is not None)
-        classes.append((cells, threshold))
+    law, step = strategy._law(_Count(lambda m, k: 1)), max(1, _BLOCK_CELLS // L)
+    chunk = list(itertools.islice(law, step))
+    while chunk:  # a chunk ahead, to tell a running sum from the whole cost
+        following = list(itertools.islice(law, step))
+        for i, (cells, threshold) in enumerate(_class_cells(strategy, chunk, bound)):
+            cost += math.prod(m + 1 for _, m in cells) * unit
+            more = bool(following) or i + 1 < len(chunk)  # stops a long law early
+            _refuse("exact enumeration", cost, budget=budget, instead="eps_class_mc", at_least=more)
+            classes.append((cells, threshold))
+        chunk = following
     mults = [mult for _, _, mult in strategy._law(_Count())]
     support = sum(mults)
     rows = {m: _binomial_row(m) for cells, _ in classes for _, m in cells}  # once per cell size
@@ -935,25 +987,15 @@ def _eps_class_counted(strategy: SamplingStrategy, bound: Fraction, budget: int 
     return Fraction(best, best_total), weight
 
 
-def _class_cells(strategy: SamplingStrategy, t, s, bound: Fraction) -> tuple[list[tuple[int, int]], int]:
-    """One (t, s) as cells: its positions grouped by their coefficient g in
-    T D - E A = g . z, with g = D 1_tbar - A w (the integer table's terms,
-    see :func:`_table`).  Returns the (g, size) cells and the reject
-    threshold ceil(bound A D) on |g . z|."""
-    L = strategy.length
-    t = strategy.flatten_subset(t)
-    terms, D = strategy._estimator_row(t, s)
-    A = max(L - len(t), 1)
-    weight: dict[int, int] = {}
-    for i, w in terms:
-        weight[i] = weight.get(i, 0) + w
-    cells = {0: len(t), D: L - len(t)}  # g with no weight yet: 0 on t, D on tbar
-    inside = set(t)
-    for i, w in weight.items():  # move each weighted position to its cell
-        g = 0 if i + 1 in inside else D
-        cells[g] -= 1
-        cells[g - A * w] = cells.get(g - A * w, 0) + 1
-    return [(g, m) for g, m in cells.items() if m], -(-bound.numerator * A * D // bound.denominator)
+def _class_cells(strategy: SamplingStrategy, classes, bound: Fraction) -> list[tuple[list, int]]:
+    """Each (t, s, ...) of ``classes`` as cells: its positions grouped by
+    their coefficient g in T D - E A = g . z, with g = D 1_tbar - A w (see
+    :func:`_dense_rows`).  Returns per class the (g, size) cells and the
+    reject threshold ceil(bound A D) on |g . z|."""
+    A, D, R = _dense_rows(strategy, classes)
+    G = D[:, None] * R[: len(A)] - A[:, None] * R[len(A) :]
+    p, q = bound.numerator, bound.denominator
+    return [(list(Counter(g).items()), -(-p * a * d // q)) for g, a, d in zip(G.tolist(), A.tolist(), D.tolist())]
 
 
 def _binomial_row(m: int) -> np.ndarray:
@@ -1013,61 +1055,21 @@ def _trial_words(strategy: SamplingStrategy) -> int | None:
 
 def _draw_block(strategy: SamplingStrategy, z: np.ndarray, draws) -> tuple[np.ndarray, ...]:
     """T, E, A and D (as in :func:`_table`) of one block of trials of a
-    built-in kind on the 0/1 string z, from ``draws``, a :class:`_Words` or
-    :class:`_Calls` over the block's trials.  Each trial draws what
-    ``sample_ts`` (``_law(_Sample(rng))``) draws, in the same order; the
-    rows are reduced at once, and no (t, s) tuple or estimator row is built."""
-    n, k, kind = strategy.n, strategy.k, strategy.kind
-    ones = int(z.sum())
-    if kind == "example1":  # w: ones on t, D = k
-        E = z[draws.choice(n, k)].sum(axis=1)
-        return ones - E, E, np.full(len(E), max(n - k, 1)), np.full(len(E), k)
-    if kind == "example2":  # t: the distinct draws; w counts a position drawn twice twice
-        X = np.sort(draws.integers(n, k), axis=1)
-        first = np.ones(X.shape, dtype=bool)
-        first[:, 1:] = X[:, 1:] != X[:, :-1]
-        E = z[X].sum(axis=1)
-        return ones - (z[X] * first).sum(axis=1), E, np.maximum(n - first.sum(axis=1), 1), np.full(len(E), k)
-    if kind == "example3":  # t: the positions whose coin is 1
-        C = draws.integers(2, n)
-        E, size = C @ z, C.sum(axis=1)
-        return ones - E, E, np.maximum(n - size, 1), np.maximum(size, 1)
-    if kind == "example4":  # s: the elements of sorted t whose coin is 1
-        on_t = z[np.sort(draws.choice(n, k), axis=1)]
-        C = draws.integers(2, k)
-        E = (on_t * C).sum(axis=1)
-        return ones - on_t.sum(axis=1), E, np.full(len(E), max(n - k, 1)), np.maximum(C.sum(axis=1), 1)
-    if kind == "example5":  # t: slot 1 of pair i when its coin is 1, else slot 0; s: k pairs
-        low, flip = z[:n], z[n:] - z[:n]  # z on slot 0, and its change on slot 1
-        C = draws.integers(2, n)
-        S = draws.choice(n, k)
-        E = low[S].sum(axis=1) + (np.take_along_axis(C, S, axis=1) * flip[S]).sum(axis=1)
-        return ones - low.sum() - C @ flip, E, np.full(len(E), n), np.full(len(E), k)
-    if kind == "example6":  # t0: slot 0 of the kept pairs, t1: slot 1 of the rest; s_j: half of t_j
-        half = k // 2
-        K = draws.random_below(n, strategy.p)
-        size0 = K.sum(axis=1)  # |t~|
-        order = np.argsort(~K, axis=1, kind="stable")  # t0's pairs, then t1's, each ascending
-        ones_on, sizes = [], []
-        for j, (pool, offset) in enumerate(((size0, 0), (n - size0, size0))):  # z's ones on s_j
-            size = np.minimum(half, pool)
-            X = draws.choice(pool, size)
-            pairs = np.take_along_axis(order, np.where(X >= 0, X + np.reshape(offset, (-1, 1)), 0), axis=1)
-            ones_on.append(np.where(X >= 0, z[pairs + j * n], 0).sum(axis=1))
-            sizes.append(np.maximum(size, 1))
-        (Z0, Z1), (c0, c1) = ones_on, sizes
-        dtype = _exact_dtype(n * int(c0.max()) * int(c1.max()))  # D = n c0 c1, and E <= D
-        c0, c1 = c0.astype(dtype, copy=False), c1.astype(dtype, copy=False)
-        E = (n - size0) * c1 * Z0 + size0 * c0 * Z1  # see _estimator_row
-        return z[:n].sum() + K @ (z[n:] - z[:n]), E, np.full(len(E), n), n * c0 * c1
-    raise NotImplementedError(f"{kind} has no Monte-Carlo kernel")
+    built-in kind on the 0/1 string z: (t, s) drawn by ``draws`` (a
+    :class:`_Words` or :class:`_Calls`) through ``_draws``, and the estimator
+    rows of ``_rows``, read by gathers of z."""
+    t, s = strategy._draws(draws)
+    P, W, D, A = strategy._rows(t, s)
+    z = np.append(z, 0)  # the padding -1 reads the 0 past the end
+    on_t = z[t].sum(axis=1, dtype=np.int32)
+    return z.sum() - on_t, on_t if P is t else (z[P] * W).sum(axis=1), A, D
 
 
 def _mc_block(strategy: SamplingStrategy, z: np.ndarray, seeds: np.ndarray) -> tuple[np.ndarray, ...]:
     """:func:`_draw_block` of the trials seeded by ``seeds`` (rows of
-    :func:`_trial_seeds`) from their raw words; the trials
+    :func:`_trial_seeds`), drawn from their raw words; the trials
     :class:`_Words` marks lost, or all when :func:`_trial_words` says so,
-    are made by Generator calls."""
+    are drawn again by Generator calls (:class:`_Calls`)."""
     per_trial = _trial_words(strategy)
     if per_trial is None:
         return _draw_block(strategy, z, _Calls(seeds))
@@ -1090,30 +1092,28 @@ def eps_class_mc(
 ) -> ErrorEstimate:
     """Monte-Carlo estimate of Pr[q not in B(T, S, delta)] for one fixed string.
 
-    Trial i draws its (t, s) as ``sample_ts`` would from
+    Trial i draws its (t, s) as ``sample_ts`` does from
     ``np.random.default_rng((rng_seed, i))``, so the result does not depend
     on execution order; the seeds of every ``_MC_BLOCK_TRIALS`` trials are
-    hashed at once (:func:`_trial_seeds`) and sliced for the blocks below,
-    so a block of a few trials does not pay a hash of its own.  A built-in
-    kind seeds each trial's PCG64 once, reads the words the trial needs with
-    one ``random_raw`` call, and decides the block from the stacked words as
-    arrays (:func:`_mc_block`): numpy's bounded draws and Floyd selection
-    redone, with no Generator call unless a trial runs past its words (after
-    rejected draws) or makes a choice of more than ``_FLOYD_PICKS`` (which
-    holds numpy's partial Fisher-Yates branch), where numpy's own loop is
-    faster.  Its blocks
-    hold at most ``_MC_BLOCK_TRIALS`` trials, fewer once twice a trial's
-    words pass ``_BLOCK_CELLS / _MC_BLOCK_TRIALS``.  A custom strategy draws
-    with ``sample_ts`` and decides the drawn (t, s) as columns of the
-    integer table that exact mode uses, in blocks sized the same way by the
-    string length.  Memory stays bounded for any trial count, and both paths
-    apply exact mode's tie rule: a deviation of exactly delta fails.
+    hashed at once (:func:`_trial_seeds`) and sliced into blocks.  A
+    built-in kind draws a block with ``SamplingStrategy._draws`` from each
+    trial's raw PCG64 words, numpy's bounded draws and Floyd selection
+    redone as arrays (:func:`_mc_block`), and reads it with the estimator
+    rows; Generator calls make only the trials that run past their words or
+    choose more than ``_FLOYD_PICKS``, where numpy's own loop is faster.
+    Its blocks hold at most ``_MC_BLOCK_TRIALS`` trials, fewer once twice a
+    trial's words pass ``_BLOCK_CELLS / _MC_BLOCK_TRIALS``.  A custom
+    strategy draws with ``sample_ts`` and decides the drawn (t, s) as
+    columns of the integer table that exact mode uses, in blocks sized the
+    same way by the string length.  Memory stays bounded for any trial
+    count, and both paths apply exact mode's tie rule: a deviation of
+    exactly delta fails.
     """
     bound = _exact_delta(delta)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     string = _symbol_row(q, strategy)
-    z = (string[0] != 0).astype(np.int64)
+    z = (string[0] != 0).astype(np.int8)
     words = None if strategy.kind == "custom" else _trial_words(strategy)
     cells = strategy.length if words is None else 2 * words
     step = max(1, min(_MC_BLOCK_TRIALS, _BLOCK_CELLS // max(cells, 1)))

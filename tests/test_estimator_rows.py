@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from qsample.qsampling import (
     PermutationGroup,
     _accept_masks,
+    accept_set,
     apply_permutation,
     is_g_symmetric,
     pair_symmetry_group,
@@ -195,12 +196,32 @@ def test_rows_match_fraction_oracle(strategy, delta):
         assert failure_probability(strategy, witness, delta) == value
 
 
-@pytest.mark.parametrize("pair", [0, 3])
-def test_example5_seed_outside_the_pairs_raises_value_error(pair):
-    # pairs are 1..n; a seed pair outside them once surfaced as a bare KeyError
-    strategy = make_strategy("example5", n=2, k=1)
-    with pytest.raises(ValueError, match="outside string"):
-        deviation(strategy, (0, 1, 1, 0), (1, 2), (pair,))
+# (t, s) whose estimate would read a symbol the strategy never observed: a
+# seed outside t (outside its slot on example6), or an example5 pair outside
+# 1..n, which once surfaced as a bare KeyError
+OUTSIDE = {
+    "example5-pair0": ("example5", {"n": 2, "k": 1}, (0, 1, 1, 0), (1, 2), (0,)),
+    "example5-pair3": ("example5", {"n": 2, "k": 1}, (0, 1, 1, 0), (1, 2), (3,)),
+    "example2": ("example2", {"n": 3, "k": 2}, (0, 1, 1), (1,), (2, 3)),
+    "example4": ("example4", {"n": 4, "k": 2}, (0, 0, 1, 1), (1, 2), (3,)),
+    "example6-slot": ("example6", {"n": 3, "k": 2, "p": 0.3}, (0, 0, 0, 1, 0, 0), (2, 3, 4), ((4,), ())),
+    "example6-halves": ("example6", {"n": 3, "k": 2, "p": 0.3}, (0, 0, 0, 1, 0, 1), (2, 3, 4), ((2,), (6,))),
+    "example6-flat": ("example6", {"n": 3, "k": 2, "p": 0.3}, (0, 0, 0, 1, 0, 1), (2, 3, 4), (2, 6)),
+}
+
+
+@pytest.mark.parametrize("kind,params,q,t,s", OUTSIDE.values(), ids=OUTSIDE.keys())
+def test_seed_outside_its_subset_raises_value_error(kind, params, q, t, s):
+    strategy = make_strategy(kind, params)
+    calls = [
+        lambda: deviation(strategy, q, t, s),
+        lambda: in_accept_set(strategy, q, t, s, 0.3),
+        lambda: strategy.estimate_frac(q, t, s),
+        lambda: accept_set(strategy, t, s, 0.3),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="outside"):
+            call()
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,15 @@
 
 ``eps_class_mc`` decides a block of built-in-kind trials from each trial's
 raw PCG64 words: ``draws._Words`` redoes numpy's draws on them as array
-operations (Lemire's bounded draws, Floyd's selection), and
-``_draw_block`` reduces the stacked draws.  ``draws._Calls`` makes the same
-draws by Generator calls; it makes the trials the words leave (a choice of
-over 128 picks, which holds numpy's partial Fisher-Yates branch, or a trial
-past its words) and is the oracle of the draws below, compared call by call
-and kernel by kernel.  A custom strategy's drawn (t, s) are decided as
+operations (Lemire's bounded draws, Floyd's selection),
+``SamplingStrategy._draws`` makes them the index rows of every trial's
+(t, s), and ``_draw_block`` reads those with the estimator rows of
+``SamplingStrategy._rows``.  ``draws._Calls`` makes the same draws by
+Generator calls; it makes the trials the words leave (a choice of over 128
+picks, which holds numpy's partial Fisher-Yates branch, or a trial past its
+words) and ``sample_ts`` (``_draws`` on one Generator), and is the oracle
+of the draws below, compared call by call, trial by trial as (t, s) and
+kernel by kernel.  A custom strategy's drawn (t, s) are decided as
 columns of the integer table that exact mode uses.  The seeds of every
 ``_MC_BLOCK_TRIALS`` trials are hashed at once (``_trial_seeds``) and
 sliced into blocks.  The oracle of the whole is the
@@ -22,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import qsample.draws as draws
@@ -292,6 +295,71 @@ def test_raw_word_blocks_match_the_generator_calls_of_each_kind(strategy, trials
     block = sampling._mc_block(strategy, z, seeds)
     want = sampling._draw_block(strategy, z, draws._Calls(seeds))
     assert [x.tolist() for x in block] == [x.tolist() for x in want]
+
+
+def as_tuples(strategy, t, s):
+    """One trial's index rows of ``_draws`` as the (t, s) tuples of a draw:
+    t sorted; a seed sorted, but example2's draws in order and example6's
+    split into its two slots."""
+    t = tuple(sorted(int(x) + 1 for x in t if x >= 0))
+    if s is None:
+        return t, None
+    s = [int(x) + 1 for x in s if x >= 0]
+    if strategy.kind == "example2":
+        return t, tuple(s)
+    if strategy.kind == "example6":
+        return t, (tuple(sorted(x for x in s if x <= strategy.n)), tuple(sorted(x for x in s if x > strategy.n)))
+    return t, tuple(sorted(s))
+
+
+def estimator_terms(rows, r):
+    """Row r of _stack's (t, P, W, D, A): t as a set, w as {position: weight}, D and A."""
+    t, P, W, D, A = rows
+    weights = {}
+    for p, w in zip(P[r].tolist(), np.broadcast_to(W, P.shape)[r].tolist()):
+        if p >= 0:
+            weights[p] = weights.get(p, 0) + w
+    return sorted(x for x in t[r].tolist() if x >= 0), weights, int(D[r]), int(A[r])
+
+
+@settings(max_examples=60, deadline=None)
+@given(strategy=kernel_cases(), trials=st.integers(1, 6), seed=st.integers(0, 2 ** 32))
+@example(strategy=make_strategy("example6", n=8, k=8, p=0.5), trials=3, seed=5)  # halves drawn out of order
+@example(strategy=make_strategy("example2", n=4, k=8), trials=4, seed=1)  # repeated draws
+@example(strategy=make_strategy("example5", n=6, k=3), trials=4, seed=2)
+def test_one_array_law_serves_sample_ts_and_both_draw_sources(strategy, trials, seed):
+    # the law is written once, in _draws: on the Generator calls of trial i
+    # it is sample_ts on default_rng((seed, i)), and on raw words it draws
+    # the same (t, s) on every trial the words do not leave
+    seeds = draws._trial_seeds(seed, range(trials))
+    t, s = strategy._draws(draws._Calls(seeds))
+    calls = [as_tuples(strategy, t[i], None if s is None else s[i]) for i in range(trials)]
+    assert calls == [strategy.sample_ts(np.random.default_rng((seed, i))) for i in range(trials)]
+    per_trial = sampling._trial_words(strategy)
+    if per_trial is not None:
+        words = draws._Words(seeds, per_trial)
+        t, s = strategy._draws(words)
+        kept = np.flatnonzero(~words.lost)
+        assert [as_tuples(strategy, t[i], None if s is None else s[i]) for i in kept] == [calls[i] for i in kept]
+
+
+@settings(max_examples=60, deadline=None)
+@given(strategy=kernel_cases(), trials=st.integers(1, 6), seed=st.integers(0, 2 ** 32))
+@example(strategy=make_strategy("example6", n=4, k=4, p=0.5), trials=6, seed=2)  # halves of several sizes
+@example(strategy=make_strategy("example4", n=6, k=4), trials=6, seed=3)
+@example(strategy=make_strategy("example3", n=5), trials=6, seed=4)
+def test_estimator_rows_of_a_stack_are_those_of_each_column(strategy, trials, seed):
+    # stacking pads the rows to one width; each row's terms stay its own,
+    # for columns given as tuples and for the index rows of _draws
+    columns = [strategy.sample_ts(np.random.default_rng((seed, i))) for i in range(trials)]
+    stacked = strategy._stack(columns)
+    assert [estimator_terms(stacked, r) for r in range(trials)] == [
+        estimator_terms(strategy._stack([column]), 0) for column in columns
+    ]
+    t, s = strategy._draws(draws._Calls(draws._trial_seeds(seed, range(trials))))
+    stacked = (t, *strategy._rows(t, s))
+    alone = [(t[r : r + 1], *strategy._rows(t[r : r + 1], None if s is None else s[r : r + 1])) for r in range(trials)]
+    assert [estimator_terms(stacked, r) for r in range(trials)] == [estimator_terms(rows, 0) for rows in alone]
 
 
 @pytest.mark.parametrize("k", [500, 5000])

@@ -342,9 +342,10 @@ def test_example2_sample_seed_carries_draw_order():
     assert len(s) == 3
     assert set(t) == set(s)
     assert all(1 <= x <= 5 for x in s)
-    # the estimate averages over the multiset of draws, repeats included
+    # the estimate averages over the multiset of draws, repeats included; t
+    # is the set of the draws, since an estimate reads only positions in t
     q = (1, 0, 0, 0, 0)
-    assert estimate(strat, q, t, (1, 1, 2)) == pytest.approx(2 / 3)
+    assert estimate(strat, q, (1, 2), (1, 1, 2)) == pytest.approx(2 / 3)
 
 
 def test_example2_refuses_exact_error_probability():
