@@ -99,23 +99,40 @@ def min_entropy_classical_side(joint) -> float:
     """H_min(X|Y) = -log2 sum_y max_x P(x, y) for a finite joint distribution.
 
     ``joint`` maps (x, y) pairs to probabilities.  With a constant y this
-    reduces to -log2 max_x P(x).
+    reduces to -log2 max_x P(x).  The pairs are laid out as an (x, y) array,
+    rows and columns in order of first appearance, with 0 where a pair is
+    absent.
     """
     items = dict(joint)
-    if not items:
-        raise ValueError("joint distribution is empty")
-    total = 0.0
-    best: dict = {}
+    rows: dict = {}
+    cols: dict = {}
+    for x, y in items:
+        rows.setdefault(x, len(rows))
+        cols.setdefault(y, len(cols))
+    table = np.zeros((len(rows), len(cols)))
     for (x, y), p in items.items():
-        p = float(p)
-        if p < -1e-15:
-            raise ValueError(f"negative probability {p}")
-        total += p
-        if p > best.get(y, 0.0):
-            best[y] = p
+        table[rows[x], cols[y]] = float(p)
+    return _min_entropy(table)
+
+
+def _min_entropy(table: np.ndarray) -> float:
+    """H_min(X|Y) of an (x, y) array of probabilities, read in row-major
+    order: the first negative entry is reported, and the total and the sum
+    of column maxima are added one float at a time, in the order a row-major
+    scan first meets each column's positive weight."""
+    if table.size == 0:
+        raise ValueError("joint distribution is empty")
+    flat = table.ravel()
+    negative = np.flatnonzero(flat < -1e-15)
+    if len(negative):
+        raise ValueError(f"negative probability {float(flat[negative[0]])}")
+    total = float(np.cumsum(flat)[-1])  # a running total, one float at a time
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"probabilities sum to {total}, not 1")
-    return -math.log2(sum(best.values()))
+    positive = table > 0
+    cols = np.flatnonzero(positive.any(axis=0))
+    order = cols[np.argsort(positive[:, cols].argmax(axis=0), kind="stable")]
+    return -math.log2(sum(table.max(axis=0)[order].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -148,18 +165,21 @@ class EntropyCertificate:
         return sigma
 
 
+def _certificate_min_eig(rho_XE: CqState, cert: EntropyCertificate) -> float:
+    """Smallest eigenvalue over the blocks 2^-h sigma_E - P(x) rho_x, all
+    from one batched eigvalsh."""
+    sigma = cert.witness(rho_XE.env_dim)
+    probs, mats = rho_XE._probs, rho_XE._stack
+    blocks = 2.0 ** (-float(cert.h)) * sigma.matrix - probs[:, None, None] * mats
+    return float(np.linalg.eigvalsh(blocks)[:, 0].min())
+
+
 def check_certificate(rho_XE: CqState, cert: EntropyCertificate) -> bool:
     """Whether 2^-h I_X (x) sigma_E - rho_XE is PSD within -1e-9.
 
     A passing certificate proves the conditional min-entropy is at least h.
     """
-    sigma = cert.witness(rho_XE.env_dim)
-    scale = 2.0 ** (-float(cert.h))
-    low = 0.0
-    for _, prob, rho in rho_XE.entries:
-        block = scale * sigma.matrix - prob * rho.matrix
-        low = min(low, float(np.linalg.eigvalsh(block)[0]))
-    return low >= -_PSD_TOL
+    return _certificate_min_eig(rho_XE, cert) >= -_PSD_TOL
 
 
 def classical_env_min_entropy(rho_XE: CqState) -> float:
@@ -168,16 +188,11 @@ def classical_env_min_entropy(rho_XE: CqState) -> float:
     Raises if some conditional has off-diagonal weight: genuinely quantum
     side information is handled through certificates only.
     """
-    joint = {}
-    for x, prob, rho in rho_XE.entries:
-        mat = rho.matrix
-        if np.abs(mat - np.diag(np.diag(mat))).max() > 1e-12:
-            raise ValueError(
-                "conditional operators are not diagonal; supply an EntropyCertificate"
-            )
-        for e in range(rho_XE.env_dim):
-            joint[(x, e)] = joint.get((x, e), 0.0) + prob * mat[e, e].real
-    return min_entropy_classical_side(joint)
+    probs, mats = rho_XE._probs, rho_XE._stack
+    diag = np.diagonal(mats, axis1=1, axis2=2)
+    if np.abs(mats - diag[:, :, None] * np.eye(rho_XE.env_dim)).max() > 1e-12:
+        raise ValueError("conditional operators are not diagonal; supply an EntropyCertificate")
+    return _min_entropy(probs[:, None] * diag.real)
 
 
 # ---------------------------------------------------------------------------
@@ -342,19 +357,34 @@ def hash_eval(family: HashFamily, r, x) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _extraction_distance(views: np.ndarray, keys: np.ndarray, ops: np.ndarray, l: int) -> float:
-    """Trace distance of (key, view, E) from (uniform key, view, E).
+def _bucket_sums(views: np.ndarray, keys: np.ndarray, ops: np.ndarray, l: int) -> np.ndarray:
+    """The operators summed into one bucket per (view, key), keys no input
+    reaches included, as a (views, 2^l, d, d) array.
 
     views and keys are integer arrays of one shape, an entry per input: its
     public view and its l-bit key.  ops holds each input's weighted
     conditional operator in its last two axes and broadcasts against that
-    shape.  The operators are summed into one bucket per (view, key), keys no
-    input reaches included, and each view's mean bucket, 2^-l of its
-    marginal, is subtracted; all trace norms come from one batched eigvalsh.
+    shape.  One bincount per matrix entry and part (real, imaginary) adds
+    each bucket's terms in input order.
     """
     view_ids, view_of = np.unique(views, return_inverse=True)
-    blocks = np.zeros((len(view_ids), 2 ** l) + ops.shape[-2:], dtype=complex)
-    np.add.at(blocks, (view_of.reshape(views.shape), keys), ops)
+    cells = (view_of.reshape(views.shape) * 2 ** l + keys).ravel()
+    ops = np.broadcast_to(ops, views.shape + ops.shape[-2:])
+    blocks = np.empty((len(view_ids) * 2 ** l,) + ops.shape[-2:], dtype=complex)
+    for i, j in np.ndindex(*ops.shape[-2:]):
+        entry = ops[..., i, j]
+        blocks[:, i, j].real = np.bincount(cells, entry.real.ravel(), len(blocks))
+        blocks[:, i, j].imag = np.bincount(cells, entry.imag.ravel(), len(blocks))
+    return blocks.reshape((len(view_ids), 2 ** l) + ops.shape[-2:])
+
+
+def _extraction_distance(views: np.ndarray, keys: np.ndarray, ops: np.ndarray, l: int) -> float:
+    """Trace distance of (key, view, E) from (uniform key, view, E), for
+    inputs laid out as in _bucket_sums.  Each view's mean bucket, 2^-l of
+    its marginal, is subtracted; all trace norms come from one batched
+    eigvalsh.
+    """
+    blocks = _bucket_sums(views, keys, ops, l)
     blocks -= blocks.mean(axis=1, keepdims=True)
     return 0.5 * _trace_norm(blocks)
 
@@ -400,7 +430,8 @@ def pa_exact_check(
 
     # the seed is the public view; each input enters once per seed
     seeds = _bit_rows(family.seed_bits)
-    ops = np.stack([prob * rho.matrix for _, prob, rho in rho_XE.entries]) / len(seeds)
+    probs, mats = rho_XE._probs, rho_XE._stack
+    ops = probs[:, None, None] * mats / len(seeds)
     keys = _hash_keys(x, seeds, l)
     views = np.broadcast_to(np.arange(len(seeds))[:, None], keys.shape)
     distance = _extraction_distance(views, keys, ops, l)

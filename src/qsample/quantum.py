@@ -124,6 +124,29 @@ class PureState:
         return PureState(np.kron(amps, env), (d,) * count + (dim_E,))
 
 
+def _check_square(mat: np.ndarray, dims: tuple[int, ...]) -> None:
+    dim = math.prod(dims)
+    if mat.shape != (dim, dim):
+        raise ValueError(f"matrix shape {mat.shape} != ({dim}, {dim}) from dims {dims}")
+
+
+def _check_density(mats: np.ndarray) -> None:
+    """Hermitian, trace-1 and PSD checks on an (m, d, d) complex stack, with
+    one batched eigvalsh.  The first faulty matrix in stack order raises its
+    first fault, in that order of checks."""
+    herm = np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) > _NORM_TOL
+    tr = np.trace(mats, axis1=-2, axis2=-1).real
+    low = np.linalg.eigvalsh(mats)[:, 0]
+    bad = herm | (np.abs(tr - 1.0) > _NORM_TOL) | (low < -_PSD_TOL)
+    if bad.any():
+        i = int(bad.argmax())
+        if herm[i]:
+            raise ValueError("matrix is not Hermitian within 1e-10")
+        if abs(tr[i] - 1.0) > _NORM_TOL:
+            raise ValueError(f"trace {tr[i]} deviates from 1 by more than {_NORM_TOL}")
+        raise ValueError(f"minimum eigenvalue {low[i]} below -1e-9")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A trace-1 positive-semi-definite operator over the same subsystem layout."""
@@ -134,19 +157,18 @@ class DensityMatrix:
     def __post_init__(self):
         dims = _as_dims(self.dims)
         mat = np.asarray(self.matrix, dtype=complex)
-        dim = math.prod(dims)
-        if mat.shape != (dim, dim):
-            raise ValueError(f"matrix shape {mat.shape} != ({dim}, {dim}) from dims {dims}")
-        if np.abs(mat - mat.conj().T).max() > _NORM_TOL:
-            raise ValueError("matrix is not Hermitian within 1e-10")
-        tr = np.trace(mat).real
-        if abs(tr - 1.0) > _NORM_TOL:
-            raise ValueError(f"trace {tr} deviates from 1 by more than {_NORM_TOL}")
-        low = np.linalg.eigvalsh(mat)[0]
-        if low < -_PSD_TOL:
-            raise ValueError(f"minimum eigenvalue {low} below -1e-9")
+        _check_square(mat, dims)
+        _check_density(mat[None])
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dims", dims)
+
+    @classmethod
+    def _checked(cls, mat: np.ndarray, dims: tuple[int, ...]) -> "DensityMatrix":
+        """Wrap a matrix that has already passed _check_square and _check_density."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "matrix", mat)
+        object.__setattr__(out, "dims", dims)
+        return out
 
     @property
     def dim(self) -> int:
@@ -176,7 +198,10 @@ class CqState:
 
     ``entries`` is a list of (x, P(x), rho_E^x); probabilities must sum to 1
     within 1e-12 and every conditional must be a valid density matrix on an
-    environment of dimension ``env_dim``.
+    environment of dimension ``env_dim``.  The state also holds P(x) as a
+    vector, ``_probs``, and the conditionals as one (m, d, d) stack,
+    ``_stack``, both in entry order; a conditional given as a plain matrix
+    becomes a row of that stack.
     """
 
     entries: tuple
@@ -184,7 +209,10 @@ class CqState:
 
     def __post_init__(self):
         env_dim = int(self.env_dim)
+        dims = _as_dims((env_dim,))
         rows = []
+        mats = []
+        raw = []  # positions of the conditionals given as plain matrices
         seen = set()
         total = 0.0
         for x, prob, rho in self.entries:
@@ -196,16 +224,27 @@ class CqState:
             prob = float(prob)
             if prob < -1e-15:
                 raise ValueError(f"negative probability {prob}")
-            if not isinstance(rho, DensityMatrix):
-                rho = DensityMatrix(np.asarray(rho, dtype=complex), (env_dim,))
-            if rho.dim != env_dim:
-                raise ValueError(f"conditional operator dimension {rho.dim} != {env_dim}")
+            if isinstance(rho, DensityMatrix):
+                if rho.dim != env_dim:
+                    raise ValueError(f"conditional operator dimension {rho.dim} != {env_dim}")
+                mats.append(rho.matrix)
+            else:
+                rho = np.asarray(rho, dtype=complex)
+                _check_square(rho, dims)
+                raw.append(len(rows))
+                mats.append(rho)
             total += prob
             rows.append((x, prob, rho))
+        stack = np.stack(mats) if mats else np.empty((0, env_dim, env_dim), dtype=complex)
+        _check_density(stack[raw])  # every plain conditional at once
+        for i in raw:
+            rows[i] = rows[i][:2] + (DensityMatrix._checked(stack[i], dims),)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {total}, not 1")
         object.__setattr__(self, "entries", tuple(rows))
         object.__setattr__(self, "env_dim", env_dim)
+        object.__setattr__(self, "_probs", np.array([prob for _, prob, _ in rows]))
+        object.__setattr__(self, "_stack", stack)
 
     def as_density(self) -> DensityMatrix:
         """The block-diagonal matrix sum_x P(x) |x><x| (x) rho_E^x."""

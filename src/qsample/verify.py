@@ -66,31 +66,33 @@ def pa_batch(trials: int, n_bits: int, l: int | None, rng: np.random.Generator) 
     """Exact extraction distance versus the min-entropy bound on random
     classical-environment states.
 
-    l = None draws a fresh output length in {1, 2} per trial.  Returns
-    {"trials", "max_distance", "min_margin", "holds"} where the margin is
-    bound - distance.
+    l = None draws a fresh output length in {1, ..., min(2, n_bits)} per
+    trial.  Each trial's conditionals come from one (2^n_bits, env) draw, the
+    same doubles as one draw per input, and reach CqState as one stack.
+    Returns {"trials", "max_distance", "min_margin", "holds"} where the
+    margin is bound - distance.
     """
     trials = int(trials)
     n_bits = int(n_bits)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if n_bits < 1:
+        raise ValueError(f"input_bits must be >= 1, got {n_bits}")
     _check_exact_input_bits(n_bits)  # before 2^n_bits states are built per trial
+    labels = [tuple((v >> i) & 1 for i in range(n_bits)) for v in range(2 ** n_bits)]
     holds = True
     max_distance = 0.0
     min_margin = math.inf
     for _ in range(trials):
-        li = int(rng.integers(1, 3)) if l is None else int(l)
+        li = int(rng.integers(1, min(2, n_bits) + 1)) if l is None else int(l)
         env = int(rng.integers(1, 4))
         probs = rng.random(2 ** n_bits)
         probs /= probs.sum()
-        entries = []
-        for v in range(2 ** n_bits):
-            x = tuple((v >> i) & 1 for i in range(n_bits))
-            diag = rng.random(env)
-            diag /= diag.sum()
-            cond = DensityMatrix(np.diag(diag).astype(complex), (env,))
-            entries.append((x, float(probs[v]), cond))
-        rho = CqState(tuple(entries), env)
+        diags = rng.random((2 ** n_bits, env))
+        diags /= diags.sum(axis=1, keepdims=True)
+        conds = np.zeros((2 ** n_bits, env, env), dtype=complex)
+        conds[:, np.arange(env), np.arange(env)] = diags
+        rho = CqState(tuple(zip(labels, probs.tolist(), conds)), env)
         report = pa_exact_check(rho, HashFamily(n_bits, li), li)
         max_distance = max(max_distance, report["distance"])
         min_margin = min(min_margin, report["bound"] - report["distance"])

@@ -366,6 +366,22 @@ def test_pa_check_command(capsys):
     assert result["min_margin"] > 0
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_pa_check_one_input_bit_draws_one_output_bit(capsys, seed):
+    # the default output length is drawn from 1..min(2, n), so n = 1 never
+    # asks for more output bits than input bits
+    code, out, err = _run(capsys, "pa-check", "--n", "1", "--trials", "5", "--seed", str(seed))
+    assert code == 0, err
+    result = _result(out)
+    assert result["holds"] and result["l"] is None and result["n"] == 1
+
+
+def test_pa_check_refuses_zero_input_bits(capsys):
+    code, _, err = _run(capsys, "pa-check", "--n", "0", "--trials", "1")
+    assert code == 2
+    assert "input_bits must be >= 1, got 0" in err
+
+
 def test_pa_check_refuses_too_many_input_bits_before_building_states(capsys):
     # the limit of the exact check, read before 2^16 states are built
     started = time.monotonic()
