@@ -308,6 +308,20 @@ def _check_bits(bits, length: int, what: str) -> tuple[int, ...]:
     return vals
 
 
+def _bit_labels(labels: list, n: int) -> np.ndarray:
+    """The classical values as an (m, n) int64 array of bits, checked by one
+    array comparison.  Labels that are not such a stack (ragged, too long,
+    not ints, or holding a value other than 0 and 1) go through
+    :func:`_check_bits` one by one, which names the first faulty value."""
+    try:
+        x = np.array(labels, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        x = None
+    if x is not None and x.shape == (len(labels), n) and (x == x & 1).all():
+        return x
+    return np.array([_check_bits(x, n, "classical value") for x in labels], dtype=np.int64).reshape(len(labels), n)
+
+
 def pad_input(x, n: int) -> tuple[int, ...]:
     """Right-pad a bit string with zeros up to length n."""
     vals = tuple(int(b) for b in x)
@@ -425,7 +439,7 @@ def pa_exact_check(
     _check_exact_input_bits(n)
     if rho_XE.env_dim > 8:
         raise ValueError(f"exact check supports env_dim <= 8, got {rho_XE.env_dim}")
-    x = np.array([_check_bits(x, n, "classical value") for x, _, _ in rho_XE.entries], dtype=np.int64)
+    x = _bit_labels([x for x, _, _ in rho_XE.entries], n)
     hmin = _resolve_hmin(rho_XE, certificate)
 
     # the seed is the public view; each input enters once per seed

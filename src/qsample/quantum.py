@@ -131,15 +131,22 @@ def _check_square(mat: np.ndarray, dims: tuple[int, ...]) -> None:
 
 
 def _check_density(mats: np.ndarray) -> None:
-    """Hermitian, trace-1 and PSD checks on an (m, d, d) complex stack, with
-    one batched eigvalsh.  The first faulty matrix in stack order raises its
-    first fault, in that order of checks."""
+    """Finite, Hermitian, trace-1 and PSD checks on an (m, d, d) complex
+    stack, with one batched eigvalsh.  The first faulty matrix in stack order
+    raises its first fault, in that order of checks.  A NaN passes every
+    comparison and eigvalsh answers NaN for it, so non-finite matrices are
+    refused first and zeroed for the other checks."""
+    finite = np.isfinite(mats).all(axis=(-2, -1))
+    if not finite.all():
+        mats = np.where(finite[:, None, None], mats, 0)
     herm = np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) > _NORM_TOL
     tr = np.trace(mats, axis1=-2, axis2=-1).real
     low = np.linalg.eigvalsh(mats)[:, 0]
-    bad = herm | (np.abs(tr - 1.0) > _NORM_TOL) | (low < -_PSD_TOL)
+    bad = ~finite | herm | (np.abs(tr - 1.0) > _NORM_TOL) | (low < -_PSD_TOL)
     if bad.any():
         i = int(bad.argmax())
+        if not finite[i]:
+            raise ValueError("matrix has a non-finite entry (NaN or infinity)")
         if herm[i]:
             raise ValueError("matrix is not Hermitian within 1e-10")
         if abs(tr[i] - 1.0) > _NORM_TOL:
@@ -224,6 +231,8 @@ class CqState:
             prob = float(prob)
             if prob < -1e-15:
                 raise ValueError(f"negative probability {prob}")
+            if not math.isfinite(prob):
+                raise ValueError(f"probability {prob} is not finite")
             if isinstance(rho, DensityMatrix):
                 if rho.dim != env_dim:
                     raise ValueError(f"conditional operator dimension {rho.dim} != {env_dim}")

@@ -161,9 +161,12 @@ def test_criterion_03_classical_bounds_dominate_exact():
         checked += dominates(make_strategy("example3", {"n": n}), ("example3", {"n": n}))
         for k in (n // 4, n // 2):
             checked += dominates(make_strategy("example4", {"n": n, "k": k}), ("example4", {"n": n, "k": k}))
-    # the pair-indexed kinds at small n
+    # the pair-indexed kinds at small n, and example5 (counted over pair classes) at scale
     for n in range(1, 5):
         for k in range(1, n + 1):
+            checked += dominates(make_strategy("example5", {"n": n, "k": k}), ("example5", {"k": k}))
+    for n in (50, 100):
+        for k in (n // 4, n // 2):
             checked += dominates(make_strategy("example5", {"n": n, "k": k}), ("example5", {"k": k}))
     for n in range(1, 4):
         for k in range(2, 2 * n + 1, 2):

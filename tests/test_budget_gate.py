@@ -73,7 +73,11 @@ def _example4():
 OVERSIZED = {
     "eps_class_exact counted": lambda: eps_class_exact(make_strategy("example1", n=100_000, k=50_000), 0.3),
     "eps_class_exact counted, example4": lambda: eps_class_exact(_example4(), 0.3),
+    # example5 is counted over pair classes now; its n^3 / 3 Pascal steps are charged at once
     "eps_class_exact enumerated": lambda: eps_class_exact(make_strategy("example5", n=5000, k=1), 0.3),
+    "eps_class_exact enumerated, example6": lambda: eps_class_exact(
+        make_strategy("example6", n=5000, k=2, p=0.3), 0.3
+    ),
     "failure_probability": lambda: failure_probability(make_strategy("example5", n=30, k=2), [0] * 60, 0.3),
     "accept_set": lambda: accept_set(make_strategy("example1", n=40, k=2), (1, 2), None, 0.3),
     "is_g_symmetric": lambda: is_g_symmetric(_example4(), symmetric_group(8000)),

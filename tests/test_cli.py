@@ -199,10 +199,12 @@ def test_mc_symbol_outside_the_alphabet_exits_2(capsys):
     [
         "eps-quant --kind example4 --n 8000 --k 4000 --delta 0.3",
         "eps-class --kind example5 --n 5000 --k 1 --delta 0.3",
+        "eps-class --kind example6 --n 5000 --k 2 --p 0.3 --delta 0.3",
     ],
 )
 def test_cost_past_the_int_string_limit_is_refused_at_once(capsys, monkeypatch, argv):
-    # 2^8000 and 2^10000 strings: the cost has thousands of digits
+    # 2^8000 and 2^10000 strings: the cost has thousands of digits (example5's
+    # pair classes cost about n^3 / 3 steps, refused just as fast)
     monkeypatch.delenv("QSAMPLE_BUDGET", raising=False)
     started = time.monotonic()
     code, out, err = _run(capsys, *argv.split())

@@ -26,14 +26,21 @@ from qsample import (
     pa_exact_check,
     random_density_matrix,
 )
-from qsample.entropy import _bucket_sums, _certificate_min_eig, _check_exact_input_bits, _extraction_distance
+from qsample.entropy import (
+    _bit_labels,
+    _bucket_sums,
+    _certificate_min_eig,
+    _check_bits,
+    _check_exact_input_bits,
+    _extraction_distance,
+)
 from qsample.quantum import _check_density, _trace_norm
 
 # ---------------------------------------------------------------------------
 # density checks
 # ---------------------------------------------------------------------------
 
-FAULTS = ("none", "hermitian", "trace", "negative", "within-tolerance")
+FAULTS = ("none", "hermitian", "trace", "negative", "within-tolerance", "non-finite")
 
 
 def _entry_fault(mat, dim: int):
@@ -42,6 +49,8 @@ def _entry_fault(mat, dim: int):
     mat = np.asarray(mat, dtype=complex)
     if mat.shape != (dim, dim):
         return f"matrix shape {mat.shape} != ({dim}, {dim}) from dims {(dim,)}"
+    if not np.isfinite(mat).all():
+        return "matrix has a non-finite entry (NaN or infinity)"
     if np.abs(mat - mat.conj().T).max() > 1e-10:
         return "matrix is not Hermitian within 1e-10"
     tr = np.trace(mat).real
@@ -66,6 +75,8 @@ def _matrix(rng, dim: int, fault: str) -> np.ndarray:
         spectrum[-1] += 1.0 - spectrum[0]
         unitary, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
         mat = unitary @ np.diag(spectrum) @ unitary.conj().T
+    elif fault == "non-finite":
+        mat[tuple(rng.integers(dim, size=2))] = [np.nan, np.inf, -np.inf, complex(0, np.nan)][rng.integers(4)]
     elif fault == "within-tolerance":
         noise = rng.normal(size=(dim, dim)) * 1e-12
         mat += noise + noise.T
@@ -88,7 +99,7 @@ def _raised(fn):
 )
 def test_stack_check_reports_the_first_fault_of_the_per_matrix_checks(seed, dim, faults):
     # any number of faulty matrices: the first one in stack order, with its
-    # first fault in the order Hermitian, trace, eigenvalue
+    # first fault in the order finite, Hermitian, trace, eigenvalue
     rng = np.random.default_rng(seed)
     mats = np.stack([_matrix(rng, dim, fault) for fault in faults])
     expected = next((msg for msg in (_entry_fault(mat, dim) for mat in mats) if msg), None)
@@ -142,6 +153,25 @@ def test_cq_state_stacks_density_matrices_and_plain_matrices_in_entry_order():
     assert state.entries[0][2] is given_dm
     assert np.array_equal(state._stack, np.stack([given_dm.matrix, plain]))
     assert state._probs.tolist() == [0.25, 0.75]
+
+
+def test_non_finite_states_are_refused_where_they_are_built():
+    # NaN passes every comparison and eigvalsh answers NaN for it: before the
+    # finiteness check such a state was accepted and pa_exact_check said NaN
+    message = "non-finite entry"
+    for value in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix(np.full((2, 2), value), (2,))
+    with pytest.raises(ValueError, match=message):
+        CqState(((0, 0.5, np.eye(2) / 2), (1, 0.5, np.array([[0.5, np.nan], [np.nan, 0.5]]))), 2)
+    with pytest.raises(ValueError, match="probability nan is not finite"):
+        CqState(((0, float("nan"), np.eye(2) / 2), (1, 0.5, np.eye(2) / 2)), 2)
+    family = HashFamily(1, 1)
+    with pytest.raises(ValueError, match=message):
+        pa_exact_check(CqState((((0,), 0.5, np.eye(1)), ((1,), 0.5, np.full((1, 1), np.nan))), 1), family, 1)
+    state = CqState((((0,), 0.5, np.eye(2) / 2), ((1,), 0.5, np.eye(2) / 2)), 2)
+    with pytest.raises(ValueError, match=message):
+        pa_exact_check(state, family, 1, certificate=EntropyCertificate(1.0, np.full((2, 2), np.nan)))
 
 
 # ---------------------------------------------------------------------------
@@ -364,3 +394,46 @@ def test_pa_batch_is_the_per_entry_batch(n_bits, l):
         got = _outcome(lambda rng: pa_batch(2, n_bits, l, rng), np.random.default_rng(seed))
         assert got == expected
         assert isinstance(got, dict) or (n_bits, l) == (1, 2)
+
+
+# ---------------------------------------------------------------------------
+# classical labels
+# ---------------------------------------------------------------------------
+
+
+def _per_value_labels(labels, n):
+    """The per-value loop that pa_exact_check ran: _check_bits on each."""
+    return np.array([_check_bits(x, n, "classical value") for x in labels], dtype=np.int64)
+
+
+LABEL_ITEMS = st.one_of(
+    st.sampled_from([0, 1]),
+    st.sampled_from([-1, 2, 1.0, 0.5, True, "1", "x", 2 ** 70, None]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    data=st.data(),
+)
+def test_bit_labels_are_the_per_value_checks(n, data):
+    # mostly valid stacks; otherwise a faulty item or length somewhere, or a
+    # string label, and the error must be the loop's for its first faulty value
+    item = data.draw(st.sampled_from([st.sampled_from([0, 1]), LABEL_ITEMS]))
+    label = st.one_of(
+        st.lists(item, min_size=n, max_size=n).map(tuple),
+        st.lists(item, min_size=0, max_size=n + 1).map(tuple),
+        st.text("01", min_size=n, max_size=n),
+    )
+    labels = data.draw(st.lists(label, min_size=1, max_size=8))
+    try:
+        expected = _per_value_labels(labels, n)
+    except (TypeError, ValueError, OverflowError) as exc:
+        with pytest.raises(type(exc)) as info:
+            _bit_labels(labels, n)
+        assert str(info.value) == str(exc)
+    else:
+        got = _bit_labels(labels, n)
+        assert got.dtype == np.int64 and got.shape == (len(labels), n)
+        assert np.array_equal(got, expected)
