@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum import BasisSpec, CqState, DensityMatrix, PureState, _trace_norm
+from .quantum import BasisSpec, CqState, DensityMatrix, PureState, _hadamard, _trace_norm
 
 __all__ = [
     "HashFamily",
@@ -200,23 +200,16 @@ def classical_env_min_entropy(rho_XE: CqState) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _basis_matrix(theta: tuple[int, ...]) -> np.ndarray:
-    from .quantum import HADAMARD
-
-    out = np.ones((1, 1), dtype=complex)
-    eye = np.eye(2, dtype=complex)
-    for bit in theta:
-        out = np.kron(out, HADAMARD if bit else eye)
-    return out
-
-
 def lemma2_operator_check(phi: PureState, J, W_basis: BasisSpec) -> dict:
     """Check |J| * rho_mix_WE - rho_WE >= 0 for a state supported on J.
 
     rho_WE arises from measuring the population of phi in W_basis; rho_mix_WE
     from first dephasing the population in the computational basis and then
     measuring.  Both are block diagonal over outcomes w, so the check runs
-    per block.  Returns {"min_eig": smallest eigenvalue seen, "holds": bool}.
+    per block, all in one batched eigvalsh.  Block w's coherent vector is row
+    w of the population under ``quantum._hadamard`` on the theta axes; its
+    dephased part is the mean over those axes of the |phi_i><phi_i|.
+    Returns {"min_eig": smallest eigenvalue seen, "holds": bool}.
     """
     n = phi.population_count
     if len(W_basis) != n:
@@ -229,27 +222,17 @@ def lemma2_operator_check(phi: PureState, J, W_basis: BasisSpec) -> dict:
         if not 0 <= i < dim_pop:
             raise ValueError(f"basis index {i} outside [0, {dim_pop})")
     block = phi.amps.reshape(dim_pop, phi.dim_E)
-    support = {i for i in range(dim_pop) if np.abs(block[i]).max() > 1e-12}
-    outside = support - J
+    outside = set(np.flatnonzero(np.abs(block).max(axis=1) > 1e-12).tolist()) - J
     if outside:
         raise ValueError(f"state has support outside J at indices {sorted(outside)}")
 
-    if any(W_basis.theta):
-        C = _basis_matrix(W_basis.theta)  # c[w, i] = <w| H^theta |i>
-    else:
-        C = np.eye(dim_pop, dtype=complex)
-    min_eig = math.inf
-    size = len(J)
-    for w in range(dim_pop):
-        v_w = C[w, :] @ block  # environment vector of the coherent branch
-        coherent = np.outer(v_w, v_w.conj())
-        dephased = np.zeros_like(coherent)
-        for i in J:
-            amp2 = abs(C[w, i]) ** 2
-            if amp2 > 0:
-                dephased += amp2 * np.outer(block[i], block[i].conj())
-        eigs = np.linalg.eigvalsh(size * dephased - coherent)
-        min_eig = min(min_eig, float(eigs[0]))
+    shape = phi.dims[:-1] + (phi.dim_E, phi.dim_E)
+    axes = tuple(p for p, bit in enumerate(W_basis.theta) if bit)
+    coherent = _hadamard(phi.tensor(), axes).reshape(shape[:-1] + (1,))
+    outer = (block[:, :, None] * block[:, None, :].conj()).reshape(shape)
+    dephased = outer.mean(axis=axes, keepdims=True)
+    ops = len(J) * dephased - coherent * coherent.conj().swapaxes(-1, -2)
+    min_eig = float(np.linalg.eigvalsh(ops.reshape(-1, phi.dim_E, phi.dim_E))[:, 0].min())
     return {"min_eig": min_eig, "holds": min_eig >= -_PSD_TOL}
 
 

@@ -37,6 +37,7 @@ from .quantum import (
     sample_measurement,
     trace_distance,
 )
+from .quantum import _hadamard
 from . import sampling
 from .sampling import _refuse, complement, rel_weight, restrict
 
@@ -641,19 +642,6 @@ def _eve_touch(state: PureState, n: int, adversary: AdversaryModel) -> PureState
     return state
 
 
-def _hadamard_pair(stack: np.ndarray, n: int, i: int) -> np.ndarray:
-    """H (x) H on qubits i and n + i (0-based) of every row of ``stack``, a
-    (bases, 4^n dim_E) array of amplitudes: sums and differences over the
-    two axes, halved, with no matrix product."""
-    x = stack.reshape(len(stack), 2 ** i, 2, 2 ** (n - 1), 2, -1)
-    out = np.empty_like(x)
-    for c, half in enumerate((x[:, :, 0] + x[:, :, 1], x[:, :, 0] - x[:, :, 1])):
-        np.add(half[:, :, :, 0], half[:, :, :, 1], out=out[:, :, c, :, 0])
-        np.subtract(half[:, :, :, 0], half[:, :, :, 1], out=out[:, :, c, :, 1])
-    out *= 0.5
-    return out.reshape(stack.shape)
-
-
 def _qkd_block_rows(tensor: np.ndarray, n: int, first: int, run: int) -> np.ndarray:
     """Amplitudes of the bases first..first+run-1 as a (run, 4^n, dim_E)
     array: run is a power of two and first a multiple of it, so the block
@@ -661,12 +649,13 @@ def _qkd_block_rows(tensor: np.ndarray, n: int, first: int, run: int) -> np.ndar
     once, and each later pair doubles a stacked basis axis with its
     unrotated and its H (x) H copy (the basis's last bit varies fastest)."""
     fixed = n - (run.bit_length() - 1)
-    stack = tensor.reshape(1, -1)
+    stack = tensor[None]
     for i in range(n):
+        pair = (1 + i, 1 + n + i)  # qubits i and n + i behind the basis axis
         if i >= fixed:
-            stack = np.stack([stack, _hadamard_pair(stack, n, i)], axis=1).reshape(-1, stack.shape[1])
+            stack = np.stack([stack, _hadamard(stack, pair)], axis=1).reshape((-1,) + tensor.shape)
         elif (first >> (n - 1 - i)) & 1:
-            stack = _hadamard_pair(stack, n, i)
+            stack = _hadamard(stack, pair)
     return stack.reshape(run, 4 ** n, tensor.shape[-1])
 
 

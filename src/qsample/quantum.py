@@ -8,7 +8,8 @@ environment sits at position n+1.
 
 Bases are specified per population position by a bit string theta: 0 means
 computational, 1 means Hadamard.  For qudits of dimension > 2 only the
-computational basis is available.
+computational basis is available.  Every basis change goes through one array
+kernel, ``_hadamard``, save the oblivious-transfer sender's product states.
 """
 
 from __future__ import annotations
@@ -377,13 +378,20 @@ def _positions_tuple(positions, count: int) -> tuple[int, ...]:
     return pos
 
 
-def _rotate(tensor: np.ndarray, positions, theta) -> np.ndarray:
-    # H is self-inverse, so the same call also undoes the rotation
-    for pos, bit in zip(positions, theta):
-        if bit:
-            tensor = np.moveaxis(
-                np.tensordot(HADAMARD, tensor, axes=([1], [pos - 1])), 0, pos - 1
-            )
+def _hadamard(tensor: np.ndarray, axes) -> np.ndarray:
+    """H on each listed length-2 axis of a float or complex tensor, in order:
+    a sum and a difference per axis, then one scale by 2^(-m/2) for m axes
+    (exact for even m).  The input is unchanged; with no axes it is returned."""
+    axes = tuple(axes)
+    for axis in axes:
+        lo = (slice(None),) * axis + (0,)
+        hi = (slice(None),) * axis + (1,)
+        out = np.empty_like(tensor)
+        np.add(tensor[lo], tensor[hi], out=out[lo])
+        np.subtract(tensor[lo], tensor[hi], out=out[hi])
+        tensor = out
+    if axes:
+        tensor *= 2.0 ** (-len(axes) / 2)
     return tensor
 
 
@@ -405,10 +413,10 @@ def _measurement_setup(state: PureState, positions, basis):
         raise ValueError(
             f"basis length {len(basis)} != population subsystem count {pop}"
         )
-    theta = tuple(basis.theta[i - 1] for i in pos)
-    if any(theta) and state.population_dim != 2:
+    turned = [i - 1 for i in pos if basis.theta[i - 1]]  # Hadamard axes, in position order
+    if turned and state.population_dim != 2:
         raise ValueError("Hadamard basis requires qubit subsystems (d = 2)")
-    rotated = _rotate(state.tensor(), pos, theta)
+    rotated = _hadamard(state.tensor(), turned)
     axes = tuple(i for i in range(len(state.dims)) if i + 1 not in pos)
     probs = np.abs(rotated) ** 2
     if axes:
@@ -418,10 +426,10 @@ def _measurement_setup(state: PureState, positions, basis):
     ordered = sorted(pos)
     if ordered != list(pos):
         probs = probs.transpose(tuple(ordered.index(p) for p in pos))
-    return pos, theta, rotated, probs
+    return pos, turned, rotated, probs
 
 
-def _branch(state, pos, theta, rotated, probs, outcome) -> MeasurementBranch:
+def _branch(state, pos, turned, rotated, probs, outcome) -> MeasurementBranch:
     p = float(probs[outcome])
     index = tuple(
         outcome[pos.index(i + 1)] if i + 1 in pos else slice(None)
@@ -429,7 +437,7 @@ def _branch(state, pos, theta, rotated, probs, outcome) -> MeasurementBranch:
     )
     collapsed = np.zeros_like(rotated)
     collapsed[index] = rotated[index] / math.sqrt(p)
-    post = _rotate(collapsed, pos, theta)
+    post = _hadamard(collapsed, turned)  # H is self-inverse: this undoes the rotation
     return MeasurementBranch(tuple(outcome), p, PureState(post.reshape(-1), state.dims))
 
 
@@ -449,18 +457,22 @@ def measure(
     ------
     ValueError
         If a position is outside the population, the basis is incompatible,
-        or the requested outcome has zero probability.
+        or the requested outcome has a symbol not in 0..d-1 or zero
+        probability.
     """
-    pos, theta, rotated, probs = _measurement_setup(state, positions, basis)
+    pos, turned, rotated, probs = _measurement_setup(state, positions, basis)
     if outcome is not None:
-        outcome = tuple(int(b) for b in outcome)
+        outcome = tuple(outcome)
         if len(outcome) != len(pos):
             raise ValueError(f"outcome length {len(outcome)} != positions {len(pos)}")
+        if not all(b in range(state.population_dim) for b in outcome):
+            raise ValueError(f"outcome {outcome} has a symbol not in 0..{state.population_dim - 1}")
+        outcome = tuple(int(b) for b in outcome)
         if probs[outcome] < 1e-12:
             raise ValueError(f"requested branch {outcome} has zero probability")
-        return _branch(state, pos, theta, rotated, probs, outcome)
+        return _branch(state, pos, turned, rotated, probs, outcome)
     return [
-        _branch(state, pos, theta, rotated, probs, out)
+        _branch(state, pos, turned, rotated, probs, out)
         for out in np.ndindex(probs.shape)
         if probs[out] >= 1e-12
     ]
@@ -470,11 +482,11 @@ def sample_measurement(
     state: PureState, positions, basis: BasisSpec | None, rng: np.random.Generator
 ) -> MeasurementBranch:
     """Draw one measurement branch according to its probability."""
-    pos, theta, rotated, probs = _measurement_setup(state, positions, basis)
+    pos, turned, rotated, probs = _measurement_setup(state, positions, basis)
     flat = probs.reshape(-1)
     idx = rng.choice(flat.size, p=flat / flat.sum())
     outcome = tuple(int(x) for x in np.unravel_index(idx, probs.shape))
-    return _branch(state, pos, theta, rotated, probs, outcome)
+    return _branch(state, pos, turned, rotated, probs, outcome)
 
 
 def dephased_density(state: PureState, positions, basis: BasisSpec | None = None) -> DensityMatrix:
@@ -606,12 +618,20 @@ def state_to_json(state) -> str:
 
 
 def state_from_json(text: str):
+    """Read :func:`state_to_json`'s layout; ValueError names what is malformed."""
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError(f"state JSON must be an object, got {type(obj).__name__}")
     kind = obj.get("type")
+    field = {"pure": "amplitudes", "density": "matrix"}.get(kind)
+    if field is None:
+        raise ValueError(f"unknown state type {kind!r}")
+    missing = [key for key in ("dims", field) if not isinstance(obj.get(key), list)]
+    if missing:
+        raise ValueError(f"{kind} state JSON has no list {missing[0]!r}")
     dims = tuple(int(d) for d in obj["dims"])
+    values = _deinterleave(obj[field])
     if kind == "pure":
-        return PureState(_deinterleave(obj["amplitudes"]), dims)
-    if kind == "density":
-        dim = math.prod(dims)
-        return DensityMatrix(_deinterleave(obj["matrix"]).reshape(dim, dim), dims)
-    raise ValueError(f"unknown state type {kind!r}")
+        return PureState(values, dims)
+    dim = math.prod(dims)
+    return DensityMatrix(values.reshape(dim, dim), dims)

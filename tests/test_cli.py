@@ -323,6 +323,16 @@ def test_eps_quant_rejects_density_matrix_file(capsys, tmp_path):
     assert "pure state" in err
 
 
+@pytest.mark.parametrize("text", ['{"type": "pure"}', "[1, 2]"])
+def test_eps_quant_malformed_state_file_exits_2(capsys, tmp_path, text):
+    # a malformed input is a usage error (2), not a failed check (1)
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    code, out, err = _run(capsys, "eps-quant", "--kind", "example1", "--n", "2", "--k", "1", "--delta", "0.3", "--state", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_bounds_grid_and_single_point(capsys):
     code, out, _ = _run(capsys, "bounds", "--kind", "serfling", "--n", "10", "--k", "4")
     assert code == 0

@@ -47,7 +47,7 @@ from qsample import (
 from qsample import protocols, sampling
 from qsample.entropy import _bit_rows, _extraction_distance, _hash_keys
 from qsample.protocols import _best_qkd_terms, apply_unitary
-from qsample.quantum import HADAMARD, _rotate
+from qsample.quantum import HADAMARD
 from qsample.sampling import BudgetExceededError
 
 
@@ -684,9 +684,10 @@ def test_qkd_exact_distance_against_hybrid_assembly(n, k, m, adv):
     assert report.exact_distance == pytest.approx(expected, abs=1e-12)
 
 
-def _per_basis_distance(state, n, k, code):
+def _per_basis_distance(state, n, k, code, rotate):
     """The exact distance one basis at a time, as _qkd_exact_distance took
-    it before it took blocks of bases: its oracle."""
+    it before it took blocks of bases, each basis rotated by ``rotate`` (the
+    tensordot oracle, not the block path's own kernel): its oracle."""
     subsets = np.array(list(itertools.combinations(range(n), k)))
     rests = np.array([[i for i in range(n) if i not in s] for s in subsets])
     key_len = np.array([qkd_key_length(n, k, code.m, e / k) for e in range(k + 1)])
@@ -695,7 +696,8 @@ def _per_basis_distance(state, n, k, code):
     distance = 0.0
     for tidx in range(2 ** n):
         theta = tuple((tidx >> (n - 1 - j)) & 1 for j in range(n))
-        rows = _rotate(state.tensor(), range(1, 2 * n + 1), theta + theta).reshape(4 ** n, state.dim_E)
+        axes = [i for i, bit in enumerate(theta + theta) if bit]
+        rows = rotate(state.tensor(), axes).reshape(4 ** n, state.dim_E)
         live = np.nonzero(np.einsum("ij,ij->i", rows, rows.conj()).real >= 1e-15)[0]
         cond = weight * rows[live, :, None] * rows[live, None, :].conj()
         bits = (live[:, None] >> np.arange(2 * n - 1, -1, -1)) & 1
@@ -723,13 +725,13 @@ EXACT_ADVERSARIES = [
 
 
 @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 6) for k in range(1, n)])
-def test_qkd_exact_distance_in_blocks_matches_the_per_basis_loop(n, k):
+def test_qkd_exact_distance_in_blocks_matches_the_per_basis_loop(n, k, tensordot_hadamard):
     for adv in EXACT_ADVERSARIES:
         state = _exact_state(n, adv)
         for m in (0, 1):
             code = make_linear_code(n - k, m, 0.0, np.random.default_rng(10 * n + k))
             got = protocols._qkd_exact_distance(state, n, k, code)
-            assert got == pytest.approx(_per_basis_distance(state, n, k, code), abs=1e-12), (adv.kind, m)
+            assert got == pytest.approx(_per_basis_distance(state, n, k, code, tensordot_hadamard), abs=1e-12), (adv.kind, m)
 
 
 @pytest.mark.parametrize("k", [1, 2])

@@ -28,6 +28,7 @@ from qsample.quantum import (
     to_density,
     trace_distance,
 )
+from qsample.quantum import _hadamard
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +242,18 @@ def test_zero_probability_branch_requested_is_an_error():
     assert branch.probability == pytest.approx(0.5)
 
 
+def test_requested_outcome_symbols_must_lie_in_the_alphabet():
+    epr = make_epr_pairs(1)
+    for bad in ((-1,), (2,), (0.9,)):
+        with pytest.raises(ValueError, match="not in 0..1"):
+            measure(epr, [1], outcome=bad)
+    assert measure(epr, [1], outcome=(np.int64(1),)).outcome == (1,)
+    qutrit = PureState(np.ones(3) / math.sqrt(3), (3, 1))
+    assert measure(qutrit, [1], outcome=(2,)).outcome == (2,)
+    with pytest.raises(ValueError, match="not in 0..2"):
+        measure(qutrit, [1], outcome=(3,))
+
+
 def test_hadamard_measurement_of_plus_state_is_deterministic():
     plus = PureState.from_population(np.array([1, 1]) / math.sqrt(2))
     branches = measure(plus, (1,), BasisSpec((1,)))
@@ -425,6 +438,49 @@ def test_epr_measured_in_matching_bases_agrees():
 
 
 # ---------------------------------------------------------------------------
+# the Hadamard kernel against the tensordot oracle
+# ---------------------------------------------------------------------------
+
+
+def _random_tensor(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def test_hadamard_matches_tensordot_in_any_axis_order(tensordot_hadamard):
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        x = _random_tensor(rng, (2,) * 5)
+        axes = rng.permutation(5)[: int(rng.integers(1, 6))].tolist()
+        got = _hadamard(x, axes)
+        np.testing.assert_allclose(got, tensordot_hadamard(x, axes), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, _hadamard(x, axes[::-1]), rtol=0, atol=1e-12)
+
+
+def test_hadamard_leaves_a_stack_axis_and_an_environment_axis_alone(tensordot_hadamard):
+    # a leading stack of 5 tensors, three qubits, then an environment of 3
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        x = _random_tensor(rng, (5, 2, 2, 2, 3))
+        axes = (1 + rng.permutation(3)[: int(rng.integers(1, 4))]).tolist()
+        np.testing.assert_allclose(_hadamard(x, axes), tensordot_hadamard(x, axes), rtol=0, atol=1e-12)
+
+
+def test_hadamard_is_an_involution():
+    rng = np.random.default_rng(47)
+    for _ in range(20):
+        x = _random_tensor(rng, (2, 2, 2, 2, 3))
+        axes = rng.permutation(4)[: int(rng.integers(1, 5))].tolist()
+        before = x.copy()
+        np.testing.assert_allclose(_hadamard(_hadamard(x, axes), axes), x, rtol=0, atol=1e-12)
+        assert np.array_equal(x, before)  # the input is not modified
+
+
+def test_hadamard_on_no_axes_is_the_identity():
+    x = np.arange(8, dtype=complex).reshape(2, 2, 2)
+    assert _hadamard(x, ()) is x
+
+
+# ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
@@ -449,3 +505,20 @@ def test_state_json_layout():
     assert obj["dims"] == [2, 2]
     assert obj["amplitudes"][:2] == [1.0, 0.0]
     assert len(obj["amplitudes"]) == 8
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1, 2]", "must be an object"),
+        ('{"type": "pure"}', "no list 'dims'"),
+        ('{"type": "pure", "dims": [2, 1]}', "no list 'amplitudes'"),
+        ('{"type": "density", "dims": [2]}', "no list 'matrix'"),
+        ('{"type": "pure", "dims": 2, "amplitudes": [1, 0, 0, 0]}', "no list 'dims'"),
+        ('{"type": "density", "dims": [1], "matrix": {"re": 1}}', "no list 'matrix'"),
+        ('{"dims": [2, 1], "amplitudes": [1, 0, 0, 0]}', "unknown state type"),
+    ],
+)
+def test_malformed_state_json_is_a_value_error(text, message):
+    with pytest.raises(ValueError, match=message):
+        state_from_json(text)
