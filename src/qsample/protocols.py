@@ -95,7 +95,6 @@ class QkdParams:
     n: int
     k: int
     ecc: EccModel = field(default_factory=EccModel)
-    target_eps: float = 1e-9
 
     def __post_init__(self):
         n, k = int(self.n), int(self.k)
@@ -103,8 +102,6 @@ class QkdParams:
             raise ValueError(f"n must be >= 2, got {n}")
         if not 1 <= k or 2 * k > n:
             raise ValueError(f"test size must satisfy 1 <= k <= n/2, got k={k}, n={n}")
-        if self.target_eps <= 0:
-            raise ValueError("target_eps must be positive")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
 
@@ -434,6 +431,9 @@ def rate_curve_csv(phis) -> str:
 # linear code
 # ---------------------------------------------------------------------------
 
+# make_linear_code draws at most this many parity-check matrices.
+_CODE_TRIES = 2000
+
 
 def _gf2_kernel_basis(H: np.ndarray) -> list[np.ndarray]:
     m, n = H.shape
@@ -512,13 +512,13 @@ class LinearCode:
         return None
 
 
-def make_linear_code(length, m, radius, rng: np.random.Generator, max_tries: int = 2000) -> LinearCode:
+def make_linear_code(length, m, radius, rng: np.random.Generator) -> LinearCode:
     """Draw a random parity-check matrix whose code corrects radius-fraction
     errors (minimum distance > 2 * floor(radius * length)).
 
-    Each of up to ``max_tries`` draws may enumerate the 2^(length - m)
+    Each of up to ``_CODE_TRIES`` draws may enumerate the 2^(length - m)
     vectors of its kernel, so when the radius is positive it charges
-    max_tries * 2^(length - m) evaluations against the budget and raises
+    _CODE_TRIES * 2^(length - m) evaluations against the budget and raises
     BudgetExceededError when that exceeds it.  Parameters that the
     sphere-packing bound rules out raise ValueError before that charge."""
     length, m = int(length), int(m)
@@ -538,8 +538,8 @@ def make_linear_code(length, m, radius, rng: np.random.Generator, max_tries: int
         raise ValueError(impossible)
     if length > 20:
         raise ValueError(f"distance checking supports length <= 20, got {length}")
-    _refuse("kernel enumeration", max_tries * 2 ** (length - m))
-    for _ in range(max_tries):
+    _refuse("kernel enumeration", _CODE_TRIES * 2 ** (length - m))
+    for _ in range(_CODE_TRIES):
         H = rng.integers(0, 2, size=(m, length)).astype(np.int64)
         basis = _gf2_kernel_basis(H)
         ok = True
@@ -860,7 +860,7 @@ def _branch_env(branch, total_positions: int):
     return partial_trace(branch.post_state, (total_positions + 1,)).matrix
 
 
-def qkd_sampling_view(state: PureState, params: QkdParams, rng_seed: int, budget=None) -> dict:
+def qkd_sampling_view(state: PureState, params: QkdParams, rng_seed: int) -> dict:
     """Check that measuring pairwise-CNOT-transformed pairs, difference bits
     first, reproduces the original experiment exactly.
 
@@ -877,7 +877,7 @@ def qkd_sampling_view(state: PureState, params: QkdParams, rng_seed: int, budget
         raise ValueError(
             f"state has {state.population_count} population qubits, expected {2 * n}"
         )
-    _refuse("experiment comparison", 2 ** n * 16 ** n * state.dim_E, budget=budget)
+    _refuse("experiment comparison", 2 ** n * 16 ** n * state.dim_E)
     pairs = [(i, n + i) for i in range(1, n + 1)]
     transformed = apply_cnot_pairs(state, pairs)
     max_tv = 0.0

@@ -103,12 +103,10 @@ def _accept_masks(strategy: SamplingStrategy, columns, delta: float) -> np.ndarr
     return ~np.concatenate([reject for _, reject in blocks])
 
 
-def accept_set(strategy: SamplingStrategy, t, s, delta: float, n: int | None = None):
+def accept_set(strategy: SamplingStrategy, t, s, delta: float):
     """The strings whose estimate is delta-close to their remaining weight:
     exactly those spanning the accept subspace, as a set of SymbolString."""
     _exact_delta(delta)
-    if n is not None and int(n) != strategy.length:
-        raise ValueError(f"n={n} does not match the strategy's string length {strategy.length}")
     _refuse("accept set", strategy.d ** strategy.length)
     mask = _accept_masks(strategy, [(t, s)], delta)[:, 0]
     strings = _digits(0, strategy.d ** strategy.length, strategy.d, strategy.length)
@@ -152,15 +150,13 @@ def project_onto_accept(
     )
 
 
-def ideal_distance(
-    state: PureState, strategy: SamplingStrategy, delta: float, budget: int | None = None
-) -> float:
+def ideal_distance(state: PureState, strategy: SamplingStrategy, delta: float) -> float:
     """Exact minimum distance between the (t, s)-indexed real state and any
     ideal state confined to the accept subspaces:
     sum_{t,s} P(t,s) sqrt(1 - inside_weight(t,s))."""
     _exact_delta(delta)
     weights = _population_weights(state, strategy)
-    _refuse("accept matrix", strategy.d ** strategy.length, lambda: strategy.support_size() + 1, budget)
+    _refuse("accept matrix", strategy.d ** strategy.length, lambda: strategy.support_size() + 1)
     support = strategy.ts_support()
     mat = _accept_masks(strategy, support, delta)
     inside = weights @ mat
@@ -169,12 +165,10 @@ def ideal_distance(
     return float(probs @ np.sqrt(outside))
 
 
-def check_sqrt_bound(
-    state: PureState, strategy: SamplingStrategy, delta: float, budget: int | None = None
-) -> dict:
+def check_sqrt_bound(state: PureState, strategy: SamplingStrategy, delta: float) -> dict:
     """Compare the optimal-projection distance against sqrt(eps_class)."""
-    ideal = ideal_distance(state, strategy, delta, budget=budget)
-    eps = eps_class_exact(strategy, delta, budget=budget).value
+    ideal = ideal_distance(state, strategy, delta)
+    eps = eps_class_exact(strategy, delta).value
     sqrt_eps = math.sqrt(eps)
     return {
         "ideal_distance": ideal,
@@ -183,11 +177,9 @@ def check_sqrt_bound(
     }
 
 
-def sqrt_bound_report(
-    state: PureState, strategy: SamplingStrategy, delta: float, budget: int | None = None
-) -> str:
+def sqrt_bound_report(state: PureState, strategy: SamplingStrategy, delta: float) -> str:
     """JSON report {strategy, delta, ideal_distance, sqrt_eps_class, gap}."""
-    result = check_sqrt_bound(state, strategy, delta, budget=budget)
+    result = check_sqrt_bound(state, strategy, delta)
     return json.dumps(
         {
             "strategy": json.loads(strategy_to_json(strategy)),
@@ -297,15 +289,13 @@ def _orbit_labels(G: PermutationGroup, d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _symmetric_orbits(
-    strategy: SamplingStrategy, G: PermutationGroup, budget: int | None = None
-) -> np.ndarray | None:
+def _symmetric_orbits(strategy: SamplingStrategy, G: PermutationGroup) -> np.ndarray | None:
     """The labels of :func:`_orbit_labels` if the strategy is G-symmetric
     (see :func:`is_g_symmetric`), else None."""
     if G.n != strategy.length:
         raise ValueError(f"group acts on {G.n} positions, strategy strings have length {strategy.length}")
     d, L = strategy.d, strategy.length
-    _refuse("symmetry check", d ** L, lambda: strategy.support_size() + len(G.generators), budget)
+    _refuse("symmetry check", d ** L, lambda: strategy.support_size() + len(G.generators))
     support = strategy.ts_support()
     A, D, blocks = _table(strategy, support, partial(_digits, d=d, length=L), d ** L)
     T, E = (np.concatenate(parts) for parts in zip(*((T, E) for _, T, E in blocks)))
@@ -336,9 +326,7 @@ def _symmetric_orbits(
     return label if len(np.unique(column[~matches])) < m else None
 
 
-def is_g_symmetric(
-    strategy: SamplingStrategy, G: PermutationGroup, budget: int | None = None
-) -> bool:
+def is_g_symmetric(strategy: SamplingStrategy, G: PermutationGroup) -> bool:
     """Whether some fixed (t0, s0) makes the orbit statistics match.
 
     True iff there is a (t0, s0) in the support such that for every string q,
@@ -346,23 +334,18 @@ def is_g_symmetric(
     (T, S) draw equals the distribution of the same pair at (t0, s0) for a
     uniformly random group element applied to q.  Comparison is exact.
     """
-    return _symmetric_orbits(strategy, G, budget) is not None
+    return _symmetric_orbits(strategy, G) is not None
 
 
-def symmetric_worst_state(
-    strategy: SamplingStrategy,
-    G: PermutationGroup,
-    delta: float,
-    budget: int | None = None,
-) -> PureState:
+def symmetric_worst_state(strategy: SamplingStrategy, G: PermutationGroup, delta: float) -> PureState:
     """Uniform superposition over the orbit of a worst-case string: the
     normalised indicator of that orbit.  The environment is trivial
     (dimension 1)."""
     _exact_delta(delta)
-    label = _symmetric_orbits(strategy, G, budget)
+    label = _symmetric_orbits(strategy, G)
     if label is None:
         raise NotSymmetricError("strategy is not symmetric under the given group")
-    witness = eps_class_exact(strategy, delta, budget=budget).worst_case_string
+    witness = eps_class_exact(strategy, delta).worst_case_string
     d, L = strategy.d, strategy.length
     orbit = label == label[int(np.dot(witness.symbols, d ** np.arange(L - 1, -1, -1)))]
     return PureState(orbit / math.sqrt(np.count_nonzero(orbit)), (d,) * L + (1,))

@@ -98,16 +98,10 @@ class BudgetExceededError(RuntimeError):
     """Raised when an exact enumeration would exceed the evaluation budget."""
 
 
-def resolve_budget(budget: int | None = None) -> int:
-    """Return the exact-enumeration budget.
-
-    Priority: explicit argument, then the ``QSAMPLE_BUDGET`` environment
-    variable, then the default of 2**28 evaluations.
-    """
-    if budget is not None:
-        if budget <= 0:
-            raise ValueError("budget must be positive")
-        return budget
+def resolve_budget() -> int:
+    """Return the exact-enumeration budget: the ``QSAMPLE_BUDGET``
+    environment variable, a decimal integer, or the default of 268435456
+    (2^28) evaluations.  It is the one setting of every budget gate."""
     raw = os.environ.get("QSAMPLE_BUDGET")
     if raw is None:
         return _DEFAULT_BUDGET
@@ -124,7 +118,6 @@ def _refuse(
     work: str,
     cheap: int,
     rest: Callable[[], int] | None = None,
-    budget: int | None = None,
     instead: str | None = None,
     at_least: bool = False,
 ) -> None:
@@ -138,7 +131,7 @@ def _refuse(
     since str() of an int past 4300 digits raises.  ``instead`` names a
     sampled alternative.  ``at_least`` says that ``cheap`` is the cost
     counted so far, a part of the whole."""
-    limit = resolve_budget(budget)
+    limit = resolve_budget()
     lower = at_least or (rest is not None and cheap > limit)  # refused on part of the cost
     cost = cheap if rest is None or lower else cheap * rest()
     if cost <= limit:
@@ -579,16 +572,8 @@ class SamplingStrategy:
 
     def estimate_frac(self, q, t, s) -> Fraction:
         """The estimate f(t, q|t, s) as an exact Fraction."""
-        return self._estimate(_symbols(q, self), self.flatten_subset(t), s)
-
-    def _estimate(self, sym, t, s) -> Fraction:
-        """:meth:`estimate_frac` of checked symbols under a flat subset t."""
-        if self.kind == "custom":
-            value = self.estimator(t, restrict(sym, t), s)
-            return value if isinstance(value, Fraction) else Fraction(value)
-        _, P, W, D, _ = self._stack([(t, s)])
-        W = np.broadcast_to(W, P.shape)[0].tolist()
-        return Fraction(sum(w for i, w in zip(P[0].tolist(), W) if i >= 0 and sym[i]), int(D[0]))
+        _, D, _, E = _cell(self, q, t, s)
+        return Fraction(E[0, 0]) / int(D[0])
 
     def flatten_subset(self, t) -> tuple[int, ...]:
         """Normalize a subset given as positions or, on a pair-indexed kind,
@@ -717,15 +702,23 @@ def estimate(strategy: SamplingStrategy, q, t, s=None) -> float:
 
 def deviation(strategy: SamplingStrategy, q, t, s=None) -> Fraction:
     """|relwt(q|tbar) - f(t, q|t, s)| as an exact Fraction."""
-    sym, t = _symbols(q, strategy), strategy.flatten_subset(t)
-    tbar = complement(t, strategy.length)
-    true = Fraction(sum(1 for i in tbar if sym[i - 1]), max(len(tbar), 1))
-    return abs(true - strategy._estimate(sym, t, s))
+    A, D, T, E = _cell(strategy, q, t, s)
+    return abs(Fraction(int(T[0, 0]), int(A[0])) - Fraction(E[0, 0]) / int(D[0]))
 
 
 def in_accept_set(strategy: SamplingStrategy, q, t, s, delta: float) -> bool:
     """Strict accept test: deviation < delta; a tie at exactly delta rejects."""
-    return deviation(strategy, q, t, s) < _exact_delta(delta)
+    A, D, T, E = _cell(strategy, q, t, s)
+    return not _tie_rule(A, D, _exact_delta(delta), fractions=strategy.kind == "custom")(T, E)[0, 0]
+
+
+def _cell(strategy: SamplingStrategy, q, t, s) -> tuple[np.ndarray, ...]:
+    """A, D, T and E of the one-column :func:`_table` of the one string q
+    under (t, s), q checked first as :func:`failure_probability` checks it."""
+    string = _symbol_row(q, strategy)
+    A, D, blocks = _table(strategy, [(t, s)], lambda lo, hi: string, 1)
+    ((_, T, E),) = blocks
+    return A, D, T, E
 
 
 def _exact_delta(delta) -> Fraction:
@@ -776,14 +769,16 @@ def _table(strategy: SamplingStrategy, columns, strings, count: int):
     the (t, s, ...) columns: products of z with :func:`_dense_rows` (E <= D,
     see :func:`_tie_rule`); a custom estimator's E holds Fractions over 1."""
     A, D, R = _dense_rows(strategy, columns)
+    custom = [(strategy.flatten_subset(t), s) for t, s, *_ in columns] if strategy.kind == "custom" else None
 
     def blocks():
         step = max(1, _BLOCK_CELLS // max(len(columns), 1))
         for lo in range(0, count, step):
             block = strings(lo, min(lo + step, count))
             T, E = np.split((block != 0).astype(R.dtype) @ R.T, 2, axis=1)
-            if strategy.kind == "custom":
-                E = [[strategy.estimate_frac(q, t, s) for t, s, *_ in columns] for q in block.tolist()]
+            if custom is not None:
+                E = [[Fraction(strategy.estimator(t, tuple(q[i - 1] for i in t), s)) for t, s in custom]
+                     for q in block.tolist()]
                 E = np.array(E, dtype=object)
             yield lo, T, E.reshape(T.shape)
 
@@ -901,9 +896,7 @@ def _candidate_count(strategy: SamplingStrategy) -> int:
     return strategy.d ** L
 
 
-def eps_class_exact(
-    strategy: SamplingStrategy, delta: float, budget: int | None = None
-) -> ErrorEstimate:
+def eps_class_exact(strategy: SamplingStrategy, delta: float) -> ErrorEstimate:
     """Exact worst-case error probability, maximized over all strings.
 
     The candidates are the Hamming-weight classes when the strategy declares
@@ -928,10 +921,10 @@ def eps_class_exact(
     """
     bound = _exact_delta(delta)
     if strategy.kind == "example5":
-        value, witness = _eps_class_pairs(strategy, bound, budget)
+        value, witness = _eps_class_pairs(strategy, bound)
     else:
         path = _eps_class_counted if strategy.permutation_invariant else _eps_class_enumerated
-        value, index = path(strategy, bound, budget)
+        value, index = path(strategy, bound)
         witness = tuple(_candidates(strategy, index, index + 1)[0].tolist())
     return ErrorEstimate(
         value=float(value),
@@ -940,11 +933,11 @@ def eps_class_exact(
     )
 
 
-def _eps_class_enumerated(strategy: SamplingStrategy, bound: Fraction, budget: int | None) -> tuple[Fraction, int]:
+def _eps_class_enumerated(strategy: SamplingStrategy, bound: Fraction) -> tuple[Fraction, int]:
     """(max Pr[fail], index of the first maximizing candidate), from every cell
     of the (candidate, (t, s)) table."""
     count = _candidate_count(strategy)
-    _refuse("exact enumeration", count, strategy.support_size, budget, instead="eps_class_mc")
+    _refuse("exact enumeration", count, strategy.support_size, instead="eps_class_mc")
     support = strategy.ts_support()
     scale, weights = _integer_weights(support)
     best, best_index = -1, 0
@@ -962,7 +955,7 @@ def _eps_class_enumerated(strategy: SamplingStrategy, bound: Fraction, budget: i
 _COUNT_LENGTH_UNIT = 1000
 
 
-def _eps_class_counted(strategy: SamplingStrategy, bound: Fraction, budget: int | None) -> tuple[Fraction, int]:
+def _eps_class_counted(strategy: SamplingStrategy, bound: Fraction) -> tuple[Fraction, int]:
     """(max Pr[fail], first maximizing weight) for a permutation-invariant
     kind.  Its (t, s) are uniform over the support, and every size class is
     the orbit of its _Count representative under position permutations, so
@@ -981,7 +974,7 @@ def _eps_class_counted(strategy: SamplingStrategy, bound: Fraction, budget: int 
         for i, (cells, threshold) in enumerate(_class_cells(strategy, chunk, bound)):
             cost += math.prod(m + 1 for _, m in cells) * unit
             more = bool(following) or i + 1 < len(chunk)  # stops a long law early
-            _refuse("exact enumeration", cost, budget=budget, instead="eps_class_mc", at_least=more)
+            _refuse("exact enumeration", cost, instead="eps_class_mc", at_least=more)
             classes.append((cells, threshold))
         chunk = following
     mults = [mult for _, _, mult in strategy._law(_Count())]
@@ -997,9 +990,7 @@ def _eps_class_counted(strategy: SamplingStrategy, bound: Fraction, budget: int 
     return Fraction(best, best_total), weight
 
 
-def _eps_class_pairs(
-    strategy: SamplingStrategy, bound: Fraction, budget: int | None
-) -> tuple[Fraction, tuple[int, ...]]:
+def _eps_class_pairs(strategy: SamplingStrategy, bound: Fraction) -> tuple[Fraction, tuple[int, ...]]:
     """(max Pr[fail], first maximizing string) for example5.  Its law is
     invariant under permuting the pairs and swapping the slots of a pair, so
     a 0/1 string matters only through a, its number of 11 pairs, and b, its
@@ -1022,7 +1013,7 @@ def _eps_class_pairs(
     :func:`_candidates` order is that of the least maximizing (a, b)."""
     n, k = strategy.n, strategy.k
     steps = math.comb(n + 2, 3) + math.comb(n + 1, 3) + (n + 1) * (n + k + 2)  # Pascal; F and its prefix sums
-    _refuse("exact enumeration", steps * -(-2 * n // _COUNT_LENGTH_UNIT), budget=budget, instead="eps_class_mc")
+    _refuse("exact enumeration", steps * -(-2 * n // _COUNT_LENGTH_UNIT), instead="eps_class_mc")
     rows = [_binomial_row(m) for m in range(n + 1)]
     # prefix[u, x]: the k-subsets that hold fewer than x of u given positions
     prefix = np.zeros((n + 1, k + 2), dtype=object)
@@ -1239,8 +1230,8 @@ def analytic_bound(kind: str, params: Mapping, delta: float) -> float:
     over a 10 x 10 grid of admissible (eps, beta) values.
     """
     delta = float(delta)
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
+    if not 0 <= delta < math.inf:  # NaN fails both
+        raise ValueError(f"delta must be finite and >= 0, got {delta}")
     if kind == "hoeffding":
         (k,) = _need(params, kind, "k")
         return 2 * math.exp(-2 * delta ** 2 * k)

@@ -161,12 +161,24 @@ def test_budget_env_exceeded_exits_2(capsys, monkeypatch):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("value", ["2**30", "1e9", "0", "-5"])
+def test_budget_env_that_is_not_a_positive_decimal_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("QSAMPLE_BUDGET", value)
+    code, out, err = _run(capsys, "eps-class", "--kind", "example1", "--n", "12", "--k", "3", "--delta", "0.2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: QSAMPLE_BUDGET must be") and err.count("\n") == 1
+
+
 def test_budget_env_gates_the_symmetry_check(capsys, monkeypatch):
-    # the symmetric worst case of S_8 is refused by the symmetry check's gate
+    # the symmetric worst case of S_8 is refused by the symmetry check's gate,
+    # charged 2^8 strings x (28 (t, s) + 2 generators), and admitted at that
+    argv = ["eps-quant", "--kind", "example1", "--n", "8", "--k", "2", "--delta", "0.3"]
     monkeypatch.setenv("QSAMPLE_BUDGET", "1000")
-    code, _, err = _run(capsys, "eps-quant", "--kind", "example1", "--n", "8", "--k", "2", "--delta", "0.3")
-    assert code == 2
-    assert "budget" in err
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: symmetry check needs 7680 evaluations, budget is 1000; raise QSAMPLE_BUDGET\n"
+    monkeypatch.setenv("QSAMPLE_BUDGET", "7680")
+    assert _run(capsys, *argv)[0] == 0
 
 
 def test_budget_env_gates_the_code_search(capsys, monkeypatch):
@@ -360,6 +372,19 @@ def test_bounds_side_condition_exits_2(capsys):
     code, _, err = _run(capsys, "bounds", "--kind", "example1-simple", "--n", "4", "--k", "3", "--delta", "0.2")
     assert code == 2
     assert "k <= n/2" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "bounds --kind hoeffding --k 10 --delta nan",  # once a curve of [NaN, NaN]
+        "bounds --kind example1-simple --n 10 --k 3 --delta inf",  # once a bound of 0.0
+    ],
+)
+def test_bounds_non_finite_delta_exits_2(capsys, argv):
+    code, out, err = _run(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert err.startswith("error: delta must be finite") and err.count("\n") == 1
 
 
 def test_lemma2_command(capsys):

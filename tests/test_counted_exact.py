@@ -71,16 +71,20 @@ def test_gate_charges_every_count_vector_before_counting(monkeypatch):
     strategy = make_strategy("example1", n=6, k=3)
     with monkeypatch.context() as mp:
         mp.setattr(sampling, "_accepted_counts", lambda *a: pytest.fail("counted before the gate"))
+        mp.setenv("QSAMPLE_BUDGET", "15")
         with pytest.raises(BudgetExceededError, match="16 evaluations"):
-            eps_class_exact(strategy, 0.3, budget=15)
-    assert eps_class_exact(strategy, 0.3, budget=16).value > 0
+            eps_class_exact(strategy, 0.3)
+    monkeypatch.setenv("QSAMPLE_BUDGET", "16")
+    assert eps_class_exact(strategy, 0.3).value > 0
     # past L = _COUNT_LENGTH_UNIT a vector is charged ceil(L / unit) times
     # (here 2, on (1 + 1) * (L - 1 + 1) vectors)
     L = sampling._COUNT_LENGTH_UNIT + 1
     strategy = make_strategy("example1", n=L, k=1)
+    monkeypatch.setenv("QSAMPLE_BUDGET", str(4 * L - 1))
     with pytest.raises(BudgetExceededError, match=f"{4 * L} evaluations"):
-        eps_class_exact(strategy, 0.3, budget=4 * L - 1)
-    assert eps_class_exact(strategy, 0.3, budget=4 * L).value >= 0
+        eps_class_exact(strategy, 0.3)
+    monkeypatch.setenv("QSAMPLE_BUDGET", str(4 * L))
+    assert eps_class_exact(strategy, 0.3).value >= 0
 
 
 def test_oversized_request_exits_2_at_once(capsys, monkeypatch):

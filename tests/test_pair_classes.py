@@ -26,7 +26,7 @@ DELTAS = [0.1, 0.15, 1 / 3, Fraction(1, 3), 0.35, 0.5]
 
 def enumerated(strategy, delta):
     """(max Pr[fail], first maximizing string) from every table cell."""
-    value, index = sampling._eps_class_enumerated(strategy, _exact_delta(delta), None)
+    value, index = sampling._eps_class_enumerated(strategy, _exact_delta(delta))
     return value, tuple(sampling._candidates(strategy, index, index + 1)[0].tolist())
 
 
@@ -35,7 +35,7 @@ def test_every_small_case_matches_the_enumeration():
     for n in range(1, 7):
         for k in range(1, n + 1):
             strategy = make_strategy("example5", n=n, k=k)
-            assert sampling._eps_class_pairs(strategy, Fraction(1, 3), None) == enumerated(strategy, Fraction(1, 3))
+            assert sampling._eps_class_pairs(strategy, Fraction(1, 3)) == enumerated(strategy, Fraction(1, 3))
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -50,7 +50,7 @@ def test_every_small_case_matches_the_enumeration():
 def test_counted_example5_equals_the_enumeration(n, k_share, d, delta):
     strategy = make_strategy("example5", n=n, k=max(1, round(k_share * n)), d=d)
     value, witness = enumerated(strategy, delta)
-    assert sampling._eps_class_pairs(strategy, _exact_delta(delta), None) == (value, witness)
+    assert sampling._eps_class_pairs(strategy, _exact_delta(delta)) == (value, witness)
     est = eps_class_exact(strategy, delta)
     assert est.value == float(value)
     assert est.worst_case_string.symbols == witness and est.worst_case_string.d == d
@@ -123,14 +123,17 @@ def test_gate_charges_the_pascal_steps_and_the_tail_table_before_any_sum(monkeyp
     charge = 56 + 35 + 77
     with monkeypatch.context() as mp:
         mp.setattr(sampling, "_binomial_row", lambda m: pytest.fail("counted before the gate"))
+        mp.setenv("QSAMPLE_BUDGET", str(charge - 1))
         with pytest.raises(BudgetExceededError, match=f"needs {charge} evaluations"):
-            eps_class_exact(strategy, 0.3, budget=charge - 1)
-    assert eps_class_exact(strategy, 0.3, budget=charge).value > 0
+            eps_class_exact(strategy, 0.3)
+    monkeypatch.setenv("QSAMPLE_BUDGET", str(charge))
+    assert eps_class_exact(strategy, 0.3).value > 0
     # past 2n = _COUNT_LENGTH_UNIT every step is charged twice
     n = sampling._COUNT_LENGTH_UNIT // 2 + 1
     charge = 2 * (math.comb(n + 2, 3) + math.comb(n + 1, 3) + (n + 1) * (n + 1 + 2))
+    monkeypatch.setenv("QSAMPLE_BUDGET", str(charge - 1))
     with pytest.raises(BudgetExceededError, match=f"needs {charge} evaluations"):
-        eps_class_exact(make_strategy("example5", n=n, k=1), 0.3, budget=charge - 1)
+        eps_class_exact(make_strategy("example5", n=n, k=1), 0.3)
 
 
 def test_n_200_is_answered_under_the_default_budget(monkeypatch):

@@ -508,7 +508,7 @@ def test_code_impossible_distance_raises():
     # can never be met
     rng = np.random.default_rng(48)
     with pytest.raises(ValueError, match="no random code"):
-        make_linear_code(4, 1, 0.3, rng, max_tries=25)
+        make_linear_code(4, 1, 0.3, rng)
 
 
 def test_code_ruled_out_by_sphere_packing_raises_before_the_search():
@@ -887,15 +887,16 @@ def test_experiment_equivalence_on_random_states():
         assert view["agrees"] is True
 
 
-def test_experiment_view_replay_and_validation():
+def test_experiment_view_replay_and_validation(monkeypatch):
     state = make_epr_pairs(2)
     a = qkd_sampling_view(state, QkdParams(2, 1), rng_seed=5)
     b = qkd_sampling_view(state, QkdParams(2, 1), rng_seed=5)
     assert a == b
     with pytest.raises(ValueError, match="population"):
         qkd_sampling_view(make_epr_pairs(3), QkdParams(2, 1), rng_seed=5)
+    monkeypatch.setenv("QSAMPLE_BUDGET", "10")
     with pytest.raises(BudgetExceededError):
-        qkd_sampling_view(make_epr_pairs(3), QkdParams(3, 1), rng_seed=5, budget=10)
+        qkd_sampling_view(make_epr_pairs(3), QkdParams(3, 1), rng_seed=5)
 
 
 # ---------------------------------------------------------------------------

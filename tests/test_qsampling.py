@@ -81,12 +81,6 @@ def test_accept_set_respects_budget(monkeypatch):
         accept_set(strat, (1,), None, 0.3)
 
 
-def test_accept_set_checks_length_argument():
-    strat = make_strategy("example1", n=3, k=1)
-    with pytest.raises(ValueError, match="length"):
-        accept_set(strat, (1,), None, 0.3, n=4)
-
-
 # ---------------------------------------------------------------------------
 # projections
 # ---------------------------------------------------------------------------
@@ -221,11 +215,12 @@ def test_sqrt_bound_report_json_layout():
     assert obj["gap"] == pytest.approx(obj["sqrt_eps_class"] - obj["ideal_distance"])
 
 
-def test_ideal_distance_respects_budget():
+def test_ideal_distance_respects_budget(monkeypatch):
     strat = make_strategy("example1", n=4, k=2)
     phi = _state(np.eye(16)[0])
+    monkeypatch.setenv("QSAMPLE_BUDGET", "16")
     with pytest.raises(BudgetExceededError):
-        ideal_distance(phi, strat, 0.3, budget=16)
+        ideal_distance(phi, strat, 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +289,10 @@ def test_pairwise_strategy_is_wreath_symmetric():
     assert is_g_symmetric(strat, pair_symmetry_group(2))
 
 
-def test_symmetry_check_is_gated_before_it_builds():
+def test_symmetry_check_is_gated_before_it_builds(monkeypatch):
+    monkeypatch.setenv("QSAMPLE_BUDGET", "1000")
     with pytest.raises(BudgetExceededError):
-        is_g_symmetric(make_strategy("example1", n=8, k=2), symmetric_group(8), budget=1000)
+        is_g_symmetric(make_strategy("example1", n=8, k=2), symmetric_group(8))
 
 
 def test_symmetry_check_validates_group_size():

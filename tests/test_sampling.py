@@ -404,12 +404,6 @@ def test_custom_strategy_deviation_is_not_scaled_by_tbar():
 # ---------------------------------------------------------------------------
 
 
-def test_budget_argument_limits_enumeration():
-    strat = make_strategy("example3", n=6)
-    with pytest.raises(BudgetExceededError, match="budget"):
-        eps_class_exact(strat, 0.3, budget=10)
-
-
 def test_budget_env_var_is_read_at_call_time(monkeypatch):
     strat = make_strategy("example3", n=6)
     monkeypatch.setenv("QSAMPLE_BUDGET", "10")
