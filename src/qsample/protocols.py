@@ -4,8 +4,8 @@ distribution, with their security-bound evaluators.
 Both protocols run end to end from a seeded RNG: transcripts replay
 byte-identically for a fixed (params, adversary, rng_seed).  The key
 distribution simulator additionally supports an exact-distance mode at small n
-where the final (key, adversary-view) state is assembled branch by branch and
-compared against an ideal uniform key.
+where the final (key, adversary-view) state is assembled from blocks of
+rotated amplitudes and compared against an ideal uniform key.
 
 Bit commitment is modeled as an ideal registry: committed values are recorded,
 openings are checked against the record, and any mismatch aborts the protocol.
@@ -32,10 +32,7 @@ from .quantum import (
     apply_cnot_pairs,
     apply_unitary,
     make_epr_pairs,
-    measure,
-    partial_trace,
     sample_measurement,
-    trace_distance,
 )
 from .quantum import _hadamard
 from . import sampling
@@ -374,8 +371,8 @@ def qkd_max_len(n, k, m, beta: float, eps_target: float) -> tuple[int, float]:
     """
     if not 0 <= beta < 0.5:
         raise ValueError(f"beta must lie in [0, 1/2), got {beta}")
-    if eps_target <= 0:
-        raise ValueError("eps_target must be positive")
+    if not 0 < eps_target < math.inf:
+        raise ValueError(f"eps_target must be positive and finite, got {eps_target}")
     l_cap = qkd_key_length(n, k, m, beta)
     span = 0.5 - beta
     grid = [span * i / 1000 for i in range(1, 1001)]
@@ -622,10 +619,6 @@ def _subset(rng: np.random.Generator, n: int, k: int) -> tuple[int, ...]:
     return tuple(sorted(int(i) + 1 for i in rng.choice(n, size=k, replace=False)))
 
 
-def _row_bits(row: int, count: int) -> tuple[int, ...]:
-    return tuple((row >> (count - 1 - j)) & 1 for j in range(count))
-
-
 # ---------------------------------------------------------------------------
 # key distribution
 # ---------------------------------------------------------------------------
@@ -659,6 +652,16 @@ def _qkd_block_rows(tensor: np.ndarray, n: int, first: int, run: int) -> np.ndar
     return stack.reshape(run, 4 ** n, tensor.shape[-1])
 
 
+def _qkd_blocks(tensor: np.ndarray, n: int, cells: int):
+    """(first basis, :func:`_qkd_block_rows`) for each block of the 2^n
+    bases: the largest power-of-two run, at least one basis, whose 4^n
+    outcomes times ``cells`` per outcome fit in ``sampling._BLOCK_CELLS``."""
+    fit = sampling._BLOCK_CELLS // (4 ** n * cells)
+    run = 1 << min(n, max(fit.bit_length() - 1, 0))
+    for first in range(0, 2 ** n, run):
+        yield first, _qkd_block_rows(tensor, n, first, run)
+
+
 def _qkd_exact_distance(state: PureState, n: int, k: int, code: LinearCode) -> float:
     """Exact trace distance between the assembled (key, view) state and the
     ideal state with a uniform key of the same per-branch length.
@@ -677,12 +680,8 @@ def _qkd_exact_distance(state: PureState, n: int, k: int, code: LinearCode) -> f
     key_len = np.array([qkd_key_length(n, k, code.m, e / k) for e in range(k + 1)])  # by test errors
     seeds = {l: _bit_rows(HashFamily(n - k, l).seed_bits) for l in set(key_len.tolist())}
     weight = 1.0 / (2 ** n * len(subsets))
-    fit = sampling._BLOCK_CELLS // (4 ** n * len(subsets))
-    run = 1 << min(n, max(fit.bit_length() - 1, 0))
-    tensor = state.tensor()
     distance = 0.0
-    for first in range(0, 2 ** n, run):
-        rows = _qkd_block_rows(tensor, n, first, run)
+    for _, rows in _qkd_blocks(state.tensor(), n, len(subsets)):
         basis, outcome = np.nonzero(np.einsum("bij,bij->bi", rows, rows.conj()).real >= 1e-15)
         amps = rows[basis, outcome]
         cond = weight * amps[:, :, None] * amps[:, None, :].conj()
@@ -850,16 +849,6 @@ def _best_qkd_terms(n, k, m, l, beta):
 # ---------------------------------------------------------------------------
 
 
-def _xy_to_wz(theta, x, y):
-    w = tuple(x[i] if theta[i] == 0 else y[i] for i in range(len(theta)))
-    z = tuple(a ^ b for a, b in zip(x, y))
-    return w, z
-
-
-def _branch_env(branch, total_positions: int):
-    return partial_trace(branch.post_state, (total_positions + 1,)).matrix
-
-
 def qkd_sampling_view(state: PureState, params: QkdParams, rng_seed: int) -> dict:
     """Check that measuring pairwise-CNOT-transformed pairs, difference bits
     first, reproduces the original experiment exactly.
@@ -868,50 +857,39 @@ def qkd_sampling_view(state: PureState, params: QkdParams, rng_seed: int) -> dic
     basis, yielding (x, y) and derived values w (the reference-side bit) and
     z = x XOR y.  The modified experiment applies a CNOT to each pair and
     measures the z-carrying qubits first and the w-carrying qubits second.
-    Asserts the (basis, w, z) distributions and the conditional environment
-    operators agree within 1e-9, and returns the comparison report together
-    with one sampled execution of the modified experiment.
+    Measuring z first and w second has the same joint law, and leaves the
+    same environment, as measuring both together, so both experiments are
+    read off rotated amplitudes: each block of bases is compared as two
+    amplitude tables from :func:`_qkd_block_rows`, the state's and its CNOT
+    image's, one row of dim_E amplitudes per (basis, outcome), the second
+    table's outcomes permuted onto (w, z).  Asserts the (basis, w, z)
+    distributions and the conditional environment states agree within 1e-9,
+    and returns the comparison report together with one sampled execution of
+    the modified experiment.  The comparison is charged 2^n 4^n dim_E^2
+    evaluations before the CNOT image is built.
     """
     n = params.n
     if state.population_count != 2 * n:
         raise ValueError(
             f"state has {state.population_count} population qubits, expected {2 * n}"
         )
-    _refuse("experiment comparison", 2 ** n * 16 ** n * state.dim_E)
-    pairs = [(i, n + i) for i in range(1, n + 1)]
-    transformed = apply_cnot_pairs(state, pairs)
-    max_tv = 0.0
-    max_cond = 0.0
-    for tidx in range(2 ** n):
-        theta = _row_bits(tidx, n)
-        basis = BasisSpec(theta + theta)
-        original: dict = {}
-        for br in measure(state, range(1, 2 * n + 1), basis):
-            x, y = br.outcome[:n], br.outcome[n:]
-            wz = _xy_to_wz(theta, x, y)
-            prob, env = original.get(wz, (0.0, 0.0))
-            original[wz] = (prob + br.probability, env + br.probability * _branch_env(br, 2 * n))
-        # z sits on A_i when theta_i = 1, on B_i when theta_i = 0
-        z_pos = [i if theta[i - 1] else n + i for i in range(1, n + 1)]
-        w_pos = [n + i if theta[i - 1] else i for i in range(1, n + 1)]
-        modified: dict = {}
-        for zbr in measure(transformed, z_pos, basis):
-            for wbr in measure(zbr.post_state, w_pos, basis):
-                prob = zbr.probability * wbr.probability
-                wz = (wbr.outcome, zbr.outcome)
-                old_p, old_env = modified.get(wz, (0.0, 0.0))
-                modified[wz] = (old_p + prob, old_env + prob * _branch_env(wbr, 2 * n))
-        tv = 0.0
-        for wz in set(original) | set(modified):
-            p = original.get(wz, (0.0, None))[0]
-            q = modified.get(wz, (0.0, None))[0]
-            tv += abs(p - q)
-            if wz in original and wz in modified and min(p, q) > 1e-12:
-                dist = trace_distance(
-                    original[wz][1] / p, modified[wz][1] / q
-                )
-                max_cond = max(max_cond, dist)
-        max_tv = max(max_tv, tv / 2)
+    cells = state.dim_E ** 2
+    _refuse("experiment comparison", 2 ** n * 4 ** n * cells)
+    transformed = apply_cnot_pairs(state, [(i, n + i) for i in range(1, n + 1)])
+    a, b = np.divmod(np.arange(4 ** n), 2 ** n)  # an outcome's bits on A and on B
+    max_tv = max_cond = 0.0
+    blocks = (_qkd_blocks(x.tensor(), n, cells) for x in (state, transformed))
+    for (first, u), (_, v) in zip(*blocks):
+        theta = np.arange(first, first + len(u))[:, None]
+        # original: w = a&~theta | b&theta, z = a^b; modified: z on A_i where
+        # theta_i = 1 and on B_i where theta_i = 0, w on the other qubit
+        v = v[np.arange(len(v))[:, None], (a ^ b & theta) << n | b ^ a & ~theta]
+        p, q = (np.einsum("bij,bij->bi", x, x.conj()).real for x in (u, v))
+        max_tv = max(max_tv, float(np.abs(p - q).sum(axis=1).max()) / 2)
+        live = np.minimum(p, q) > 1e-12
+        u, v = u[live] / np.sqrt(p[live])[:, None], v[live] / np.sqrt(q[live])[:, None]
+        gaps = np.linalg.eigvalsh(u[:, :, None] * u[:, None, :].conj() - v[:, :, None] * v[:, None, :].conj())
+        max_cond = max(max_cond, float(np.abs(gaps).sum(axis=1).max(initial=0.0)) / 2)
     if max_tv > 1e-9 or max_cond > 1e-9:
         raise ValueError(
             f"experiments disagree: total variation {max_tv}, conditional {max_cond}"
@@ -961,6 +939,14 @@ def _product_amps(x, theta) -> np.ndarray:
     return np.where(keep, sign * math.prod([HADAMARD[0, 0].real] * int(turned.sum())), 0.0)
 
 
+def _flip_set(bob: AdversaryModel, n: int) -> set[int]:
+    """Bob's flip positions, each checked to lie in [1, n]."""
+    for i in bob.flips:
+        if not 1 <= i <= n:
+            raise ValueError(f"flip position {i} outside [1, {n}]")
+    return set(bob.flips)
+
+
 def _qot_bob_commit(rng, n, theta, x, bob: AdversaryModel):
     """Bob's measurement and commitment step.
 
@@ -984,10 +970,7 @@ def _qot_bob_commit(rng, n, theta, x, bob: AdversaryModel):
         stored = PureState.from_population(_product_amps(x, theta), d=2)
     else:
         raise ValueError(f"adversary kind {kind!r} is not an oblivious-transfer model")
-    flips = set(bob.flips)
-    for i in flips:
-        if not 1 <= i <= n:
-            raise ValueError(f"flip position {i} outside [1, {n}]")
+    flips = _flip_set(bob, n)
     if kind == "commit-flip":
         registry = (theta_hat, tuple(x_hat[i] ^ (1 if i + 1 in flips else 0) for i in range(n)))
         openings = registry
@@ -1106,10 +1089,7 @@ def qot_catch_probability(params: QotParams, bob: AdversaryModel) -> float:
         return 0.0
     if kind in ("no-measure", "delay-measure"):
         return 1.0 - 0.75 ** k
-    flips = set(bob.flips)
-    for i in flips:
-        if not 1 <= i <= n:
-            raise ValueError(f"flip position {i} outside [1, {n}]")
+    flips = _flip_set(bob, n)
     f = len(flips)
     if kind == "open-flip":
         # caught unless the test subset misses every flipped position

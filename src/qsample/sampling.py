@@ -785,6 +785,13 @@ def _table(strategy: SamplingStrategy, columns, strings, count: int):
     return A, D, blocks()
 
 
+def _reject_threshold(bound: Fraction, A, D):
+    """ceil(bound A D): for ints T and E, |T D - E A| / (A D) >= bound iff
+    |T D - E A| reaches it.  Elementwise on int64 or object arrays, exact on
+    Python ints."""
+    return -(-bound.numerator * (A * D) // bound.denominator)
+
+
 def _tie_rule(A: np.ndarray, D: np.ndarray, bound: Fraction, fractions: bool = False):
     """The reject test of true values T / A against estimates E / D: a
     function of (T, E) saying, elementwise and exactly, that the deviation is
@@ -793,14 +800,13 @@ def _tie_rule(A: np.ndarray, D: np.ndarray, bound: Fraction, fractions: bool = F
     0 <= T <= A and 0 <= E <= D (a relative weight and its estimate lie in
     [0, 1]), so T D and E A lie in [0, A D]: the test runs in int64, or in
     Python ints where p A D or q (bound = p / q) can reach 2^63."""
-    # |T D - E A| / (A D) >= p / q  <=>  |T D - E A| >= ceil(p A D / q) for ints
     if fractions:
         threshold = np.array([bound * int(a) for a in A], dtype=object)
     else:
         p, q = bound.numerator, bound.denominator
         dtype = _exact_dtype(max(p * int(A.max(initial=0)) * int(D.max(initial=0)), q))
         A, D = A.astype(dtype, copy=False), D.astype(dtype, copy=False)
-        threshold = -(-p * (A * D) // q)
+        threshold = _reject_threshold(bound, A, D)
     return lambda T, E: (np.abs(T * D - E * A) >= threshold).astype(bool)
 
 
@@ -997,7 +1003,7 @@ def _eps_class_pairs(strategy: SamplingStrategy, bound: Fraction) -> tuple[Fract
     mixed pairs.  The coins pick the 1 of j ~ Bin(b, 1/2) mixed pairs, so
     u = a + j ones are picked and v = a + b - j are not; the k sampled pairs
     read X ~ Hyp(n, u, k) picked ones, and the trial fails iff
-    |v k - X n| >= ceil(bound n k) (:func:`_tie_rule` with A = n, D = k).
+    |v k - X n| >= ceil(bound n k) (:func:`_reject_threshold` with A = n, D = k).
     With F[u, v] the number of failing k-subsets,
 
         Pr[fail | a, b] = sum_j C(b, j) F[a + j, a + b - j] / (2^b C(n, k)).
@@ -1022,7 +1028,7 @@ def _eps_class_pairs(strategy: SamplingStrategy, bound: Fraction) -> tuple[Fract
         prefix[u, lo + 1 : hi + 2] = np.cumsum(rows[u][lo : hi + 1] * rows[n - u][k - hi : k - lo + 1][::-1])
         prefix[u, hi + 2 :] = prefix[u, hi + 1]
     # X fails iff X n <= v k - threshold or X n >= v k + threshold
-    threshold = -(-bound.numerator * n * k // bound.denominator)
+    threshold = _reject_threshold(bound, n, k)
     vk = np.arange(n + 1) * k
     below = np.clip((vk - threshold) // n + 1, 0, k + 1)
     above = np.clip(-((-vk - threshold) // n), 0, k + 1)
@@ -1049,8 +1055,9 @@ def _class_cells(strategy: SamplingStrategy, classes, bound: Fraction) -> list[t
     reject threshold ceil(bound A D) on |g . z|."""
     A, D, R = _dense_rows(strategy, classes)
     G = D[:, None] * R[: len(A)] - A[:, None] * R[len(A) :]
-    p, q = bound.numerator, bound.denominator
-    return [(list(Counter(g).items()), -(-p * a * d // q)) for g, a, d in zip(G.tolist(), A.tolist(), D.tolist())]
+    return [
+        (list(Counter(g).items()), _reject_threshold(bound, a, d)) for g, a, d in zip(G.tolist(), A.tolist(), D.tolist())
+    ]
 
 
 def _binomial_row(m: int) -> np.ndarray:

@@ -144,9 +144,9 @@ GATED = {
     "simulate_qkd exact": (
         "exact distance", 128, lambda: simulate_qkd(QkdParams(2, 1), AdversaryModel(), rng_seed=3, exact=True)
     ),
-    # 2^2 bases x 16^2 x a trivial environment
+    # 2^2 bases x 4^2 outcomes x 1^2 for a trivial environment
     "qkd_sampling_view": (
-        "experiment comparison", 1024, lambda: qkd_sampling_view(make_epr_pairs(2), QkdParams(2, 1), rng_seed=5)
+        "experiment comparison", 64, lambda: qkd_sampling_view(make_epr_pairs(2), QkdParams(2, 1), rng_seed=5)
     ),
 }
 

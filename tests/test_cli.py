@@ -387,6 +387,19 @@ def test_bounds_non_finite_delta_exits_2(capsys, argv):
     assert err.startswith("error: delta must be finite") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "qkd-plan --n 4000 --k 1000 --m 200 --beta 0.05 --eps inf",  # once an OverflowError traceback, exit 1
+        "qkd-plan --n 4000 --k 1000 --m 200 --beta 0.05 --eps nan",  # once refused only by a failed float-to-int
+    ],
+)
+def test_qkd_plan_non_finite_target_exits_2(capsys, argv):
+    code, out, err = _run(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert err.startswith("error: eps_target must be positive and finite") and err.count("\n") == 1
+
+
 def test_lemma2_command(capsys):
     code, out, _ = _run(capsys, "lemma2", "--trials", "10", "--seed", "2")
     assert code == 0

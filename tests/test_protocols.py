@@ -27,6 +27,7 @@ from qsample import (
     make_epr_pairs,
     make_linear_code,
     measure,
+    partial_trace,
     qkd_bound,
     qkd_key_length,
     qkd_max_len,
@@ -35,6 +36,7 @@ from qsample import (
     qot_bound,
     qot_bound_optimize,
     qot_catch_probability,
+    random_pure_state,
     rate_curve_csv,
     rel_weight,
     restrict,
@@ -42,6 +44,7 @@ from qsample import (
     security_report_to_json,
     simulate_qkd,
     simulate_qot,
+    trace_distance,
     transcript_to_json,
 )
 from qsample import protocols, sampling
@@ -885,6 +888,94 @@ def test_experiment_equivalence_on_random_states():
         state = random_pure_state((2, 2, 2, 2, 3), rng)
         view = qkd_sampling_view(state, QkdParams(2, 1), rng_seed=int(rng.integers(1000)))
         assert view["agrees"] is True
+
+
+def _branch_view_gaps(state, n):
+    """The per-branch oracle for :func:`qkd_sampling_view`: (max total
+    variation, max conditional distance) between the two experiments, with
+    every measurement branch its own state, its environment a partial trace,
+    and the branches merged by (basis, w, z) in dicts."""
+    transformed = protocols.apply_cnot_pairs(state, [(i, n + i) for i in range(1, n + 1)])
+
+    def env(branch):
+        return partial_trace(branch.post_state, (2 * n + 1,)).matrix
+
+    max_tv = max_cond = 0.0
+    for row in range(2 ** n):
+        theta = tuple((row >> (n - 1 - j)) & 1 for j in range(n))
+        basis = BasisSpec(theta + theta)
+        original = {}
+        for br in measure(state, range(1, 2 * n + 1), basis):
+            x, y = br.outcome[:n], br.outcome[n:]
+            wz = (tuple(y[i] if theta[i] else x[i] for i in range(n)), tuple(a ^ b for a, b in zip(x, y)))
+            prob, rho = original.get(wz, (0.0, 0.0))
+            original[wz] = (prob + br.probability, rho + br.probability * env(br))
+        # z sits on A_i when theta_i = 1, on B_i when theta_i = 0
+        z_pos = [i if theta[i - 1] else n + i for i in range(1, n + 1)]
+        w_pos = [n + i if theta[i - 1] else i for i in range(1, n + 1)]
+        modified = {}
+        for zbr in measure(transformed, z_pos, basis):
+            for wbr in measure(zbr.post_state, w_pos, basis):
+                prob = zbr.probability * wbr.probability
+                wz = (wbr.outcome, zbr.outcome)
+                old_p, old_rho = modified.get(wz, (0.0, 0.0))
+                modified[wz] = (old_p + prob, old_rho + prob * env(wbr))
+        tv = 0.0
+        for wz in set(original) | set(modified):
+            p = original.get(wz, (0.0, None))[0]
+            q = modified.get(wz, (0.0, None))[0]
+            tv += abs(p - q)
+            if wz in original and wz in modified and min(p, q) > 1e-12:
+                max_cond = max(max_cond, trace_distance(original[wz][1] / p, modified[wz][1] / q))
+        max_tv = max(max_tv, tv / 2)
+    return max_tv, max_cond
+
+
+def _view_cases():
+    """(state, n, rng_seed, sample block): EPR pairs and the entangling probe
+    at n = 2, 3, and random states with dim_E = 3, each with the sampled
+    execution the view returns for its seed."""
+    probe = AdversaryModel(kind="entangling-probe")
+    cases = []
+    for n in (2, 3):
+        cases.append((make_epr_pairs(n), n, 4))
+        cases.append((_probe_state(n, probe), n, 5))
+    rng = np.random.default_rng(50)
+    for _ in range(3):
+        state = random_pure_state((2, 2, 2, 2, 3), rng)
+        cases.append((state, 2, int(rng.integers(1000))))
+    samples = [
+        {"theta": [1, 1], "z": [0, 0], "test_subset": [2], "beta": 0.0, "w": [0, 0]},
+        {"theta": [1, 1], "z": [1, 1], "test_subset": [1], "beta": 1.0, "w": [0, 1]},
+        {"theta": [1, 1, 1], "z": [0, 0, 0], "test_subset": [2], "beta": 0.0, "w": [0, 0, 0]},
+        {"theta": [1, 1, 0], "z": [1, 1, 0], "test_subset": [3], "beta": 0.0, "w": [0, 1, 0]},
+        {"theta": [1, 0], "z": [1, 0], "test_subset": [2], "beta": 0.0, "w": [1, 1]},
+        {"theta": [1, 0], "z": [1, 1], "test_subset": [1], "beta": 1.0, "w": [1, 1]},
+        {"theta": [1, 0], "z": [0, 1], "test_subset": [1], "beta": 0.0, "w": [1, 1]},
+    ]
+    return [case + (sample,) for case, sample in zip(cases, samples)]
+
+
+def test_experiment_view_matches_the_branch_oracle():
+    for state, n, seed, sample in _view_cases():
+        view = qkd_sampling_view(state, QkdParams(n, 1), rng_seed=seed)
+        assert view["agrees"] is True
+        assert max(view["max_total_variation"], view["max_conditional_distance"]) <= 1e-9
+        assert max(_branch_view_gaps(state, n)) <= 1e-9
+        assert json.dumps(protocols._jsonable(view["sample"])) == json.dumps(sample)
+
+
+def test_experiment_view_disagreement_reports_the_oracle_gaps(monkeypatch):
+    # without the CNOTs the modified experiment reads x and y in place of w
+    # and z, so the view must refuse, naming the per-branch gaps
+    monkeypatch.setattr(protocols, "apply_cnot_pairs", lambda state, pairs: state)
+    for state, n, seed, _ in _view_cases():
+        tv, cond = _branch_view_gaps(state, n)
+        assert tv > 1e-3
+        with pytest.raises(ValueError, match="experiments disagree") as info:
+            qkd_sampling_view(state, QkdParams(n, 1), rng_seed=seed)
+        reported = [float(part.rsplit(" ", 1)[1]) for part in str(info.value).split(", ")]
+        assert reported == pytest.approx([tv, cond], rel=0, abs=1e-12)
 
 
 def test_experiment_view_replay_and_validation(monkeypatch):
