@@ -34,13 +34,7 @@ from .protocols import (
     simulate_qkd,
     simulate_qot,
 )
-from .qsampling import (
-    NotSymmetricError,
-    check_sqrt_bound,
-    pair_symmetry_group,
-    symmetric_group,
-    symmetric_worst_state,
-)
+from .qsampling import NotSymmetricError, _symmetric_sqrt_bound, check_sqrt_bound
 from .quantum import PureState, state_from_json
 from .sampling import (
     BOUND_KINDS,
@@ -158,18 +152,16 @@ def _cmd_eps_quant(config: RunConfig):
     strategy = make_strategy(_require(p, "kind"), _strategy_params(p))
     delta = float(_require(p, "delta"))
     if p.get("state") is not None:
-        state = _load_state(p["state"])
+        result = check_sqrt_bound(_load_state(p["state"]), strategy, delta)
         source = "file"
     else:
-        group = pair_symmetry_group(strategy.n) if strategy.pair_indexed else symmetric_group(strategy.n)
         try:
-            state = symmetric_worst_state(strategy, group, delta)
+            result = _symmetric_sqrt_bound(strategy, delta)
         except NotSymmetricError as exc:
             raise ValueError(
                 f"{strategy.kind} has no canonical symmetric worst case; provide --state"
             ) from exc
         source = "symmetric-worst-case"
-    result = check_sqrt_bound(state, strategy, delta)
     result = {
         "delta": delta,
         "state_source": source,
@@ -204,9 +196,7 @@ def _cmd_tightness(config: RunConfig):
     n = int(_require(p, "n"))
     k = int(_require(p, "k"))
     delta = float(p.get("delta", 0.3))
-    strategy = make_strategy("example1", {"n": n, "k": k})
-    state = symmetric_worst_state(strategy, symmetric_group(n), delta)
-    result = check_sqrt_bound(state, strategy, delta)
+    result = _symmetric_sqrt_bound(make_strategy("example1", {"n": n, "k": k}), delta)
     gap = result["sqrt_eps_class"] - result["ideal_distance"]
     tight = abs(gap) <= 1e-9
     result = {

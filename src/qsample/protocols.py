@@ -367,8 +367,13 @@ def qkd_max_len(n, k, m, beta: float, eps_target: float) -> tuple[int, float]:
     largest l with bound <= eps_target is found in closed form and confirmed
     against the total ``qkd_bound`` would report.  The protocol's own cap
     l < (1-h(beta))n-k-m always applies.  Returns (0, first grid delta) when
-    no length works.
+    no length works.  Needs n >= 2 pairs, 1 <= k < n test pairs and m >= 0.
     """
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    if not 1 <= k < n:
+        raise ValueError(f"test size must satisfy 1 <= k < n, got k={k}, n={n}")
+    EccModel(m)  # checks m >= 0
     if not 0 <= beta < 0.5:
         raise ValueError(f"beta must lie in [0, 1/2), got {beta}")
     if not 0 < eps_target < math.inf:

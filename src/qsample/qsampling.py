@@ -14,7 +14,9 @@ uniform superposition over the orbit of a worst-case string (the normalised
 indicator of that orbit) attains the square root exactly.  A group is held as
 its generators; the symmetry test and the worst state read only its orbits on
 strings, labelled from the generators' images.  The symmetry test compares
-integer histograms of keys read from the estimator table.
+integer histograms of keys read from the estimator table.  On the counted
+kinds, a state whose population law depends only on the weight has its
+distance read from the counted class table instead, with no d^L vector.
 """
 
 from __future__ import annotations
@@ -30,12 +32,15 @@ from .quantum import PureState
 from .sampling import (
     SamplingStrategy,
     SymbolString,
+    _binomial_row,
+    _class_table,
     _digits,
     _exact_delta,
     _integer_weights,
     _refuse,
     _reject_blocks,
     _table,
+    _worst_weight,
     eps_class_exact,
     strategy_to_json,
 )
@@ -46,6 +51,7 @@ __all__ = [
     "accept_set",
     "project_onto_accept",
     "ideal_distance",
+    "symmetric_ideal_distance",
     "check_sqrt_bound",
     "sqrt_bound_report",
     "symmetric_worst_state",
@@ -153,28 +159,66 @@ def project_onto_accept(
 def ideal_distance(state: PureState, strategy: SamplingStrategy, delta: float) -> float:
     """Exact minimum distance between the (t, s)-indexed real state and any
     ideal state confined to the accept subspaces:
-    sum_{t,s} P(t,s) sqrt(1 - inside_weight(t,s))."""
-    _exact_delta(delta)
+    sum_{t,s} P(t,s) sqrt(1 - inside_weight(t,s)).  Each outside weight is
+    summed over the rejected strings: 1 - inside in floats leaves an ulp
+    where a (t, s) accepts all the weight, and its square root (1e-8)."""
+    bound = _exact_delta(delta)
     weights = _population_weights(state, strategy)
-    _refuse("accept matrix", strategy.d ** strategy.length, lambda: strategy.support_size() + 1)
+    d, L = strategy.d, strategy.length
+    _refuse("accept matrix", d ** L, lambda: strategy.support_size() + 1)
     support = strategy.ts_support()
-    mat = _accept_masks(strategy, support, delta)
-    inside = weights @ mat
-    outside = np.clip(1.0 - inside, 0.0, None)
+    blocks = _reject_blocks(strategy, support, partial(_digits, d=d, length=L), d ** L, bound)
+    outside = sum(weights[lo : lo + len(reject)] @ reject for lo, reject in blocks)
     probs = np.fromiter((float(p) for (_, _, p) in support), dtype=float, count=len(support))
     return float(probs @ np.sqrt(outside))
 
 
-def check_sqrt_bound(state: PureState, strategy: SamplingStrategy, delta: float) -> dict:
-    """Compare the optimal-projection distance against sqrt(eps_class)."""
-    ideal = ideal_distance(state, strategy, delta)
-    eps = eps_class_exact(strategy, delta).value
+def symmetric_ideal_distance(strategy: SamplingStrategy, weight_law, delta: float) -> float:
+    """:func:`ideal_distance` of a permutation-symmetric state of a counted
+    kind (example1, example3, example4) whose population has weight w with
+    probability ``weight_law[w]``, w = 0..L, its zero pattern uniform among
+    the C(L, w) of that weight (the Dicke state of weight w has weight_law
+    e_w).  Every member of a size class of (t, s) then sees the same inside
+    weight, so from the counted class table (``sampling._class_table``),
+
+        sum_class (mult / S) sqrt(sum_w weight_law[w] fail(class, w) / C(L, w)),
+
+    with fail = C(L, w) - acc(class, w) in exact ints.  No d^L vector is
+    formed, and 1 - inside is never taken in floats, where a small distance
+    is lost: sqrt(eps_class) is 4.70e-11 at example1 n = 1000, k = 500,
+    delta = 0.3.  Charged as exact ``eps_class_exact`` is."""
+    bound = _exact_delta(delta)
+    if not strategy.permutation_invariant:
+        raise ValueError(f"{strategy.kind} is not a counted kind; use ideal_distance")
+    law, L = np.asarray(weight_law, dtype=float), strategy.length
+    if law.shape != (L + 1,) or not (law >= 0).all() or not abs(law.sum() - 1) <= 1e-9:
+        raise ValueError(f"weight_law must be {L + 1} nonnegative probabilities summing to 1")
+    return _law_distance(_class_table(strategy, bound, instead=None), law)
+
+
+def _law_distance(table, law: np.ndarray) -> float:
+    """The sum of :func:`symmetric_ideal_distance` over a class table."""
+    comb = _binomial_row(len(law) - 1)
+    support = sum(mult for mult, _ in table)
+    terms = [(p, w) for w, p in enumerate(law.tolist()) if p]
+    return math.fsum(
+        mult / support * math.sqrt(math.fsum(p * ((comb[w] - acc[w]) / comb[w]) for p, w in terms))
+        for mult, acc in table
+    )
+
+
+def _sqrt_check(ideal: float, eps: float) -> dict:
     sqrt_eps = math.sqrt(eps)
     return {
         "ideal_distance": ideal,
         "sqrt_eps_class": sqrt_eps,
         "holds": ideal <= sqrt_eps + 1e-9,
     }
+
+
+def check_sqrt_bound(state: PureState, strategy: SamplingStrategy, delta: float) -> dict:
+    """Compare the optimal-projection distance against sqrt(eps_class)."""
+    return _sqrt_check(ideal_distance(state, strategy, delta), eps_class_exact(strategy, delta).value)
 
 
 def sqrt_bound_report(state: PureState, strategy: SamplingStrategy, delta: float) -> str:
@@ -349,3 +393,21 @@ def symmetric_worst_state(strategy: SamplingStrategy, G: PermutationGroup, delta
     d, L = strategy.d, strategy.length
     orbit = label == label[int(np.dot(witness.symbols, d ** np.arange(L - 1, -1, -1)))]
     return PureState(orbit / math.sqrt(np.count_nonzero(orbit)), (d,) * L + (1,))
+
+
+def _symmetric_sqrt_bound(strategy: SamplingStrategy, delta: float) -> dict:
+    """:func:`check_sqrt_bound` of the symmetric worst state under the full
+    symmetric group, or the pair group on a pair-indexed kind.  Example1's
+    counted law is one size class, one orbit under position permutations
+    drawn uniformly, so it is symmetric and its worst state is the Dicke
+    state of eps_class's witness weight: its distance and sqrt(eps_class)
+    come from one class table.  Any other strategy goes through
+    :func:`symmetric_worst_state`, which raises NotSymmetricError."""
+    if strategy.kind != "example1":
+        G = pair_symmetry_group(strategy.n) if strategy.pair_indexed else symmetric_group(strategy.n)
+        return check_sqrt_bound(symmetric_worst_state(strategy, G, delta), strategy, delta)
+    table = _class_table(strategy, _exact_delta(delta), instead=None)
+    eps, w = _worst_weight(table, strategy.length)
+    dicke = np.zeros(strategy.length + 1)
+    dicke[w] = 1.0
+    return _sqrt_check(_law_distance(table, dicke), float(eps))

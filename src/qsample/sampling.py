@@ -382,6 +382,7 @@ class SamplingStrategy:
     pattern_invariant: bool = True
     estimator: Callable | None = field(default=None, repr=False)
     _support: list | None = field(default=None, repr=False)
+    _support_rows: tuple | None = field(default=None, repr=False, compare=False)  # (A, D, R) of ts_support()
     _draw_p: np.ndarray | None = field(default=None, repr=False, compare=False)  # custom draws
 
     @property
@@ -767,8 +768,12 @@ def _table(strategy: SamplingStrategy, columns, strings, count: int):
     """A, D and the blocks (lo, T, E) of the exact true values T / A and
     estimates E / D of strings 0..count-1 of ``strings(lo, hi)`` (rows) under
     the (t, s, ...) columns: products of z with :func:`_dense_rows` (E <= D,
-    see :func:`_tie_rule`); a custom estimator's E holds Fractions over 1."""
-    A, D, R = _dense_rows(strategy, columns)
+    see :func:`_tie_rule`); a custom estimator's E holds Fractions over 1.
+    The rows of ``ts_support()`` itself are kept on the strategy."""
+    support = columns is strategy._support
+    if support and strategy._support_rows is None:
+        strategy._support_rows = _dense_rows(strategy, columns)
+    A, D, R = strategy._support_rows if support else _dense_rows(strategy, columns)
     custom = [(strategy.flatten_subset(t), s) for t, s, *_ in columns] if strategy.kind == "custom" else None
 
     def blocks():
@@ -911,10 +916,11 @@ def eps_class_exact(strategy: SamplingStrategy, delta: float) -> ErrorEstimate:
     first maximizing candidate in that order.  One of three paths computes
     it:
 
-    * counted (:func:`_eps_class_counted`): the permutation-invariant kinds
-      draw (t, s) uniformly, so per size class of (t, s) one representative
-      counts, per weight w, the weight-w strings it accepts, summed over
-      count vectors (see :func:`_accepted_counts`);
+    * counted (:func:`_class_table`, reduced by :func:`_worst_weight`): the
+      permutation-invariant kinds draw (t, s) uniformly, so per size class
+      of (t, s) one representative counts, per weight w, the weight-w
+      strings it accepts, summed over count vectors (see
+      :func:`_accepted_counts`);
     * pair classes (:func:`_eps_class_pairs`): example5 depends on a string
       only through its numbers of 11 and of mixed pairs, and each class's
       failure probability is a binomial sum of hypergeometric tail counts;
@@ -929,8 +935,10 @@ def eps_class_exact(strategy: SamplingStrategy, delta: float) -> ErrorEstimate:
     if strategy.kind == "example5":
         value, witness = _eps_class_pairs(strategy, bound)
     else:
-        path = _eps_class_counted if strategy.permutation_invariant else _eps_class_enumerated
-        value, index = path(strategy, bound)
+        if strategy.permutation_invariant:
+            value, index = _worst_weight(_class_table(strategy, bound), strategy.length)
+        else:
+            value, index = _eps_class_enumerated(strategy, bound)
         witness = tuple(_candidates(strategy, index, index + 1)[0].tolist())
     return ErrorEstimate(
         value=float(value),
@@ -961,16 +969,15 @@ def _eps_class_enumerated(strategy: SamplingStrategy, bound: Fraction) -> tuple[
 _COUNT_LENGTH_UNIT = 1000
 
 
-def _eps_class_counted(strategy: SamplingStrategy, bound: Fraction) -> tuple[Fraction, int]:
-    """(max Pr[fail], first maximizing weight) for a permutation-invariant
-    kind.  Its (t, s) are uniform over the support, and every size class is
-    the orbit of its _Count representative under position permutations, so
-    with mult the class size and S = sum mult the support size,
-
-        Pr[fail | weight w] = 1 - sum_class mult * acc(class, w) / (S C(L, w)),
-
-    acc(class, w) being the number of weight-w strings the representative
-    accepts."""
+def _class_table(strategy: SamplingStrategy, bound: Fraction, instead="eps_class_mc") -> list[tuple]:
+    """The exact per-class table of a permutation-invariant kind: per size
+    class of (t, s), (mult, acc) with mult the class size and acc[w] =
+    acc(class, w), w = 0..L, the number of weight-w strings its _Count
+    representative accepts.  Its (t, s) are uniform over the support, and
+    every size class is the orbit of its representative under position
+    permutations, so each member accepts as many weight-w strings.  Each
+    count vector is charged ceil(L / 1000) evaluations before any is summed;
+    ``instead`` names the refusal's sampled alternative, if any."""
     L = strategy.length
     classes, cost, unit = [], 0, -(-L // _COUNT_LENGTH_UNIT)
     law, step = strategy._law(_Count(lambda m, k: 1)), max(1, _BLOCK_CELLS // L)
@@ -980,13 +987,21 @@ def _eps_class_counted(strategy: SamplingStrategy, bound: Fraction) -> tuple[Fra
         for i, (cells, threshold) in enumerate(_class_cells(strategy, chunk, bound)):
             cost += math.prod(m + 1 for _, m in cells) * unit
             more = bool(following) or i + 1 < len(chunk)  # stops a long law early
-            _refuse("exact enumeration", cost, instead="eps_class_mc", at_least=more)
+            _refuse("exact enumeration", cost, instead=instead, at_least=more)
             classes.append((cells, threshold))
         chunk = following
     mults = [mult for _, _, mult in strategy._law(_Count())]
-    support = sum(mults)
     rows = {m: _binomial_row(m) for cells, _ in classes for _, m in cells}  # once per cell size
-    accepted = sum(mult * _accepted_counts(*cls, L, rows) for mult, cls in zip(mults, classes))
+    return [(mult, _accepted_counts(*cls, L, rows)) for mult, cls in zip(mults, classes)]
+
+
+def _worst_weight(table, L: int) -> tuple[Fraction, int]:
+    """(max Pr[fail], first maximizing weight) of a :func:`_class_table`:
+    with S = sum mult the support size,
+
+        Pr[fail | weight w] = 1 - sum_class mult * acc(class, w) / (S C(L, w))."""
+    support = sum(mult for mult, _ in table)
+    accepted = sum(mult * acc for mult, acc in table)
     best, best_total, weight = -1, 1, 0
     for w, c in enumerate(_binomial_row(L)):
         total = support * c

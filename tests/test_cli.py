@@ -154,6 +154,21 @@ def test_qkd_plan_beta_out_of_range_exits_2(capsys):
     assert "beta" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ("--n 10 --k 11 --eps 0.5", "test size must satisfy 1 <= k < n, got k=11, n=10"),
+        ("--n 10 --k 0", "test size must satisfy 1 <= k < n, got k=0, n=10"),
+        ("--n -5 --k 1", "n must be >= 2, got -5"),
+        ("--n 10 --k 2 --m -3", "syndrome length m must be >= 0, got -3"),  # once a protocol_cap of 10
+    ],
+)
+def test_qkd_plan_impossible_sizes_exit_2(capsys, argv, message):
+    code, out, err = _run(capsys, "qkd-plan", *argv.split())
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_budget_env_exceeded_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("QSAMPLE_BUDGET", "10")
     code, _, err = _run(capsys, "eps-class", "--kind", "example1", "--n", "12", "--k", "3", "--delta", "0.2")
@@ -170,14 +185,28 @@ def test_budget_env_that_is_not_a_positive_decimal_exits_2(capsys, monkeypatch, 
 
 
 def test_budget_env_gates_the_symmetry_check(capsys, monkeypatch):
-    # the symmetric worst case of S_8 is refused by the symmetry check's gate,
-    # charged 2^8 strings x (28 (t, s) + 2 generators), and admitted at that
-    argv = ["eps-quant", "--kind", "example1", "--n", "8", "--k", "2", "--delta", "0.3"]
+    # example5's symmetric worst case under the pair group is refused by the
+    # symmetry check's gate, charged 2^6 strings x (24 (t, s) + 3
+    # generators), and admitted at that
+    argv = ["eps-quant", "--kind", "example5", "--n", "3", "--k", "1", "--delta", "0.3"]
     monkeypatch.setenv("QSAMPLE_BUDGET", "1000")
     code, out, err = _run(capsys, *argv)
     assert code == 2 and out == ""
-    assert err == "error: symmetry check needs 7680 evaluations, budget is 1000; raise QSAMPLE_BUDGET\n"
-    monkeypatch.setenv("QSAMPLE_BUDGET", "7680")
+    assert err == "error: symmetry check needs 1728 evaluations, budget is 1000; raise QSAMPLE_BUDGET\n"
+    monkeypatch.setenv("QSAMPLE_BUDGET", "1728")
+    assert _run(capsys, *argv)[0] == 0
+
+
+@pytest.mark.parametrize("command", ["tightness", "eps-quant"])
+def test_budget_env_gates_the_counted_worst_case(capsys, monkeypatch, command):
+    # example1's worst case is read from its one size class, charged as exact
+    # eps_class is: cells of 2 and 6 positions, 3 x 7 count vectors
+    argv = [command, "--n", "8", "--k", "2", "--delta", "0.3"] + (["--kind", "example1"] if command == "eps-quant" else [])
+    monkeypatch.setenv("QSAMPLE_BUDGET", "20")
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: exact enumeration needs 21 evaluations, budget is 20; raise QSAMPLE_BUDGET\n"
+    monkeypatch.setenv("QSAMPLE_BUDGET", "21")
     assert _run(capsys, *argv)[0] == 0
 
 
@@ -315,7 +344,7 @@ def test_eps_quant_checks_symmetry_once(capsys, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr("qsample.qsampling._symmetric_orbits", counted)
-    code, _, _ = _run(capsys, "eps-quant", "--kind", "example1", "--n", "4", "--k", "2", "--delta", "0.3")
+    code, _, _ = _run(capsys, "eps-quant", "--kind", "example5", "--n", "2", "--k", "1", "--delta", "0.3")
     assert code == 0
     assert len(calls) == 1
 

@@ -358,6 +358,14 @@ def test_qkd_max_len_validation():
         qkd_max_len(100, 20, 0, 0.5, 0.1)
     with pytest.raises(ValueError, match="eps_target"):
         qkd_max_len(100, 20, 0, 0.1, 0.0)
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        qkd_max_len(1, 1, 0, 0.1, 0.5)
+    for k in (0, 100):
+        with pytest.raises(ValueError, match="1 <= k < n"):
+            qkd_max_len(100, k, 0, 0.1, 0.5)
+    with pytest.raises(ValueError, match="m must be >= 0"):
+        qkd_max_len(100, 20, -1, 0.1, 0.5)
+    assert qkd_max_len(10, 9, 0, 0.0, 0.5) == (0, 0.0005)  # k up to n - 1
 
 
 def test_qkd_key_length_rule():

@@ -6,10 +6,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+import qsample.sampling as sampling
+from qsample.cli import RunConfig, run
 from qsample.quantum import HADAMARD, PureState, measure, random_pure_state
 from qsample.sampling import (
     BudgetExceededError,
+    _digits,
     custom_strategy,
     eps_class_exact,
     failure_probability,
@@ -27,6 +32,7 @@ from qsample.qsampling import (
     project_onto_accept,
     sqrt_bound_report,
     symmetric_group,
+    symmetric_ideal_distance,
     symmetric_worst_state,
 )
 
@@ -393,6 +399,111 @@ def test_worst_state_failure_probability_attains_eps():
     for perm in symmetric_group(4).elements:
         image = apply_permutation(perm, est.worst_case_string.symbols)
         assert float(failure_probability(strat, image, 0.3)) == pytest.approx(est.value)
+
+
+def test_support_rows_are_built_once_per_strategy(monkeypatch):
+    # ideal_distance, the symmetry check and the enumerated eps_class read
+    # the support's (A, D, R) from the strategy after the first call
+    built, real = [], sampling._dense_rows
+    monkeypatch.setattr(sampling, "_dense_rows", lambda s, columns: built.append(len(columns)) or real(s, columns))
+    strat = make_strategy("example4", n=4, k=2)
+    phi = random_pure_state((2,) * 4 + (1,), np.random.default_rng(8))
+    first = ideal_distance(phi, strat, 0.3)
+    assert not is_g_symmetric(strat, symmetric_group(4))
+    assert ideal_distance(phi, strat, 0.3) == first and ideal_distance(phi, strat, 0.25) >= 0
+    assert built == [strat.support_size()]
+    built.clear()
+    strat = make_strategy("example6", n=2, k=2, p=0.3)
+    eps_class_exact(strat, 0.3)
+    ideal_distance(random_pure_state((2,) * 4 + (1,), np.random.default_rng(9)), strat, 0.3)
+    assert built == [strat.support_size()]
+
+
+# ---------------------------------------------------------------------------
+# symmetric states of the counted kinds
+# ---------------------------------------------------------------------------
+
+
+def _weight_law_state(strategy, law):
+    """The dense state whose population has weight w with probability
+    law[w], spread evenly over every string with w nonzero symbols."""
+    d, L = strategy.d, strategy.length
+    weight = np.count_nonzero(_digits(0, d ** L, d, L), axis=1)
+    count = np.array([math.comb(L, w) * (d - 1) ** w for w in range(L + 1)])
+    return PureState(np.sqrt(np.asarray(law)[weight] / count[weight]).astype(complex), (d,) * L + (1,))
+
+
+@st.composite
+def weight_law_cases(draw):
+    kind = draw(st.sampled_from(["example1", "example3", "example4"]))
+    n = draw(st.integers(1, 8))
+    d = draw(st.sampled_from([2, 3])) if n <= 5 else 2
+    if kind == "example3":
+        strategy = make_strategy(kind, n=n, d=d)
+    else:
+        strategy = make_strategy(kind, n=n, k=draw(st.integers(1, n)), d=d)
+    if draw(st.booleans()):  # a Dicke state
+        law = [0.0] * (n + 1)
+        law[draw(st.integers(0, n))] = 1.0
+    else:
+        raw = draw(st.lists(st.floats(0.0, 1.0), min_size=n + 1, max_size=n + 1).filter(lambda x: sum(x) > 0.01))
+        law = [x / sum(raw) for x in raw]
+    return strategy, law
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=weight_law_cases(), delta=st.sampled_from([0.1, 0.2, 0.25, 1 / 3, 0.45]))
+@example(case=(make_strategy("example3", n=8), [1 / 9] * 9), delta=0.2)
+@example(case=(make_strategy("example4", n=8, k=4), [0.0] * 4 + [1.0] + [0.0] * 4), delta=0.25)
+@example(case=(make_strategy("example1", n=7, k=3), [0.0, 1.0] + [0.0] * 6), delta=0.45)  # 1 - inside read 1.8e-8
+@example(case=(make_strategy("example3", n=1), [1 - 2.2857142851918368e-10, 2.2857142851918368e-10]), delta=0.1)
+def test_symmetric_distance_matches_the_dense_distance(case, delta):
+    strategy, law = case
+    dense = ideal_distance(_weight_law_state(strategy, law), strategy, delta)
+    assert abs(symmetric_ideal_distance(strategy, law, delta) - dense) <= 1e-12
+
+
+def test_symmetric_distance_refuses_what_it_cannot_read():
+    strat = make_strategy("example1", n=4, k=2)
+    for law in ([1.0] * 5, [0.5, 0.5], [2.0, -1.0, 0.0, 0.0, 0.0], [math.nan] * 5):
+        with pytest.raises(ValueError, match="weight_law"):
+            symmetric_ideal_distance(strat, law, 0.3)
+    with pytest.raises(ValueError, match="counted kind"):
+        symmetric_ideal_distance(make_strategy("example5", n=2, k=1), [1.0, 0, 0, 0, 0], 0.3)
+
+
+@pytest.mark.parametrize("command", ["tightness", "eps-quant"])
+def test_counted_worst_case_matches_the_dense_construction(command):
+    # criterion 02's inputs: the reports read one class table, the dense
+    # worst state and its distance stay the oracle
+    for n in range(3, 11):
+        group = symmetric_group(n)
+        for k in (1, 2, 3):
+            strategy = make_strategy("example1", n=n, k=k)
+            for delta in (0.2, 0.3, 0.4):
+                ideal = ideal_distance(symmetric_worst_state(strategy, group, delta), strategy, delta)
+                root = math.sqrt(eps_class_exact(strategy, delta).value)
+                params = {"n": n, "k": k, "delta": delta}
+                if command == "eps-quant":
+                    params["kind"] = "example1"
+                status, text = run(RunConfig(command, params))
+                result = json.loads(text)["result"]
+                assert status == 0 and result["gap"] == 0.0
+                assert abs(result["ideal_distance"] - ideal) <= 1e-12
+                assert result["sqrt_eps_class"] == root
+
+
+def test_counted_worst_case_keeps_a_small_distance():
+    # sqrt(eps_class) = 4.70e-11: 1 - (an inside weight in floats) reads 0 here
+    strat = make_strategy("example1", n=1000, k=500)
+    status, text = run(RunConfig("tightness", {"n": 1000, "k": 500, "delta": 0.3}))
+    result = json.loads(text)["result"]
+    assert status == 0 and result["tight"]
+    assert result["ideal_distance"] == result["sqrt_eps_class"] == pytest.approx(4.70e-11, rel=1e-3)
+    w = sum(eps_class_exact(strat, 0.3).worst_case_string.symbols)
+    dicke = [0.0] * 1001
+    dicke[w] = 1.0
+    assert symmetric_ideal_distance(strat, dicke, 0.3) == result["ideal_distance"]
 
 
 # ---------------------------------------------------------------------------
