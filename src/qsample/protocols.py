@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entropy import HashFamily, binary_entropy, hash_eval, pad_input
-from .entropy import _bit_rows, _extraction_distance, _hash_keys
+from .entropy import _bit_rows, _check_bits, _extraction_distance, _hash_keys
 from .quantum import (
     HADAMARD,
     BasisSpec,
@@ -437,37 +437,40 @@ def rate_curve_csv(phis) -> str:
 _CODE_TRIES = 2000
 
 
-def _gf2_kernel_basis(H: np.ndarray) -> list[np.ndarray]:
-    m, n = H.shape
-    A = H.copy() % 2
-    pivots = []
-    row = 0
-    for col in range(n):
-        hit = None
-        for r in range(row, m):
-            if A[r, col]:
-                hit = r
-                break
-        if hit is None:
-            continue
-        A[[row, hit]] = A[[hit, row]]
-        for r in range(m):
-            if r != row and A[r, col]:
-                A[r] ^= A[row]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for f in free:
-        v = np.zeros(n, dtype=np.int64)
-        v[f] = 1
-        for r, c in enumerate(pivots):
-            if A[r, f]:
-                v[c] = 1
-        basis.append(v)
-    return basis
+def _correctable(length: int, radius: float) -> int:
+    """The weight t that a code of this length and correction radius corrects."""
+    return math.floor(radius * length + 1e-9)
+
+
+@functools.lru_cache(maxsize=1)
+def _error_patterns(length: int, t: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """The error patterns of weight 1..t, by weight and then in
+    ``itertools.combinations`` order: each one's positions, and the same
+    positions as the rows of a read-only (patterns, t) array, padded with
+    ``length``."""
+    positions = tuple(pos for w in range(1, t + 1) for pos in itertools.combinations(range(length), w))
+    padded = np.array([pos + (length,) * (t - len(pos)) for pos in positions])
+    padded.setflags(write=False)
+    return positions, padded
+
+
+def _syndrome_table(parity: np.ndarray, t: int) -> dict[bytes, tuple[int, ...]]:
+    """Each syndrome of an error pattern of weight <= t, as bytes of 0 and 1,
+    mapped to the positions of the first pattern that has it: the zero
+    pattern, then :func:`_error_patterns`.  At t = 0, or without syndrome
+    bits, the table is the zero pattern alone.  It has an entry per pattern
+    exactly when the code's minimum distance exceeds 2t."""
+    m, length = parity.shape
+    table = {}
+    if t > 0 and m:
+        positions, padded = _error_patterns(length, t)
+        cols = np.zeros((length + 1, m), dtype=np.uint8)  # a pattern's syndrome: XOR of its columns
+        cols[:length] = parity.T % 2  # the padding position's column stays 0
+        syn = functools.reduce(np.bitwise_xor, (cols[j] for j in padded.T))
+        keys = syn.view(f"V{m}").ravel().tolist()
+        table = dict(zip(reversed(keys), reversed(positions)))  # the first pattern written last
+    table[bytes(m)] = ()
+    return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -487,42 +490,40 @@ class LinearCode:
     def m(self) -> int:
         return self.parity.shape[0]
 
+    @functools.cached_property
+    def _table(self) -> dict[bytes, tuple[int, ...]]:
+        """The :func:`_syndrome_table` of this code's correction radius."""
+        return _syndrome_table(self.parity, _correctable(self.length, self.radius))
+
     def syndrome(self, bits) -> tuple[int, ...]:
-        x = np.array([int(b) for b in bits], dtype=np.int64)
-        if x.size != self.length:
-            raise ValueError(f"string length {x.size} != code length {self.length}")
-        if self.m == 0:
-            return ()
-        return tuple(int(v) for v in (self.parity @ x) % 2)
+        return tuple((self.parity @ _check_bits(bits, self.length, "string") % 2).tolist())
 
     def correct(self, received, syn) -> tuple[int, ...] | None:
         """Recover the sent string from the received one and its syndrome.
 
-        Finds the lowest-weight error pattern within the correction radius
-        matching the syndrome difference; returns None when there is none.
-        """
-        y = tuple(int(b) for b in received)
-        target = tuple(a ^ b for a, b in zip(self.syndrome(y), tuple(int(v) for v in syn)))
-        max_w = math.floor(self.radius * self.length + 1e-9)
-        for w in range(max_w + 1):
-            for err_pos in itertools.combinations(range(self.length), w):
-                e = np.zeros(self.length, dtype=np.int64)
-                e[list(err_pos)] = 1
-                e_syn = () if self.m == 0 else tuple(int(v) for v in (self.parity @ e) % 2)
-                if e_syn == target:
-                    return tuple(y[i] ^ int(e[i]) for i in range(self.length))
-        return None
+        Looks the syndrome difference up in the code's syndrome table, which
+        holds the lowest-weight error pattern within the correction radius
+        that has it (the first in ``itertools.combinations`` order); returns
+        None when there is none.  Raises ValueError on a symbol that is not a
+        bit, on a received word whose length is not the code's and on a
+        syndrome whose length is not m."""
+        y = _check_bits(received, self.length, "received word")
+        diff = bytes(a ^ b for a, b in zip(self.syndrome(y), _check_bits(syn, self.m, "syndrome")))
+        flips = self._table.get(diff)
+        return None if flips is None else tuple(b ^ (i in flips) for i, b in enumerate(y))
 
 
 def make_linear_code(length, m, radius, rng: np.random.Generator) -> LinearCode:
     """Draw a random parity-check matrix whose code corrects radius-fraction
-    errors (minimum distance > 2 * floor(radius * length)).
+    errors: its N error patterns of weight <= t = floor(radius * length) have
+    N distinct syndromes, that is, its minimum distance exceeds 2t.
 
-    Each of up to ``_CODE_TRIES`` draws may enumerate the 2^(length - m)
-    vectors of its kernel, so when the radius is positive it charges
-    _CODE_TRIES * 2^(length - m) evaluations against the budget and raises
+    At t = 0 the first draw is the code.  Otherwise each of up to
+    ``_CODE_TRIES`` draws takes the syndromes of all N patterns, so the
+    search charges _CODE_TRIES * N evaluations against the budget and raises
     BudgetExceededError when that exceeds it.  Parameters that the
-    sphere-packing bound rules out raise ValueError before that charge."""
+    sphere-packing bound rules out (N > 2^m) raise ValueError before that
+    charge.  N comes from binomials: no pattern is built before both."""
     length, m = int(length), int(m)
     if length < 1:
         raise ValueError(f"code length must be >= 1, got {length}")
@@ -530,33 +531,18 @@ def make_linear_code(length, m, radius, rng: np.random.Generator) -> LinearCode:
         raise ValueError(f"syndrome length must lie in [0, {length}], got {m}")
     if not 0 <= radius < 0.5:
         raise ValueError(f"radius must lie in [0, 1/2), got {radius}")
-    need = 2 * math.floor(radius * length + 1e-9)
-    if need == 0:
+    t = _correctable(length, radius)
+    if t == 0:
         return LinearCode(rng.integers(0, 2, size=(m, length)).astype(np.int64), float(radius))
     impossible = f"no random code of length {length} with m={m} corrects a {radius} error fraction"
-    # sphere packing: 2^(length - m) or more codewords at distance > need
-    # have disjoint balls of radius need / 2, which must fit in 2^length
-    if sum(math.comb(length, i) for i in range(need // 2 + 1)) > 2 ** m:
+    count = sum(math.comb(length, w) for w in range(t + 1))
+    if count > 2 ** m:  # sphere packing: too few syndromes to tell the patterns apart
         raise ValueError(impossible)
-    if length > 20:
-        raise ValueError(f"distance checking supports length <= 20, got {length}")
-    _refuse("kernel enumeration", _CODE_TRIES * 2 ** (length - m))
+    _refuse("code search", _CODE_TRIES * count)
     for _ in range(_CODE_TRIES):
-        H = rng.integers(0, 2, size=(m, length)).astype(np.int64)
-        basis = _gf2_kernel_basis(H)
-        ok = True
-        for coeffs in itertools.product((0, 1), repeat=len(basis)):
-            if not any(coeffs):
-                continue
-            v = np.zeros(length, dtype=np.int64)
-            for c, b in zip(coeffs, basis):
-                if c:
-                    v ^= b
-            if int(v.sum()) <= need:
-                ok = False
-                break
-        if ok:
-            return LinearCode(H, float(radius))
+        code = LinearCode(rng.integers(0, 2, size=(m, length)).astype(np.int64), float(radius))
+        if len(code._table) == count:
+            return code
     raise ValueError(impossible)
 
 
@@ -747,7 +733,11 @@ def simulate_qkd(
     budget every n <= 6 run fits and every n = 7 run is refused.  The
     distance takes the 2^n bases in blocks of at most
     ``sampling._BLOCK_CELLS`` basis x outcome x subset cells, so its memory
-    does not grow with 2^n (:func:`_qkd_exact_distance`).  The report's
+    does not grow with 2^n (:func:`_qkd_exact_distance`).  Error correction
+    uses a code from :func:`make_linear_code` of length n - k with ecc.m
+    syndrome bits and correction radius ecc.radius, at any length the
+    budget admits, and Bob decodes with :meth:`LinearCode.correct`, a lookup
+    in the code's syndrome table.  The report's
     delta comes from a 200-point scan that depends only on (n, k, m, l,
     beta); its optimum is memoised for the 256 most recently used parameter
     sets.

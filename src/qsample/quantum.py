@@ -329,30 +329,13 @@ def cq_distance(a: CqState, b: CqState) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _keep_positions(keep, count: int) -> tuple[int, ...]:
-    from .sampling import SubsetIndex  # local to avoid import cycles at startup
-
-    if isinstance(keep, SubsetIndex):
-        pos = keep.positions
-    else:
-        pos = tuple(sorted(int(x) for x in keep))
-    if not pos:
-        raise ValueError("keep must name at least one subsystem")
-    prev = 0
-    for x in pos:
-        if x <= prev:
-            raise ValueError(f"keep positions must be strictly increasing, got {pos}")
-        prev = x
-    if pos[-1] > count:
-        raise ValueError(f"position {pos[-1]} outside the {count} subsystems")
-    return pos
-
-
 def partial_trace(rho, keep) -> DensityMatrix:
     """Reduce to the subsystems named by ``keep`` (1-based positions).  A pure
     state's kept axes form the rows of its amplitude matrix M, giving M M^H."""
     dims = rho.dims
-    pos = _keep_positions(keep, len(dims))
+    pos = tuple(sorted(_positions_tuple(keep, len(dims))))
+    if not pos:
+        raise ValueError("keep must name at least one subsystem")
     axes = [i - 1 for i in pos] + [i for i in range(len(dims)) if i + 1 not in pos]
     kept = tuple(dims[i - 1] for i in pos)
     dim = math.prod(kept)

@@ -382,8 +382,20 @@ class SamplingStrategy:
     pattern_invariant: bool = True
     estimator: Callable | None = field(default=None, repr=False)
     _support: list | None = field(default=None, repr=False)
-    _support_rows: tuple | None = field(default=None, repr=False, compare=False)  # (A, D, R) of ts_support()
-    _draw_p: np.ndarray | None = field(default=None, repr=False, compare=False)  # custom draws
+    _support_rows: tuple | None = field(default=None, repr=False)  # (A, D, R) of ts_support()
+    _draw_p: np.ndarray | None = field(default=None, repr=False)  # custom draws
+
+    def __eq__(self, other):
+        """A built-in kind is its (kind, n, k, p, d), whatever ``ts_support``
+        has cached; a custom strategy also compares by its (t, s,
+        probability) table, its estimator and ``pattern_invariant``."""
+        if not isinstance(other, SamplingStrategy):
+            return NotImplemented
+        mine, theirs = (
+            (x.kind, x.n, x.k, x.p, x.d) + ((x.pattern_invariant, x.estimator, x._support) if x.kind == "custom" else ())
+            for x in (self, other)
+        )
+        return mine == theirs
 
     @property
     def pair_indexed(self) -> bool:

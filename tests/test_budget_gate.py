@@ -138,8 +138,8 @@ GATED = {
     "is_g_symmetric": (
         "symmetry check", 128, lambda: is_g_symmetric(make_strategy("example1", n=4, k=2), symmetric_group(4))
     ),
-    # 2000 tries x 2^(8 - 4) kernel vectors
-    "make_linear_code": ("kernel enumeration", 32000, lambda: make_linear_code(8, 4, 0.125, np.random.default_rng(49))),
+    # 2000 tries x (1 + 8) error patterns of weight <= 1
+    "make_linear_code": ("code search", 18000, lambda: make_linear_code(8, 4, 0.125, np.random.default_rng(49))),
     # 2^2 bases x 4^2 outcomes x C(2, 1) subsets x 2^0 hash seeds
     "simulate_qkd exact": (
         "exact distance", 128, lambda: simulate_qkd(QkdParams(2, 1), AdversaryModel(), rng_seed=3, exact=True)

@@ -211,16 +211,17 @@ def test_budget_env_gates_the_counted_worst_case(capsys, monkeypatch, command):
 
 
 def test_budget_env_gates_the_code_search(capsys, monkeypatch):
-    # a code of length 24 - 6 with m = 10: 2000 tries of 2^8 kernel vectors
+    # a code of length 24 - 6 with m = 10 and radius 0.1: 2000 tries of the
+    # 1 + 18 error patterns of weight <= 1
     monkeypatch.setenv("QSAMPLE_BUDGET", "1000")
     code, out, err = _run(capsys, "qkd-sim", "--n", "24", "--k", "6", "--m", "10", "--beta", "0.1", "--mc")
     assert code == 2 and out == ""
-    assert err == "error: kernel enumeration needs 512000 evaluations, budget is 1000; raise QSAMPLE_BUDGET\n"
+    assert err == "error: code search needs 38000 evaluations, budget is 1000; raise QSAMPLE_BUDGET\n"
 
 
 def test_code_ruled_out_by_sphere_packing_exits_2_before_the_budget_gate(capsys, monkeypatch):
-    # distance 3 at length 22 - 2 with m = 2 is ruled out; the search would
-    # be charged 2000 * 2^18 evaluations, past the default budget
+    # distance 3 at length 22 - 2 with m = 2 is ruled out: 1 + 20 error
+    # patterns cannot have distinct syndromes among 2^2
     monkeypatch.delenv("QSAMPLE_BUDGET", raising=False)
     code, out, err = _run(capsys, "qkd-sim", "--n", "22", "--k", "2", "--m", "2", "--beta", "0.05", "--mc")
     assert code == 2 and out == ""

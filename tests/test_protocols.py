@@ -17,6 +17,7 @@ from qsample import (
     CqState,
     EccModel,
     HashFamily,
+    LinearCode,
     PureState,
     QkdParams,
     QotParams,
@@ -501,15 +502,15 @@ def test_code_trivial_and_validation():
 
 
 def test_code_kernel_enumeration_over_the_budget_is_refused(monkeypatch):
-    # up to 2000 tries, each of up to 2^(8 - 4) kernel vectors
-    monkeypatch.setenv("QSAMPLE_BUDGET", "31999")
+    # up to 2000 tries, each taking the syndromes of the 1 + 8 patterns of weight <= 1
+    monkeypatch.setenv("QSAMPLE_BUDGET", "17999")
     with pytest.raises(BudgetExceededError) as info:
         make_linear_code(8, 4, 0.125, np.random.default_rng(49))
-    assert str(info.value) == "kernel enumeration needs 32000 evaluations, budget is 31999; raise QSAMPLE_BUDGET"
+    assert str(info.value) == "code search needs 18000 evaluations, budget is 17999; raise QSAMPLE_BUDGET"
 
 
 def test_code_kernel_enumeration_within_a_raised_budget_is_admitted(monkeypatch):
-    monkeypatch.setenv("QSAMPLE_BUDGET", "32000")
+    monkeypatch.setenv("QSAMPLE_BUDGET", "18000")
     code = make_linear_code(8, 4, 0.125, np.random.default_rng(49))
     assert code.correct((1,) + (0,) * 7, code.syndrome((0,) * 8)) == (0,) * 8
 
@@ -524,13 +525,21 @@ def test_code_impossible_distance_raises():
 
 def test_code_ruled_out_by_sphere_packing_raises_before_the_search():
     # distance 3 at length 20 needs 2^18 disjoint balls of 1 + 20 strings,
-    # more than 2^20 strings; the search would be charged 2000 * 2^18
-    # evaluations, past the default budget
+    # more than 2^20 strings: the 1 + 20 error patterns of weight <= 1 cannot
+    # have distinct syndromes among 2^2
     rng = np.random.default_rng(50)
     before = rng.bit_generator.state
     with pytest.raises(ValueError, match="no random code of length 20 with m=2 corrects a 0.05 error fraction"):
         make_linear_code(20, 2, 0.05, rng)
     assert rng.bit_generator.state == before
+
+
+def test_sphere_packing_refusal_comes_before_the_budget_gate(monkeypatch):
+    monkeypatch.setenv("QSAMPLE_BUDGET", "1")
+    with pytest.raises(ValueError, match="no random code of length 20 with m=2"):
+        make_linear_code(20, 2, 0.05, np.random.default_rng(50))
+    with pytest.raises(BudgetExceededError, match="code search needs 42000 evaluations"):
+        make_linear_code(20, 5, 0.05, np.random.default_rng(50))
 
 
 def test_a_perfect_code_meets_the_sphere_packing_bound():
@@ -565,6 +574,123 @@ def test_decode_failure_returns_none():
             break
     if unreachable is not None:
         assert code.correct(x, unreachable) is None
+
+
+def test_code_refuses_words_and_syndromes_it_cannot_read():
+    code = make_linear_code(8, 4, 0.125, np.random.default_rng(49))
+    zero = code.syndrome((0,) * 8)
+    with pytest.raises(ValueError, match="string must be bits, got 2"):
+        code.syndrome((2,) + (0,) * 7)
+    with pytest.raises(ValueError, match="received word must be bits, got 3"):
+        code.correct((3,) + (0,) * 7, zero)
+    with pytest.raises(ValueError, match="received word length 7 != expected 8"):
+        code.correct((0,) * 7, zero)
+    with pytest.raises(ValueError, match="syndrome length 5 != expected 4"):
+        code.correct((0,) * 8, (0, 0, 0, 0, 1))
+    with pytest.raises(ValueError, match="syndrome length 3 != expected 4"):
+        code.correct((0,) * 8, (0, 0, 0))
+    with pytest.raises(ValueError, match="syndrome must be bits, got 2"):
+        code.correct((0,) * 8, (2, 0, 0, 0))
+
+
+def _loop_correct(code, received, syn):
+    """The decoder before the syndrome table, kept as its oracle: one matmul
+    per error pattern of weight <= t, by weight and then in combinations
+    order, until one has the syndrome difference."""
+    y = tuple(int(b) for b in received)
+    target = tuple(a ^ b for a, b in zip(code.syndrome(y), syn))
+    for w in range(math.floor(code.radius * code.length + 1e-9) + 1):
+        for pos in itertools.combinations(range(code.length), w):
+            e = np.zeros(code.length, dtype=np.int64)
+            e[list(pos)] = 1
+            if tuple(int(v) for v in code.parity @ e % 2) == target:
+                return tuple(y[i] ^ int(e[i]) for i in range(code.length))
+    return None
+
+
+def _min_distance(parity):
+    """The least weight of a nonzero codeword by brute force (length + 1 when
+    the code has none)."""
+    words = np.array(list(itertools.product((0, 1), repeat=parity.shape[1]))[1:])
+    return int(words[(words @ parity.T % 2 == 0).all(axis=1)].sum(axis=1).min(initial=parity.shape[1] + 1))
+
+
+_SHAPES = st.integers(1, 10).flatmap(lambda length: st.tuples(st.just(length), st.integers(0, length)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=_SHAPES, radius=st.floats(0.0, 0.49), seed=st.integers(0, 2 ** 32 - 1))
+@example(shape=(6, 0), radius=0.0, seed=0)
+@example(shape=(6, 0), radius=0.4, seed=1)
+@example(shape=(8, 3), radius=0.0, seed=2)
+@example(shape=(8, 3), radius=0.3, seed=3)  # 37 patterns of weight <= 2 share 8 syndromes
+def test_correct_matches_the_per_pattern_loop(shape, radius, seed):
+    # codes built directly, so syndromes of correctable patterns may collide
+    rng = np.random.default_rng(seed)
+    code = LinearCode(rng.integers(0, 2, size=(shape[1], shape[0])).astype(np.int64), radius)
+    for _ in range(6):
+        y = tuple(rng.integers(0, 2, size=code.length).tolist())
+        near = list(y)
+        for i in rng.choice(code.length, size=rng.integers(0, code.length // 2 + 1), replace=False):
+            near[i] ^= 1
+        for syn in (tuple(rng.integers(0, 2, size=code.m).tolist()), code.syndrome(near)):
+            assert code.correct(y, syn) == _loop_correct(code, y, syn)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=_SHAPES, radius=st.floats(0.0, 0.49), seed=st.integers(0, 2 ** 32 - 1))
+@example(shape=(7, 3), radius=1 / 7, seed=0)
+@example(shape=(7, 2), radius=1 / 7, seed=0)
+@example(shape=(5, 4), radius=0.4, seed=5)
+@example(shape=(10, 0), radius=0.0, seed=6)
+def test_code_search_accepts_exactly_the_draws_of_distance_past_2t(shape, radius, seed):
+    # replay the search's draws: it must return the first whose brute-force
+    # minimum distance exceeds 2t, and leave the generator where that draw did
+    length, m = shape
+    need = 2 * math.floor(radius * length + 1e-9)
+    rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+    try:
+        code = make_linear_code(length, m, radius, rng)
+    except ValueError as err:
+        assert "no random code" in str(err)
+        code = None
+    if code is not None and need == 0:
+        assert np.array_equal(code.parity, replay.integers(0, 2, size=(m, length)))
+    elif sum(math.comb(length, w) for w in range(need // 2 + 1)) <= 2 ** m:
+        for _ in range(2000):
+            H = replay.integers(0, 2, size=(m, length)).astype(np.int64)
+            if _min_distance(H) > need:
+                assert code is not None and np.array_equal(code.parity, H)
+                break
+        else:
+            assert code is None
+    else:
+        assert code is None  # refused by sphere packing before any draw
+    assert rng.bit_generator.state == replay.bit_generator.state
+
+
+def test_code_search_past_the_budget_is_refused_before_it_draws():
+    # the 1 + 360 + ... + C(360, 18) patterns are counted, never built
+    rng = np.random.default_rng(51)
+    before = rng.bit_generator.state
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="^code search needs at least 10\\^"):
+        make_linear_code(360, 300, 0.05, rng)
+    assert time.perf_counter() - start < 1
+    assert rng.bit_generator.state == before
+
+
+def test_code_past_length_20_corrects_every_pattern_in_radius():
+    rng = np.random.default_rng(52)
+    code = make_linear_code(40, 16, 0.05, rng)
+    x = tuple(rng.integers(0, 2, size=40).tolist())
+    syn = code.syndrome(x)
+    for w in range(3):
+        for pos in itertools.combinations(range(40), w):
+            y = list(x)
+            for p in pos:
+                y[p] ^= 1
+            assert code.correct(y, syn) == x
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -208,6 +209,19 @@ def test_partial_trace_rejects_bad_subsets():
         partial_trace(rho, (4,))
     with pytest.raises(ValueError):
         partial_trace(rho, ())
+
+
+def test_partial_trace_names_the_faulty_position():
+    rho = to_density(make_epr_pairs(1))
+    for keep, message in [
+        ((0,), "position 0 outside [1..3]"),
+        ((4,), "position 4 outside [1..3]"),
+        ((2, 2), "duplicate positions in (2, 2)"),
+        ((), "keep must name at least one subsystem"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            partial_trace(rho, keep)
+    np.testing.assert_allclose(partial_trace(rho, (2, 1)).matrix, rho.matrix, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -399,6 +399,30 @@ def test_custom_strategy_deviation_is_not_scaled_by_tbar():
     assert eps_class_exact(strat, 0.6).worst_case_string.symbols == (0, 1, 1)
 
 
+def test_strategy_equality_does_not_read_the_support_cache():
+    a, b = make_strategy("example1", n=3, k=1), make_strategy("example1", n=3, k=1)
+    assert a == b
+    a.ts_support()
+    assert a == b and b == a
+    b.ts_support()
+    assert a == b
+    assert a != make_strategy("example1", n=3, k=2)
+    assert make_strategy("example6", n=3, k=2, p=0.25) != make_strategy("example6", n=3, k=2, p=0.5)
+    assert make_strategy("example4", n=3, k=2, d=3) != make_strategy("example4", n=3, k=2)
+
+
+def test_custom_strategies_compare_by_table_and_estimator():
+    def first(t, qt, s):
+        return 1.0 if qt[0] else 0.0
+
+    halves = [((1,), None, Fraction(1, 2)), ((2,), None, Fraction(1, 2))]
+    strat = custom_strategy(3, halves, first)
+    assert strat == custom_strategy(3, halves, first)
+    assert strat != custom_strategy(3, [((1,), None, 1)], first)
+    assert strat != custom_strategy(3, halves, lambda t, qt, s: 0.0)
+    assert strat != custom_strategy(3, halves, first, pattern_invariant=True)
+
+
 # ---------------------------------------------------------------------------
 # budget handling
 # ---------------------------------------------------------------------------
