@@ -34,7 +34,7 @@ from .protocols import (
     simulate_qkd,
     simulate_qot,
 )
-from .qsampling import NotSymmetricError, _symmetric_sqrt_bound, check_sqrt_bound
+from .qsampling import _symmetric_sqrt_bound, check_sqrt_bound
 from .quantum import PureState, state_from_json
 from .sampling import (
     BOUND_KINDS,
@@ -155,12 +155,7 @@ def _cmd_eps_quant(config: RunConfig):
         result = check_sqrt_bound(_load_state(p["state"]), strategy, delta)
         source = "file"
     else:
-        try:
-            result = _symmetric_sqrt_bound(strategy, delta)
-        except NotSymmetricError as exc:
-            raise ValueError(
-                f"{strategy.kind} has no canonical symmetric worst case; provide --state"
-            ) from exc
+        result = _symmetric_sqrt_bound(strategy, delta)
         source = "symmetric-worst-case"
     result = {
         "delta": delta,

@@ -482,6 +482,14 @@ class LinearCode:
     parity: np.ndarray
     radius: float
 
+    def __post_init__(self):
+        parity = np.asarray(self.parity)
+        if parity.ndim != 2 or parity.dtype.kind not in "biu" or parity.size and not 0 <= parity.min() <= parity.max() <= 1:
+            raise ValueError(f"parity-check matrix must be a 2-D array of 0s and 1s, got {parity.dtype} {parity.shape}")
+        if not 0 <= self.radius < 0.5:
+            raise ValueError(f"radius must lie in [0, 1/2), got {self.radius}")
+        object.__setattr__(self, "parity", parity)
+
     @property
     def length(self) -> int:
         return self.parity.shape[1]

@@ -12,11 +12,12 @@ which never exceeds the square root of the classical error probability.  For
 strategies symmetric under a permutation group G of the index universe, the
 uniform superposition over the orbit of a worst-case string (the normalised
 indicator of that orbit) attains the square root exactly.  A group is held as
-its generators; the symmetry test and the worst state read only its orbits on
-strings, labelled from the generators' images.  The symmetry test compares
-integer histograms of keys read from the estimator table.  On the counted
-kinds, a state whose population law depends only on the weight has its
-distance read from the counted class table instead, with no d^L vector.
+its generators; the dense symmetry test (integer histograms of keys read from
+the estimator table) and the worst state read only its orbits on strings,
+labelled from the generators' images.  Where a built-in law is one orbit
+(example1, example5), that distance is sqrt(eps_class), with no d^L vector;
+on the counted kinds, the class table gives the distance of any state whose
+population law depends only on the weight.
 """
 
 from __future__ import annotations
@@ -32,15 +33,17 @@ from .quantum import PureState
 from .sampling import (
     SamplingStrategy,
     SymbolString,
+    _NO_LAW,
     _binomial_row,
     _class_table,
     _digits,
     _exact_delta,
+    _failure_rows,
     _integer_weights,
     _refuse,
     _reject_blocks,
     _table,
-    _worst_weight,
+    _worst_case,
     eps_class_exact,
     strategy_to_json,
 )
@@ -193,12 +196,7 @@ def symmetric_ideal_distance(strategy: SamplingStrategy, weight_law, delta: floa
     law, L = np.asarray(weight_law, dtype=float), strategy.length
     if law.shape != (L + 1,) or not (law >= 0).all() or not abs(law.sum() - 1) <= 1e-9:
         raise ValueError(f"weight_law must be {L + 1} nonnegative probabilities summing to 1")
-    return _law_distance(_class_table(strategy, bound, instead=None), law)
-
-
-def _law_distance(table, law: np.ndarray) -> float:
-    """The sum of :func:`symmetric_ideal_distance` over a class table."""
-    comb = _binomial_row(len(law) - 1)
+    table, comb = _class_table(strategy, bound, instead=None), _binomial_row(L)
     support = sum(mult for mult, _ in table)
     terms = [(p, w) for w, p in enumerate(law.tolist()) if p]
     return math.fsum(
@@ -396,18 +394,19 @@ def symmetric_worst_state(strategy: SamplingStrategy, G: PermutationGroup, delta
 
 
 def _symmetric_sqrt_bound(strategy: SamplingStrategy, delta: float) -> dict:
-    """:func:`check_sqrt_bound` of the symmetric worst state under the full
-    symmetric group, or the pair group on a pair-indexed kind.  Example1's
-    counted law is one size class, one orbit under position permutations
-    drawn uniformly, so it is symmetric and its worst state is the Dicke
-    state of eps_class's witness weight: its distance and sqrt(eps_class)
-    come from one class table.  Any other strategy goes through
-    :func:`symmetric_worst_state`, which raises NotSymmetricError."""
-    if strategy.kind != "example1":
-        G = pair_symmetry_group(strategy.n) if strategy.pair_indexed else symmetric_group(strategy.n)
-        return check_sqrt_bound(symmetric_worst_state(strategy, G, delta), strategy, delta)
-    table = _class_table(strategy, _exact_delta(delta), instead=None)
-    eps, w = _worst_weight(table, strategy.length)
-    dicke = np.zeros(strategy.length + 1)
-    dicke[w] = 1.0
-    return _sqrt_check(_law_distance(table, dicke), float(eps))
+    """:func:`check_sqrt_bound` of the symmetric worst state, with no state
+    vector, for a built-in law uniform on one orbit of its group (position
+    permutations; pair permutations and slot swaps on the pair kinds):
+    example1, example5, and example6 at n = 1 and p = 1/2, the only kinds
+    the dense :func:`is_g_symmetric` accepts up to 10 positions.  Every
+    (t, s) then sees that state fail with probability exactly eps_class, so
+    its distance is sqrt(eps_class), read from the exact failure rows.  Any
+    other kind is refused at once, with the CLI's NotSymmetricError message,
+    or example2's lack of an enumerable law."""
+    bound = _exact_delta(delta)
+    if strategy.kind == "example2":
+        raise NotImplementedError(_NO_LAW)
+    if strategy.kind not in ("example1", "example5") and (strategy.kind, strategy.n, strategy.p) != ("example6", 1, 0.5):
+        raise NotSymmetricError(f"{strategy.kind} has no canonical symmetric worst case; provide --state")
+    eps = float(_worst_case(strategy, _failure_rows(strategy, bound, instead=None))[0])
+    return _sqrt_check(math.sqrt(eps), eps)

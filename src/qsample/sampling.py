@@ -93,6 +93,8 @@ STRATEGY_KINDS = (
 
 _DEFAULT_BUDGET = 2 ** 28
 
+_NO_LAW = "sampling with replacement has no enumerable (t, s) support; use eps_class_mc per string"
+
 
 class BudgetExceededError(RuntimeError):
     """Raised when an exact enumeration would exceed the evaluation budget."""
@@ -494,9 +496,7 @@ class SamplingStrategy:
                     for s1, w1 in pick.subset(t1, min(k // 2, len(t1))):
                         yield t0 + t1, (s0, s1), w0 * w1
         else:
-            raise NotImplementedError(
-                "sampling with replacement has no enumerable (t, s) support; use eps_class_mc per string"
-            )
+            raise NotImplementedError(_NO_LAW)
 
     def support_size(self) -> int:
         """Number of (t, s) pairs with positive probability."""
@@ -638,6 +638,8 @@ def make_strategy(kind: str, params: Mapping | None = None, **kwargs) -> Samplin
 
     k = merged.get("k")
     p = merged.get("p")
+    if p is not None and kind != "example6":
+        raise ValueError(f"{kind} takes no selection bias p")
 
     if kind == "example3":
         if k is not None:
@@ -925,33 +927,25 @@ def eps_class_exact(strategy: SamplingStrategy, delta: float) -> ErrorEstimate:
     The candidates are the Hamming-weight classes when the strategy declares
     permutation invariance, the zero patterns when the estimator is
     pattern-invariant, and all d^n strings otherwise; the witness is the
-    first maximizing candidate in that order.  One of three paths computes
-    it:
+    first maximizing candidate in that order.  One of three paths yields
+    exact failure rows, a row per class of strings (:func:`_failure_rows`),
+    and :func:`_worst_case` takes their first maximum:
 
-    * counted (:func:`_class_table`, reduced by :func:`_worst_weight`): the
-      permutation-invariant kinds draw (t, s) uniformly, so per size class
-      of (t, s) one representative counts, per weight w, the weight-w
-      strings it accepts, summed over count vectors (see
-      :func:`_accepted_counts`);
-    * pair classes (:func:`_eps_class_pairs`): example5 depends on a string
-      only through its numbers of 11 and of mixed pairs, and each class's
+    * counted (:func:`_class_table`): the permutation-invariant kinds draw
+      (t, s) uniformly, so per size class of (t, s) one representative
+      counts the weight-w strings it accepts (:func:`_accepted_counts`);
+    * pair classes (:func:`_pair_rows`): example5 depends on a string only
+      through its numbers of 11 and of mixed pairs, and each class's
       failure probability is a binomial sum of hypergeometric tail counts;
-    * enumerated (:func:`_eps_class_enumerated`): example6 and custom
-      strategies decide every (candidate, (t, s)) cell of the integer table.
+    * enumerated (:func:`_enumerated_rows`): example6 and custom
+      strategies decide every (candidate, (t, s)) cell of the integer
+      table; a row is a block of candidates' first maximum.
 
     Every path's value is the float of an exact Fraction.  Refuses
     strategies without an enumerable (t, s) law and work beyond the
     evaluation budget, charged before any loop.
     """
-    bound = _exact_delta(delta)
-    if strategy.kind == "example5":
-        value, witness = _eps_class_pairs(strategy, bound)
-    else:
-        if strategy.permutation_invariant:
-            value, index = _worst_weight(_class_table(strategy, bound), strategy.length)
-        else:
-            value, index = _eps_class_enumerated(strategy, bound)
-        witness = tuple(_candidates(strategy, index, index + 1)[0].tolist())
+    value, witness = _worst_case(strategy, _failure_rows(strategy, _exact_delta(delta)))
     return ErrorEstimate(
         value=float(value),
         mode="exact",
@@ -959,20 +953,52 @@ def eps_class_exact(strategy: SamplingStrategy, delta: float) -> ErrorEstimate:
     )
 
 
-def _eps_class_enumerated(strategy: SamplingStrategy, bound: Fraction) -> tuple[Fraction, int]:
-    """(max Pr[fail], index of the first maximizing candidate), from every cell
-    of the (candidate, (t, s)) table."""
+def _failure_rows(strategy: SamplingStrategy, bound: Fraction, instead="eps_class_mc"):
+    """The exact failure rows (key, failed, total) of eps_class_exact's
+    path: Pr[fail] = failed / total on a class of strings whose least is
+    candidate ``key`` of :func:`_candidates`; a counted row is weight w's
+    rejections among its S C(L, w) (string, (t, s)) pairs, S the support
+    size.  ``instead`` names a refusal's sampled alternative, if any."""
+    if strategy.kind == "example5":
+        return _pair_rows(strategy, bound, instead)
+    if not strategy.permutation_invariant:
+        return _enumerated_rows(strategy, bound, instead)
+    table = _class_table(strategy, bound, instead)
+    totals = sum(mult for mult, _ in table) * _binomial_row(strategy.length)
+    return zip(itertools.count(), totals - sum(mult * acc for mult, acc in table), totals)
+
+
+def _worst_case(strategy: SamplingStrategy, rows) -> tuple[Fraction, tuple[int, ...]]:
+    """(max Pr[fail], first maximizing string) of failure rows (key,
+    failed, total): the ratios are compared exactly by cross-multiplication,
+    a tie going to the least key, and the witness is that key's candidate."""
+    key, failed, total = None, -1, 1
+    for row_key, row_failed, row_total in rows:
+        order = row_failed * total - failed * row_total
+        if order > 0 or order == 0 and row_key < key:
+            key, failed, total = row_key, row_failed, row_total
+    return Fraction(failed, total), _candidate(strategy, key)
+
+
+def _candidate(strategy: SamplingStrategy, index: int) -> tuple[int, ...]:
+    """Candidate ``index`` of :func:`_candidates`; a zero pattern from the
+    index's binary digits, which pass int64 on example5 from 32 pairs on."""
+    if strategy.pattern_invariant and not strategy.permutation_invariant:
+        return tuple(map(int, format(index, f"0{strategy.length}b")))
+    return tuple(_candidates(strategy, index, index + 1)[0].tolist())
+
+
+def _enumerated_rows(strategy: SamplingStrategy, bound: Fraction, instead="eps_class_mc"):
+    """Failure rows from every cell of the (candidate, (t, s)) table: per
+    block of candidates, its first maximum (index, scale * Pr[fail], scale)."""
     count = _candidate_count(strategy)
-    _refuse("exact enumeration", count, strategy.support_size, instead="eps_class_mc")
+    _refuse("exact enumeration", count, strategy.support_size, instead=instead)
     support = strategy.ts_support()
     scale, weights = _integer_weights(support)
-    best, best_index = -1, 0
     for lo, reject in _reject_blocks(strategy, support, partial(_candidates, strategy), count, bound):
         failed = reject @ weights  # scale * Pr[fail], exact Python ints
         i = int(np.argmax(failed))
-        if failed[i] > best:
-            best, best_index = failed[i], lo + i
-    return Fraction(best, scale), best_index
+        yield lo + i, failed[i], scale
 
 
 # A count vector costs a product and a sum of Python ints of ~L/3 digits:
@@ -1007,27 +1033,11 @@ def _class_table(strategy: SamplingStrategy, bound: Fraction, instead="eps_class
     return [(mult, _accepted_counts(*cls, L, rows)) for mult, cls in zip(mults, classes)]
 
 
-def _worst_weight(table, L: int) -> tuple[Fraction, int]:
-    """(max Pr[fail], first maximizing weight) of a :func:`_class_table`:
-    with S = sum mult the support size,
-
-        Pr[fail | weight w] = 1 - sum_class mult * acc(class, w) / (S C(L, w))."""
-    support = sum(mult for mult, _ in table)
-    accepted = sum(mult * acc for mult, acc in table)
-    best, best_total, weight = -1, 1, 0
-    for w, c in enumerate(_binomial_row(L)):
-        total = support * c
-        failed = total - accepted[w]  # rejections among the S C(L, w) pairs
-        if failed * best_total > best * total:  # strictly: the first maximizer
-            best, best_total, weight = failed, total, w
-    return Fraction(best, best_total), weight
-
-
-def _eps_class_pairs(strategy: SamplingStrategy, bound: Fraction) -> tuple[Fraction, tuple[int, ...]]:
-    """(max Pr[fail], first maximizing string) for example5.  Its law is
-    invariant under permuting the pairs and swapping the slots of a pair, so
-    a 0/1 string matters only through a, its number of 11 pairs, and b, its
-    mixed pairs.  The coins pick the 1 of j ~ Bin(b, 1/2) mixed pairs, so
+def _pair_rows(strategy: SamplingStrategy, bound: Fraction, instead="eps_class_mc"):
+    """Example5's failure rows, one per pair class.  Its law is invariant
+    under permuting the pairs and swapping the slots of a pair, so a 0/1
+    string matters only through a, its number of 11 pairs, and b, its mixed
+    pairs.  The coins pick the 1 of j ~ Bin(b, 1/2) mixed pairs, so
     u = a + j ones are picked and v = a + b - j are not; the k sampled pairs
     read X ~ Hyp(n, u, k) picked ones, and the trial fails iff
     |v k - X n| >= ceil(bound n k) (:func:`_reject_threshold` with A = n, D = k).
@@ -1041,12 +1051,12 @@ def _eps_class_pairs(strategy: SamplingStrategy, bound: Fraction) -> tuple[Fract
     of every class with that b, in n^3 / 3 additions of exact ints (at
     n = 600 a quarter of the time that the n^3 / 6 products of binomials
     took).
-    The least string of class (a, b) has slot 0's ones on pairs n-a+1..n and
-    slot 1's on pairs n-a-b+1..n, so the first maximizing string in
-    :func:`_candidates` order is that of the least maximizing (a, b)."""
+    A row's key indexes the class's least string, whose ones are slot 0's
+    on pairs n-a+1..n and slot 1's on pairs n-a-b+1..n; its failed and total
+    are 2^n C(n, k) Pr[fail | a, b] and 2^n C(n, k)."""
     n, k = strategy.n, strategy.k
     steps = math.comb(n + 2, 3) + math.comb(n + 1, 3) + (n + 1) * (n + k + 2)  # Pascal; F and its prefix sums
-    _refuse("exact enumeration", steps * -(-2 * n // _COUNT_LENGTH_UNIT), instead="eps_class_mc")
+    _refuse("exact enumeration", steps * -(-2 * n // _COUNT_LENGTH_UNIT), instead=instead)
     rows = [_binomial_row(m) for m in range(n + 1)]
     # prefix[u, x]: the k-subsets that hold fewer than x of u given positions
     prefix = np.zeros((n + 1, k + 2), dtype=object)
@@ -1059,7 +1069,7 @@ def _eps_class_pairs(strategy: SamplingStrategy, bound: Fraction) -> tuple[Fract
     vk = np.arange(n + 1) * k
     below = np.clip((vk - threshold) // n + 1, 0, k + 1)
     above = np.clip(-((-vk - threshold) // n), 0, k + 1)
-    best, first = -1, None  # max 2^n C(n, k) Pr[fail | a, b], and its least (a, b)
+    total = math.comb(n, k) << n
     for s in range(2 * n + 1):
         lo = max(0, s - n)  # the least a, and the least u on the diagonal
         u = np.arange(lo, min(s, n) + 1)
@@ -1067,12 +1077,8 @@ def _eps_class_pairs(strategy: SamplingStrategy, bound: Fraction) -> tuple[Fract
         for b in range(s - 2 * lo + 1):  # T[i] = sum_j C(b, j) F[lo + i + j, s - lo - i - j]
             a, odd = divmod(s - b, 2)
             if not odd:
-                count = T[a - lo] << n - b
-                if count > best or count == best and (a, b) < first:
-                    best, first = count, (a, b)
+                yield ((1 << a) - 1 << n) + (1 << a + b) - 1, T[a - lo] << n - b, total
             T = T[:-1] + T[1:]
-    a, b = first
-    return Fraction(best, math.comb(n, k) << n), (0,) * (n - a) + (1,) * a + (0,) * (n - a - b) + (1,) * (a + b)
 
 
 def _class_cells(strategy: SamplingStrategy, classes, bound: Fraction) -> list[tuple[list, int]]:

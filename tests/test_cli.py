@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsample.protocols
-import qsample.qsampling
 from qsample.cli import RunConfig, _indented_json, main, run
 from qsample.quantum import random_density_matrix, random_pure_state, state_to_json
 
@@ -184,16 +183,16 @@ def test_budget_env_that_is_not_a_positive_decimal_exits_2(capsys, monkeypatch, 
     assert err.startswith("error: QSAMPLE_BUDGET must be") and err.count("\n") == 1
 
 
-def test_budget_env_gates_the_symmetry_check(capsys, monkeypatch):
-    # example5's symmetric worst case under the pair group is refused by the
-    # symmetry check's gate, charged 2^6 strings x (24 (t, s) + 3
-    # generators), and admitted at that
+def test_budget_env_gates_the_pair_class_worst_case(capsys, monkeypatch):
+    # example5's symmetric worst case is read from its pair-class rows,
+    # charged C(5, 3) + C(4, 3) Pascal steps and 4 * 6 table cells as exact
+    # eps_class is, and admitted at that
     argv = ["eps-quant", "--kind", "example5", "--n", "3", "--k", "1", "--delta", "0.3"]
-    monkeypatch.setenv("QSAMPLE_BUDGET", "1000")
+    monkeypatch.setenv("QSAMPLE_BUDGET", "37")
     code, out, err = _run(capsys, *argv)
     assert code == 2 and out == ""
-    assert err == "error: symmetry check needs 1728 evaluations, budget is 1000; raise QSAMPLE_BUDGET\n"
-    monkeypatch.setenv("QSAMPLE_BUDGET", "1728")
+    assert err == "error: exact enumeration needs 38 evaluations, budget is 37; raise QSAMPLE_BUDGET\n"
+    monkeypatch.setenv("QSAMPLE_BUDGET", "38")
     assert _run(capsys, *argv)[0] == 0
 
 
@@ -239,14 +238,15 @@ def test_mc_symbol_outside_the_alphabet_exits_2(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        "eps-quant --kind example4 --n 8000 --k 4000 --delta 0.3",
+        "eps-quant --kind example5 --n 5000 --k 1 --delta 0.3",
         "eps-class --kind example5 --n 5000 --k 1 --delta 0.3",
         "eps-class --kind example6 --n 5000 --k 2 --p 0.3 --delta 0.3",
     ],
 )
 def test_cost_past_the_int_string_limit_is_refused_at_once(capsys, monkeypatch, argv):
-    # 2^8000 and 2^10000 strings: the cost has thousands of digits (example5's
-    # pair classes cost about n^3 / 3 steps, refused just as fast)
+    # 2^10000 strings: the cost has thousands of digits (example5's pair
+    # classes, read by eps-quant's worst case and eps-class alike, cost
+    # about n^3 / 3 steps, refused just as fast)
     monkeypatch.delenv("QSAMPLE_BUDGET", raising=False)
     started = time.monotonic()
     code, out, err = _run(capsys, *argv.split())
@@ -334,26 +334,44 @@ def test_eps_quant_without_canonical_worst_case_exits_2(capsys):
     assert "--state" in err
 
 
-def test_eps_quant_checks_symmetry_once(capsys, monkeypatch):
-    # is_g_symmetric and symmetric_worst_state both decide symmetry in
-    # _symmetric_orbits, so its calls count every symmetry check
-    calls = []
-    real = qsample.qsampling._symmetric_orbits
+def test_eps_quant_never_runs_the_dense_symmetry_check(capsys, monkeypatch):
+    # without --state, a law of one orbit is answered from its exact failure
+    # rows and any other kind is refused by name; neither decides symmetry
+    # over the d^L strings
+    monkeypatch.setattr("qsample.qsampling._symmetric_orbits", lambda *a, **kw: pytest.fail("dense symmetry check"))
+    refused = "error: {} has no canonical symmetric worst case; provide --state\n"
+    for argv, code, err in [
+        ("--kind example1 --n 4 --k 2", 0, ""),
+        ("--kind example2 --n 4 --k 2", 2, "error: sampling with replacement has no enumerable (t, s) support; "
+         "use eps_class_mc per string\n"),
+        ("--kind example3 --n 4", 2, refused.format("example3")),
+        ("--kind example4 --n 4 --k 2", 2, refused.format("example4")),
+        ("--kind example5 --n 3 --k 2", 0, ""),
+        ("--kind example6 --n 2 --k 2 --p 0.3", 2, refused.format("example6")),
+        ("--kind example6 --n 1 --k 2 --p 0.5", 0, ""),
+    ]:
+        status, out, stderr = _run(capsys, "eps-quant", *argv.split(), "--delta", "0.3")
+        assert (status, stderr) == (code, err)
+        assert (out != "") == (code == 0)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr("qsample.qsampling._symmetric_orbits", counted)
-    code, _, _ = _run(capsys, "eps-quant", "--kind", "example5", "--n", "2", "--k", "1", "--delta", "0.3")
-    assert code == 0
-    assert len(calls) == 1
-
-    calls.clear()
-    code, out, err = _run(capsys, "eps-quant", "--kind", "example4", "--n", "4", "--k", "2", "--delta", "0.3")
+def test_eps_quant_refuses_a_kind_of_several_orbits_at_once(capsys, monkeypatch):
+    # the dense symmetry check was charged 2^12 x (C(12, 6) 2^6 + 2) =
+    # 242229248 evaluations here, within the default budget: at about 70 B
+    # per cell, some 17 GB
+    monkeypatch.delenv("QSAMPLE_BUDGET", raising=False)
+    started = time.monotonic()
+    code, out, err = _run(capsys, "eps-quant", "--kind", "example4", "--n", "12", "--k", "6", "--delta", "0.3")
+    assert time.monotonic() - started < 1.0
     assert (code, out) == (2, "")
     assert err == "error: example4 has no canonical symmetric worst case; provide --state\n"
-    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["eps-class", "eps-quant"])
+def test_selection_bias_on_a_kind_without_one_exits_2(capsys, command):
+    code, out, err = _run(capsys, command, "--kind", "example1", "--n", "5", "--k", "2", "--p", "0.3", "--delta", "0.3")
+    assert (code, out) == (2, "")
+    assert err == "error: example1 takes no selection bias p\n"
 
 
 def test_eps_quant_rejects_density_matrix_file(capsys, tmp_path):

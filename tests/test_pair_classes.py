@@ -1,10 +1,11 @@
 """Exact eps_class of example5, counted over pair classes.
 
 Example5's law is invariant under permuting pairs and swapping the slots of
-a pair, so ``eps_class_exact`` sums one failure probability per class (a, b)
-of strings with a pairs 11 and b pairs mixed, instead of deciding every
-(string, (t, s)) cell.  The oracle at n <= 6 is the enumerating path it
-replaced, ``_eps_class_enumerated``; past n = 31 (strings of 64 positions
+a pair, so ``eps_class_exact`` reduces one failure row per class (a, b) of
+strings with a pairs 11 and b pairs mixed (``_pair_rows``), instead of one
+per block of (string, (t, s)) cells.  The oracle at n <= 6 is the
+enumerating path it replaced, ``_enumerated_rows``, through the same
+reduction, ``_worst_case``; past n = 31 (strings of 64 positions
 and more, beyond int64 candidate indices) the class values come from a
 Fraction sum over the hypergeometric law and the witness from a greedy
 least-string search over the pair patterns.
@@ -26,8 +27,12 @@ DELTAS = [0.1, 0.15, 1 / 3, Fraction(1, 3), 0.35, 0.5]
 
 def enumerated(strategy, delta):
     """(max Pr[fail], first maximizing string) from every table cell."""
-    value, index = sampling._eps_class_enumerated(strategy, _exact_delta(delta))
-    return value, tuple(sampling._candidates(strategy, index, index + 1)[0].tolist())
+    return sampling._worst_case(strategy, sampling._enumerated_rows(strategy, _exact_delta(delta)))
+
+
+def counted(strategy, delta):
+    """(max Pr[fail], first maximizing string) from the pair-class rows."""
+    return sampling._worst_case(strategy, sampling._pair_rows(strategy, _exact_delta(delta)))
 
 
 def test_every_small_case_matches_the_enumeration():
@@ -35,7 +40,7 @@ def test_every_small_case_matches_the_enumeration():
     for n in range(1, 7):
         for k in range(1, n + 1):
             strategy = make_strategy("example5", n=n, k=k)
-            assert sampling._eps_class_pairs(strategy, Fraction(1, 3)) == enumerated(strategy, Fraction(1, 3))
+            assert counted(strategy, Fraction(1, 3)) == enumerated(strategy, Fraction(1, 3))
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -50,7 +55,7 @@ def test_every_small_case_matches_the_enumeration():
 def test_counted_example5_equals_the_enumeration(n, k_share, d, delta):
     strategy = make_strategy("example5", n=n, k=max(1, round(k_share * n)), d=d)
     value, witness = enumerated(strategy, delta)
-    assert sampling._eps_class_pairs(strategy, _exact_delta(delta)) == (value, witness)
+    assert counted(strategy, delta) == (value, witness)
     est = eps_class_exact(strategy, delta)
     assert est.value == float(value)
     assert est.worst_case_string.symbols == witness and est.worst_case_string.d == d

@@ -501,6 +501,30 @@ def test_code_trivial_and_validation():
         make_linear_code(6, 7, 0.0, rng)
 
 
+@pytest.mark.parametrize(
+    "parity, radius, match",
+    [
+        (np.array([[2, 1, 1]]), 0.1, "0s and 1s"),  # its syndrome of (1, 0, 0) read (0,)
+        (np.array([1, 0, 1]), 0.1, "2-D"),  # raised IndexError at the first length
+        (np.array([[0.0, 1.0]]), 0.1, "0s and 1s"),
+        (np.array([[1, 0, 1]]), -0.1, "radius"),
+        (np.array([[1, 0, 1]]), 0.5, "radius"),
+        (np.array([[1, 0, 1]]), math.nan, "radius"),
+    ],
+)
+def test_code_refuses_a_parity_matrix_or_radius_it_cannot_decode_with(parity, radius, match):
+    with pytest.raises(ValueError, match=match):
+        LinearCode(parity, radius)
+
+
+def test_code_keeps_the_empty_and_radius_0_codes():
+    # m = 0 and radius 0 stay valid; a bool or nested-list matrix is read as an array
+    empty = LinearCode(np.zeros((0, 6), dtype=np.int64), 0.49)
+    assert empty.syndrome((1,) * 6) == () and empty.correct((1,) * 6, ()) == (1,) * 6
+    for parity in (np.array([[1, 0, 1]], dtype=bool), [[1, 0, 1]]):
+        assert LinearCode(parity, 0.0).syndrome((1, 1, 0)) == (1,)
+
+
 def test_code_kernel_enumeration_over_the_budget_is_refused(monkeypatch):
     # up to 2000 tries, each taking the syndromes of the 1 + 8 patterns of weight <= 1
     monkeypatch.setenv("QSAMPLE_BUDGET", "17999")

@@ -13,6 +13,7 @@ import qsample.sampling as sampling
 from qsample.cli import RunConfig, run
 from qsample.quantum import HADAMARD, PureState, measure, random_pure_state
 from qsample.sampling import (
+    STRATEGY_KINDS,
     BudgetExceededError,
     _digits,
     custom_strategy,
@@ -22,7 +23,10 @@ from qsample.sampling import (
     make_strategy,
 )
 from qsample.qsampling import (
+    NotSymmetricError,
     PermutationGroup,
+    _symmetric_orbits,
+    _symmetric_sqrt_bound,
     accept_set,
     apply_permutation,
     check_sqrt_bound,
@@ -491,6 +495,59 @@ def test_counted_worst_case_matches_the_dense_construction(command):
                 assert status == 0 and result["gap"] == 0.0
                 assert abs(result["ideal_distance"] - ideal) <= 1e-12
                 assert result["sqrt_eps_class"] == root
+
+
+def _sizes(kind):
+    """Every parameter set of a built-in kind with strings of at most 10
+    positions, example6 at p = 0.3 and 0.5; example4 stops at n = 8, since
+    its dense symmetry check at n = 10 takes 8 s and 1.2 GB."""
+    if kind == "example3":
+        return [{"n": n} for n in range(1, 11)]
+    if kind == "example6":
+        return [{"n": n, "k": k, "p": p} for n in range(1, 6) for k in range(2, 2 * n + 1, 2) for p in (0.3, 0.5)]
+    top = {"example4": 8, "example5": 5}.get(kind, 10)
+    return [{"n": n, "k": k} for n in range(1, top + 1) for k in range(1, n + 1)]
+
+
+def _answered_without_a_state(strategy) -> bool:
+    try:
+        _symmetric_sqrt_bound(strategy, 0.3)
+    except NotSymmetricError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("kind", STRATEGY_KINDS)
+def test_worst_case_is_answered_where_the_dense_check_finds_symmetry(kind):
+    # eps-quant answers without --state for a law of one orbit, and refuses
+    # any other kind by name; the dense check, under the group the CLI used
+    # to pass it, is the oracle
+    for params in _sizes(kind):
+        strategy = make_strategy(kind, params)
+        G = pair_symmetry_group(strategy.n) if strategy.pair_indexed else symmetric_group(strategy.n)
+        if kind == "example2":  # no (t, s) law to enumerate, so no orbit to be uniform on
+            for check in (lambda: _symmetric_orbits(strategy, G), lambda: _symmetric_sqrt_bound(strategy, 0.3)):
+                with pytest.raises(NotImplementedError, match="replacement"):
+                    check()
+        else:
+            assert _answered_without_a_state(strategy) == (_symmetric_orbits(strategy, G) is not None), params
+
+
+def test_pair_worst_case_matches_the_dense_construction():
+    # example5's law is one orbit under pair permutations and slot swaps, so
+    # eps-quant reports sqrt(eps_class) as the distance; the dense worst state
+    # and its distance stay the oracle (their gap read up to 6.7e-16)
+    for n in range(1, 5):
+        group = pair_symmetry_group(n)
+        for k in range(1, n + 1):
+            strategy = make_strategy("example5", n=n, k=k)
+            for delta in (0.1, 0.2, 0.3, 0.45, 0.6):
+                ideal = ideal_distance(symmetric_worst_state(strategy, group, delta), strategy, delta)
+                status, text = run(RunConfig("eps-quant", {"kind": "example5", "n": n, "k": k, "delta": delta}))
+                result = json.loads(text)["result"]
+                assert status == 0 and result["gap"] == 0.0
+                assert abs(result["ideal_distance"] - ideal) <= 1e-12
+                assert result["sqrt_eps_class"] == math.sqrt(eps_class_exact(strategy, delta).value)
 
 
 def test_counted_worst_case_keeps_a_small_distance():

@@ -311,6 +311,15 @@ def test_make_strategy_rejects_bad_parameters():
         make_strategy("example6", n=3, k=2)
 
 
+@pytest.mark.parametrize("kind", ["example1", "example2", "example3", "example4", "example5"])
+def test_make_strategy_refuses_a_selection_bias_outside_example6(kind):
+    # only example6 draws with a bias; p was once kept and echoed, unused
+    params = {"n": 4} if kind == "example3" else {"n": 4, "k": 2}
+    with pytest.raises(ValueError, match=f"^{kind} takes no selection bias p$"):
+        make_strategy(kind, params, p=0.3)
+    make_strategy(kind, params, p=None)
+
+
 def test_support_probabilities_sum_to_one():
     for kind, params in [
         ("example1", dict(n=5, k=2)),

@@ -184,10 +184,8 @@ def test_sampling_with_replacement_has_no_support():
 
 
 def test_kind_flags_follow_the_kind():
-    flags = {
-        kind: (make_strategy(kind, n=2, k=2, p=0.5) if kind != "example3" else make_strategy(kind, n=2))
-        for kind in STRATEGY_KINDS
-    }
+    extra = {"example3": {}, "example6": {"k": 2, "p": 0.5}}  # only example6 takes p
+    flags = {kind: make_strategy(kind, n=2, **extra.get(kind, {"k": 2})) for kind in STRATEGY_KINDS}
     assert {k for k, s in flags.items() if s.pair_indexed} == {"example5", "example6"}
     assert {k for k, s in flags.items() if s.permutation_invariant} == {"example1", "example3", "example4"}
     with pytest.raises(AttributeError):
