@@ -386,6 +386,18 @@ def _extraction_distance(views: np.ndarray, keys: np.ndarray, ops: np.ndarray, l
     return 0.5 * _trace_norm(blocks)
 
 
+def _seeded_distance(family: HashFamily, x: np.ndarray, views: np.ndarray, ops: np.ndarray) -> float:
+    """:func:`_extraction_distance` after hashing each input bit row of x
+    under every seed of ``family``: the seed, uniform and public, joins each
+    input's view (an integer of ``views``) and weighs each (input, seed)
+    cell by 1/#seeds.  ops holds each input's weighted conditional operator
+    in its last two axes."""
+    l = family.output_bits
+    seeds = _bit_rows(family.seed_bits)
+    seen = views * len(seeds) + np.arange(len(seeds))[:, None]
+    return _extraction_distance(seen, _hash_keys(x, seeds, l), ops / len(seeds), l)
+
+
 def _resolve_hmin(rho_XE: CqState, certificate: EntropyCertificate | None) -> float:
     if certificate is not None:
         if not check_certificate(rho_XE, certificate):
@@ -425,13 +437,9 @@ def pa_exact_check(
     x = _bit_labels([x for x, _, _ in rho_XE.entries], n)
     hmin = _resolve_hmin(rho_XE, certificate)
 
-    # the seed is the public view; each input enters once per seed
-    seeds = _bit_rows(family.seed_bits)
-    probs, mats = rho_XE._probs, rho_XE._stack
-    ops = probs[:, None, None] * mats / len(seeds)
-    keys = _hash_keys(x, seeds, l)
-    views = np.broadcast_to(np.arange(len(seeds))[:, None], keys.shape)
-    distance = _extraction_distance(views, keys, ops, l)
+    # the seed is the whole public view
+    ops = rho_XE._probs[:, None, None] * rho_XE._stack
+    distance = _seeded_distance(family, x, np.zeros(len(x), dtype=np.int64), ops)
     bound = 0.5 * 2.0 ** (-0.5 * (hmin - l))
     return {"distance": distance, "bound": bound, "holds": distance <= bound + 1e-9, "hmin": hmin}
 

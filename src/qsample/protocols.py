@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entropy import HashFamily, binary_entropy, hash_eval, pad_input
-from .entropy import _bit_rows, _check_bits, _extraction_distance, _hash_keys
+from .entropy import _check_bits, _seeded_distance
 from .quantum import (
     HADAMARD,
     BasisSpec,
@@ -200,17 +200,12 @@ class SecurityReport:
     delta_used: float
     exact_distance: float | None = None
     transcript_digest: str = ""
-    total_bound: float = None  # filled from the terms
+    total_bound: float = field(init=False)  # the sum of the terms
 
     def __post_init__(self):
         terms = tuple((str(label), float(value)) for label, value in self.bound_terms)
         object.__setattr__(self, "bound_terms", terms)
-        total = sum(value for _, value in terms)
-        if self.total_bound is not None and not (
-            math.isinf(total) or abs(total - self.total_bound) <= 1e-12 * max(1.0, abs(total))
-        ):
-            raise ValueError("total_bound does not equal the sum of bound_terms")
-        object.__setattr__(self, "total_bound", total)
+        object.__setattr__(self, "total_bound", sum(value for _, value in terms))
         if self.exact_distance is not None:
             d = float(self.exact_distance)
             if not -1e-9 <= d <= 1 + 1e-9:
@@ -677,7 +672,6 @@ def _qkd_exact_distance(state: PureState, n: int, k: int, code: LinearCode) -> f
     subsets = np.array(list(itertools.combinations(range(n), k)))
     rests = np.array([[i for i in range(n) if i not in s] for s in subsets])
     key_len = np.array([qkd_key_length(n, k, code.m, e / k) for e in range(k + 1)])  # by test errors
-    seeds = {l: _bit_rows(HashFamily(n - k, l).seed_bits) for l in set(key_len.tolist())}
     weight = 1.0 / (2 ** n * len(subsets))
     distance = 0.0
     for _, rows in _qkd_blocks(state.tensor(), n, len(subsets)):
@@ -694,10 +688,7 @@ def _qkd_exact_distance(state: PureState, n: int, k: int, code: LinearCode) -> f
         lengths = key_len[(xs != ys).sum(axis=2)]
         for l in np.unique(lengths).tolist():
             branch, subset = np.nonzero(lengths == l)
-            r = seeds[l]
-            keys = _hash_keys(raw[branch, subset], r, l)
-            seen = views[branch, subset] * len(r) + np.arange(len(r))[:, None]
-            distance += _extraction_distance(seen, keys, cond[branch] / len(r), l)
+            distance += _seeded_distance(HashFamily(n - k, l), raw[branch, subset], views[branch, subset], cond[branch])
     return distance
 
 
@@ -731,7 +722,8 @@ def simulate_qkd(
 ):
     """Run the four-phase key-distribution protocol once.
 
-    Returns (transcript, alice_key, bob_key, report).  In exact-distance mode
+    Returns (transcript, alice_key, bob_key, report); an oblivious-transfer
+    adversary kind is refused before any draw.  In exact-distance mode
     the report carries the exact trace distance between the real (key, view)
     state and an ideal uniform key.  That mode takes adversaries none,
     entangling-probe and custom-unitary without channel noise, at n <= 7;
@@ -751,6 +743,8 @@ def simulate_qkd(
     sets.
     """
     n, k, ecc = params.n, params.k, params.ecc
+    if adversary.kind not in _QKD_KINDS:
+        raise ValueError(f"adversary kind {adversary.kind!r} is not a key-distribution model")
     exact_ok = adversary.kind in ("none", "entangling-probe", "custom-unitary") and (
         adversary.noise == 0.0
     )

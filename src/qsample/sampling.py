@@ -46,7 +46,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -362,42 +362,92 @@ def _index_rows(rows) -> np.ndarray:
 class SamplingStrategy:
     """A sampling strategy: subset law, seed law, and estimator.
 
-    Instances are produced by :func:`make_strategy` or :func:`custom_strategy`.
-    ``n`` is the pair count for pair-indexed kinds (strings then have length
-    2n) and the string length otherwise.  Seeds may condition on the drawn
-    subset internally; they are exposed as one joint (t, s) draw.
+    A strategy is its definition, checked on construction: a built-in kind
+    by its parameters, as :func:`make_strategy` states them, a custom one by
+    its (t, s, probability) table and estimator, as :func:`custom_strategy`
+    states them.  ``n`` is the pair count for pair-indexed kinds (strings
+    then have length 2n) and the string length otherwise.  Seeds may
+    condition on the drawn subset internally; they are exposed as one joint
+    (t, s) draw.  Two strategies are equal when their definitions are.
 
     Attributes
     ----------
     kind : str
         One of the built-in kinds or "custom".
-    n, k, p, d : parameters as supplied to the constructor.
+    n, k, p, d : the parameters, as int n, k, d and float p.
     pattern_invariant : bool
-        Whether the estimator sees symbols only through their zero pattern.
+        Whether the estimator sees symbols only through their zero pattern:
+        True on a built-in kind, False by default on a custom one.
+    estimator, table : a custom strategy's estimator and its (t, s,
+        probability) triples: flat 1-based subsets, seeds and exact Fractions.
     """
 
     kind: str
-    n: int
+    n: int | None = None
     k: int | None = None
     p: float | None = None
     d: int = 2
-    pattern_invariant: bool = True
+    pattern_invariant: bool | None = None
     estimator: Callable | None = field(default=None, repr=False)
-    _support: list | None = field(default=None, repr=False)
-    _support_rows: tuple | None = field(default=None, repr=False)  # (A, D, R) of ts_support()
-    _draw_p: np.ndarray | None = field(default=None, repr=False)  # custom draws
+    table: tuple | None = field(default=None, repr=False)
+    # derived, outside the definition: _draw_p set on construction, the support
+    # and its rows on first use, by plain assignment (reading __dict__, as
+    # functools.cached_property does, slows every attribute load of the
+    # instance on CPython 3.11)
+    _support: list | tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _support_rows: tuple | None = field(default=None, init=False, repr=False, compare=False)  # (A, D, R)
+    _draw_p: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)  # custom draws
 
-    def __eq__(self, other):
-        """A built-in kind is its (kind, n, k, p, d), whatever ``ts_support``
-        has cached; a custom strategy also compares by its (t, s,
-        probability) table, its estimator and ``pattern_invariant``."""
-        if not isinstance(other, SamplingStrategy):
-            return NotImplemented
-        mine, theirs = (
-            (x.kind, x.n, x.k, x.p, x.d) + ((x.pattern_invariant, x.estimator, x._support) if x.kind == "custom" else ())
-            for x in (self, other)
-        )
-        return mine == theirs
+    def __post_init__(self):
+        kind, n, k, p = self.kind, self.n, self.k, self.p
+        if kind == "custom":
+            if self.estimator is None or self.table is None:
+                raise ValueError("a custom strategy needs a (t, s, probability) table and an estimator")
+            self.table = tuple((_positions(t), s, Fraction(prob)) for t, s, prob in self.table)
+            if any(prob < 0 for *_, prob in self.table):
+                raise ValueError("probabilities must be non-negative")
+            total = sum(prob for *_, prob in self.table)
+            if total != 1:
+                raise ValueError(f"support probabilities must sum to 1, got {total}")
+            weights = np.array([float(prob) for *_, prob in self.table])
+            self._draw_p = weights / weights.sum()
+        elif kind not in STRATEGY_KINDS:
+            raise ValueError(f"unknown strategy kind {kind!r}; expected one of {STRATEGY_KINDS}")
+        elif self.estimator is not None or self.table is not None or self.pattern_invariant not in (None, True):
+            raise ValueError(f"{kind} takes no estimator, table or pattern_invariant=False")
+        self.pattern_invariant = kind != "custom" or bool(self.pattern_invariant)
+        if n is None:
+            raise ValueError(f"{kind} requires parameter n")
+        self.n = n = int(n)
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        self.d = int(self.d)
+        if self.d < 2:
+            raise ValueError(f"alphabet size d must be >= 2, got {self.d}")
+        if p is not None and kind != "example6":
+            raise ValueError(f"{kind} takes no selection bias p")
+        if kind in ("example3", "custom"):
+            if k is not None:
+                raise ValueError(f"{kind} takes no sample size k")
+            return
+        if k is None:
+            raise ValueError(f"{kind} requires parameter k")
+        self.k = k = int(k)
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        if kind in ("example1", "example4", "example5") and k > n:
+            raise ValueError(f"{kind} requires k <= n, got k={k}, n={n}")
+        if kind != "example6":
+            return
+        if p is None:
+            raise ValueError("example6 requires the selection bias p")
+        self.p = p = float(p)
+        if not 0.0 < p < 1.0:
+            raise ValueError(f"example6 requires 0 < p < 1, got p={p}")
+        if k % 2 != 0:
+            raise ValueError(f"example6 requires an even k, got k={k}")
+        if k // 2 > n:
+            raise ValueError(f"example6 requires k/2 <= n, got k={k}, n={n}")
 
     @property
     def pair_indexed(self) -> bool:
@@ -501,13 +551,13 @@ class SamplingStrategy:
     def support_size(self) -> int:
         """Number of (t, s) pairs with positive probability."""
         if self.kind == "custom":
-            return len(self._support)
+            return len(self.table)
         return sum(w for _, _, w in self._law(_Count()))
 
-    def ts_support(self) -> list[tuple[tuple, object, Fraction]]:
+    def ts_support(self) -> Sequence[tuple[tuple, object, Fraction]]:
         """All (t, s, probability) triples; probabilities are exact Fractions summing to 1."""
         if self._support is None:
-            self._support = list(self._law(_Enumerate()))
+            self._support = self.table if self.kind == "custom" else list(self._law(_Enumerate()))
         return self._support
 
     def sample_ts(self, rng: np.random.Generator) -> tuple[tuple, object]:
@@ -515,7 +565,7 @@ class SamplingStrategy:
         that trial i of :func:`eps_class_mc` makes on
         ``default_rng((rng_seed, i))``: :meth:`_draws` on ``rng`` alone."""
         if self.kind == "custom":
-            return self._support[rng.choice(len(self._draw_p), p=self._draw_p)][:2]
+            return self.table[rng.choice(len(self.table), p=self._draw_p)][:2]
         rows = self._draws(_Calls([rng]))
         t, s = (None if x is None else [i + 1 for i in x[0].tolist() if i >= 0] for x in rows)
         if self.kind == "example6":  # (s0, s1), one per slot
@@ -614,59 +664,15 @@ def make_strategy(kind: str, params: Mapping | None = None, **kwargs) -> Samplin
     Raises
     ------
     ValueError
-        On an unknown kind or a parameter violating its constraint; the
-        message names the violated constraint.
+        On an unexpected key, an unknown kind or a parameter violating its
+        constraint (checked by :class:`SamplingStrategy`); the message names
+        the violated constraint.
     """
-    merged = dict(params or {})
-    merged.update(kwargs)
-    if kind not in STRATEGY_KINDS:
-        raise ValueError(f"unknown strategy kind {kind!r}; expected one of {STRATEGY_KINDS}")
-    allowed = {"n", "k", "p", "d"}
-    extra = set(merged) - allowed
+    merged = {**(params or {}), **kwargs}
+    extra = set(merged) - {"n", "k", "p", "d"}
     if extra:
         raise ValueError(f"unexpected parameters {sorted(extra)} for {kind}")
-
-    n = merged.get("n")
-    if n is None:
-        raise ValueError(f"{kind} requires parameter n")
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    d = int(merged.get("d", 2))
-    if d < 2:
-        raise ValueError(f"alphabet size d must be >= 2, got {d}")
-
-    k = merged.get("k")
-    p = merged.get("p")
-    if p is not None and kind != "example6":
-        raise ValueError(f"{kind} takes no selection bias p")
-
-    if kind == "example3":
-        if k is not None:
-            raise ValueError("example3 takes no sample size k")
-        return SamplingStrategy(kind, n, d=d)
-
-    if k is None:
-        raise ValueError(f"{kind} requires parameter k")
-    k = int(k)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-
-    if kind in ("example1", "example4", "example5") and k > n:
-        raise ValueError(f"{kind} requires k <= n, got k={k}, n={n}")
-    if kind != "example6":
-        return SamplingStrategy(kind, n, k=k, d=d)
-    # example6
-    if p is None:
-        raise ValueError("example6 requires the selection bias p")
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"example6 requires 0 < p < 1, got p={p}")
-    if k % 2 != 0:
-        raise ValueError(f"example6 requires an even k, got k={k}")
-    if k // 2 > n:
-        raise ValueError(f"example6 requires k/2 <= n, got k={k}, n={n}")
-    return SamplingStrategy(kind, n, k=k, p=p, d=d)
+    return SamplingStrategy(kind, **merged)
 
 
 def custom_strategy(
@@ -682,27 +688,9 @@ def custom_strategy(
     symbols, and the seed, and returns the estimate as a number.  Exact
     enumeration iterates over all d^n strings unless ``pattern_invariant``
     declares the estimator blind to the distinction between non-zero symbols.
+    Probabilities must be non-negative and sum to 1.
     """
-    table = []
-    total = Fraction(0)
-    for t, s, prob in support:
-        prob = prob if isinstance(prob, Fraction) else Fraction(prob)
-        if prob < 0:
-            raise ValueError("probabilities must be non-negative")
-        table.append((tuple(_positions(t)), s, prob))
-        total += prob
-    if total != 1:
-        raise ValueError(f"support probabilities must sum to 1, got {total}")
-    weights = np.array([float(p) for _, _, p in table])
-    return SamplingStrategy(
-        "custom",
-        int(n),
-        d=int(d),
-        pattern_invariant=bool(pattern_invariant),
-        estimator=estimator,
-        _support=table,
-        _draw_p=weights / weights.sum(),
-    )
+    return SamplingStrategy("custom", n, d=d, pattern_invariant=pattern_invariant, estimator=estimator, table=support)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,9 @@ included, on either side of every block edge.  ``_positions`` keeps its old
 pair-label loop as the oracle of its plain-int path.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -187,6 +190,17 @@ def test_trial_generators_load_the_states_of_default_rng(seed, trials):
         got.append(rng.bit_generator.state)
         rng.integers(0, 5, size=3, dtype=np.int32)  # leaves a buffered half-word
     assert got == [np.random.default_rng((seed, i)).bit_generator.state for i in trials]
+
+
+def test_importing_qsample_leaves_numpy_random_as_importing_numpy_does():
+    # draws._entropy_type imports numpy.random at first use, which keeps it
+    # out of every start-up that draws nothing
+    def loads_numpy_random(module):
+        path = os.path.dirname(os.path.dirname(sampling.__file__))  # the qsample under test
+        code = f"import sys; sys.path.insert(0, {path!r}); import {module}; print('numpy.random' in sys.modules)"
+        return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout == "True\n"
+
+    assert loads_numpy_random("qsample") <= loads_numpy_random("numpy")
 
 
 # ---------------------------------------------------------------------------
@@ -390,10 +404,10 @@ def test_mc_custom_estimator_sees_symbol_values():
 
 def test_custom_draws_match_the_per_draw_weights():
     # sample_ts once rebuilt and renormalised the float weights on every
-    # draw; the array custom_strategy computes once must give the same draws
+    # draw; the array a custom strategy computes once must give the same draws
     def per_draw(strategy, rng):
-        weights = np.array([float(p) for (_, _, p) in strategy._support])
-        t, s, _ = strategy._support[rng.choice(len(weights), p=weights / weights.sum())]
+        weights = np.array([float(p) for (_, _, p) in strategy.table])
+        t, s, _ = strategy.table[rng.choice(len(weights), p=weights / weights.sum())]
         return t, s
 
     strategy = _custom(5, 2, [[1], [2, 3], [1, 4, 5], [], [2, 5]], [1, 2, 3, 7, 11], False)

@@ -407,8 +407,9 @@ def test_rate_curve_csv_shape():
 def test_security_report_totals_terms():
     rep = SecurityReport(bound_terms=(("a", 0.25), ("b", 0.5)), delta_used=0.1)
     assert rep.total_bound == 0.75
-    with pytest.raises(ValueError, match="total_bound"):
-        SecurityReport(bound_terms=(("a", 0.25),), delta_used=0.1, total_bound=0.5)
+    assert SecurityReport(bound_terms=(("a", 0.25), ("b", math.inf)), delta_used=0.1).total_bound == math.inf
+    with pytest.raises(TypeError, match="total_bound"):  # derived from the terms, never given
+        SecurityReport(bound_terms=(("a", 0.25),), delta_used=0.1, total_bound=0.25)
     with pytest.raises(ValueError, match="exact_distance"):
         SecurityReport(bound_terms=(("a", 0.25),), delta_used=0.1, exact_distance=1.5)
 
@@ -451,6 +452,20 @@ def test_adversary_validation():
     adv = AdversaryModel(kind="entangling-probe", probe_dim=3)
     U = adv.probe_unitary()
     assert np.allclose(U.conj().T @ U, np.eye(6))
+
+
+@pytest.mark.parametrize("kind", ["commit-flip", "open-flip", "no-measure", "delay-measure"])
+def test_qkd_refuses_an_oblivious_transfer_adversary(kind, monkeypatch):
+    # each once ran as an honest run with matching keys; the code search is the first draw
+    monkeypatch.setattr(protocols, "make_linear_code", lambda *a: pytest.fail("a draw was made"))
+    with pytest.raises(ValueError, match=f"^adversary kind '{kind}' is not a key-distribution model$"):
+        simulate_qkd(QkdParams(8, 2), AdversaryModel(kind=kind, flips=(1,)), rng_seed=0)
+
+
+@pytest.mark.parametrize("kind", ["intercept-resend", "entangling-probe"])
+def test_qot_refuses_a_key_distribution_adversary(kind):
+    with pytest.raises(ValueError, match=f"^adversary kind '{kind}' is not an oblivious-transfer model$"):
+        simulate_qot(QotParams(8, 2, 2), AdversaryModel(kind=kind), rng_seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ maximizes over all strings in plain float arithmetic.
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ import pytest
 from qsample.sampling import (
     BudgetExceededError,
     ErrorEstimate,
+    SamplingStrategy,
     SymbolString,
     SubsetIndex,
     analytic_bound,
@@ -318,6 +321,86 @@ def test_make_strategy_refuses_a_selection_bias_outside_example6(kind):
     with pytest.raises(ValueError, match=f"^{kind} takes no selection bias p$"):
         make_strategy(kind, params, p=0.3)
     make_strategy(kind, params, p=None)
+
+
+def _zero(t, qt, s):
+    return 0.0
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("example9", dict(n=3)),
+        ("example1", dict(k=1)),
+        ("example1", dict(n=0, k=1)),
+        ("example1", dict(n=3, k=1, d=1)),
+        ("example1", dict(n=3, k=1, p=0.3)),
+        ("example3", dict(n=3, k=1)),
+        ("example4", dict(n=3)),
+        ("example2", dict(n=3, k=0)),
+        ("example5", dict(n=3, k=4)),
+        ("example6", dict(n=3, k=2)),
+        ("example6", dict(n=3, k=2, p=1.0)),
+        ("example6", dict(n=3, k=3, p=0.5)),
+        ("example6", dict(n=3, k=8, p=0.5)),
+        ("custom", dict(n=3, table=[((1,), None, 0.5)])),
+        ("custom", dict(n=3, table=[((1,), None, -1), ((2,), None, 2)])),
+    ],
+)
+def test_direct_construction_refuses_what_the_constructors_refuse(kind, params):
+    # the constructor was once unchecked: example6 without p ran on fair coins
+    if kind == "custom":
+        build, params = partial(custom_strategy, params["n"], params["table"], _zero), dict(params, estimator=_zero)
+    else:
+        build = partial(make_strategy, kind, params)
+    with pytest.raises(ValueError) as refused:
+        build()
+    with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+        SamplingStrategy(kind, **params)
+
+
+@pytest.mark.parametrize(
+    "kind, extra, message",
+    [
+        ("example1", dict(estimator=_zero), "example1 takes no estimator, table or pattern_invariant=False"),
+        ("example1", dict(table=[((1,), None, 1)]), "example1 takes no estimator, table or pattern_invariant=False"),
+        ("example1", dict(pattern_invariant=False), "example1 takes no estimator, table or pattern_invariant=False"),
+        ("custom", dict(estimator=_zero), "a custom strategy needs a (t, s, probability) table and an estimator"),
+        ("custom", dict(table=[((1,), None, 1)]), "a custom strategy needs a (t, s, probability) table and an estimator"),
+        ("custom", dict(estimator=_zero, table=[((1,), None, 1)], k=1), "custom takes no sample size k"),
+    ],
+)
+def test_a_strategy_is_either_built_in_or_custom(kind, extra, message):
+    params = dict(k=2) if kind == "example1" else {}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SamplingStrategy(kind, 4, **params, **extra)
+
+
+@pytest.mark.parametrize("cache", ["_support", "_support_rows", "_draw_p"])
+def test_derived_tables_are_not_constructor_arguments(cache):
+    # a given support once replaced the law: failure_probability read 1 for 1/3
+    with pytest.raises(TypeError, match=cache):
+        SamplingStrategy("example1", 4, k=2, **{cache: [((1, 2), None, Fraction(1))]})
+
+
+def test_direct_construction_normalises_the_parameters():
+    strat = SamplingStrategy("example6", np.int64(3), k=np.int64(2), p=np.float32(0.25), d=np.int8(3))
+    assert [type(x) for x in (strat.n, strat.k, strat.p, strat.d)] == [int, int, float, int]
+    assert strat == make_strategy("example6", n=3, k=2, p=0.25, d=3)
+    assert strategy_to_json(strat) == '{"d": 3, "k": 2, "kind": "example6", "n": 3, "p": 0.25}'
+
+
+def test_direct_construction_of_a_custom_strategy_defaults_as_custom_strategy_does():
+    # the estimate reads the symbol 2, so only the d^n strings see q = 211
+    # fail; a direct construction once declared pattern invariance by default
+    def estimator(t, qt, s):
+        return Fraction(0) if qt[0] == 2 else Fraction(1, 2)
+
+    table = [((1,), None, Fraction(1))]
+    strat = SamplingStrategy("custom", 3, d=3, estimator=estimator, table=table)
+    assert strat == custom_strategy(3, table, estimator, d=3) and strat.pattern_invariant is False
+    assert eps_class_exact(strat, 0.6).value == 1.0
+    assert eps_class_exact(custom_strategy(3, table, estimator, d=3, pattern_invariant=True), 0.6).value == 0.0
 
 
 def test_support_probabilities_sum_to_one():
