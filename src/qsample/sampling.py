@@ -26,7 +26,8 @@ uniformly, so their exact error probability is counted instead: per size
 class of (t, s), the number of weight-w strings one representative accepts,
 a sum of products of binomials over its cells (the positions with equal
 coefficients in the row), in exact Python ints.  Example5 is counted over
-its pair classes (the numbers of 11 and of mixed pairs).  Monte-Carlo estimation
+its pair classes (the numbers of 11 and of mixed pairs), example6 over its
+pair types (the numbers of 00, 01, 10 and 11 pairs).  Monte-Carlo estimation
 covers sizes outside the exact budget: each block of trials draws through
 ``_draws`` from the trials' raw PCG64 words (see :mod:`qsample.draws`), in
 the same integers and with the same tie rule.
@@ -41,6 +42,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import os
 from collections import Counter
 from dataclasses import dataclass, field
@@ -429,6 +431,8 @@ class SamplingStrategy:
         if kind in ("example3", "custom"):
             if k is not None:
                 raise ValueError(f"{kind} takes no sample size k")
+            for t, *_ in self.table or ():
+                self.flatten_subset(t)
             return
         if k is None:
             raise ValueError(f"{kind} requires parameter k")
@@ -688,7 +692,8 @@ def custom_strategy(
     symbols, and the seed, and returns the estimate as a number.  Exact
     enumeration iterates over all d^n strings unless ``pattern_invariant``
     declares the estimator blind to the distinction between non-zero symbols.
-    Probabilities must be non-negative and sum to 1.
+    Probabilities must be non-negative and sum to 1, and every subset must
+    lie inside positions 1..n; both are checked when the strategy is built.
     """
     return SamplingStrategy("custom", n, d=d, pattern_invariant=pattern_invariant, estimator=estimator, table=support)
 
@@ -915,7 +920,7 @@ def eps_class_exact(strategy: SamplingStrategy, delta: float) -> ErrorEstimate:
     The candidates are the Hamming-weight classes when the strategy declares
     permutation invariance, the zero patterns when the estimator is
     pattern-invariant, and all d^n strings otherwise; the witness is the
-    first maximizing candidate in that order.  One of three paths yields
+    first maximizing candidate in that order.  One of four paths yields
     exact failure rows, a row per class of strings (:func:`_failure_rows`),
     and :func:`_worst_case` takes their first maximum:
 
@@ -925,9 +930,13 @@ def eps_class_exact(strategy: SamplingStrategy, delta: float) -> ErrorEstimate:
     * pair classes (:func:`_pair_rows`): example5 depends on a string only
       through its numbers of 11 and of mixed pairs, and each class's
       failure probability is a binomial sum of hypergeometric tail counts;
-    * enumerated (:func:`_enumerated_rows`): example6 and custom
-      strategies decide every (candidate, (t, s)) cell of the integer
-      table; a row is a block of candidates' first maximum.
+    * pair types (:func:`_pair_type_rows`): example6 depends on a string
+      only through its numbers of 00, 01, 10 and 11 pairs, and each
+      class's failure probability is a sum over the kept counts of each
+      type of binomial weights times hypergeometric failure counts;
+    * enumerated (:func:`_enumerated_rows`): custom strategies decide
+      every (candidate, (t, s)) cell of the integer table; a row is a
+      block of candidates' first maximum.
 
     Every path's value is the float of an exact Fraction.  Refuses
     strategies without an enumerable (t, s) law and work beyond the
@@ -949,6 +958,8 @@ def _failure_rows(strategy: SamplingStrategy, bound: Fraction, instead="eps_clas
     size.  ``instead`` names a refusal's sampled alternative, if any."""
     if strategy.kind == "example5":
         return _pair_rows(strategy, bound, instead)
+    if strategy.kind == "example6":
+        return _pair_type_rows(strategy, bound, instead)
     if not strategy.permutation_invariant:
         return _enumerated_rows(strategy, bound, instead)
     table = _class_table(strategy, bound, instead)
@@ -962,7 +973,8 @@ def _worst_case(strategy: SamplingStrategy, rows) -> tuple[Fraction, tuple[int, 
     a tie going to the least key, and the witness is that key's candidate."""
     key, failed, total = None, -1, 1
     for row_key, row_failed, row_total in rows:
-        order = row_failed * total - failed * row_total
+        # rows of one total (all of example5's, all of example6's) skip the products
+        order = row_failed - failed if row_total == total else row_failed * total - failed * row_total
         if order > 0 or order == 0 and row_key < key:
             key, failed, total = row_key, row_failed, row_total
     return Fraction(failed, total), _candidate(strategy, key)
@@ -1067,6 +1079,91 @@ def _pair_rows(strategy: SamplingStrategy, bound: Fraction, instead="eps_class_m
             if not odd:
                 yield ((1 << a) - 1 << n) + (1 << a + b) - 1, T[a - lo] << n - b, total
             T = T[:-1] + T[1:]
+
+
+def _pair_type_rows(strategy: SamplingStrategy, bound: Fraction, instead="eps_class_mc"):
+    """Example6's failure rows, one per pair-type class.  Its law is
+    invariant under permuting the pairs (not under swapping a pair's slots:
+    its coins are biased), so a 0/1 string matters only through its counts
+    n_ab of pairs of type ab, slot 0 reading a and slot 1 reading b.  The
+    kept counts k_ab ~ Bin(n_ab, p) fix S = |t~| = sum k_ab, the ones
+    u0 = k10 + k11 on t0 and u1 = n01 + n11 - k01 - k11 on t1, and the true
+    count T = n10 + n11 + k01 - k10 on tbar (A = n).  The halves s0 and s1,
+    of c0 = min(k/2, S) and c1 = min(k/2, n - S) elements, read X0 ~ Hyp(S,
+    u0, c0) and X1 ~ Hyp(n - S, u1, c1) ones, and the trial fails iff
+    |T D - E n| >= ceil(bound n D) with D = n c0' c1', E = (n - S) c1' X0
+    + S c0' X1 and c' = max(c, 1) (see ``SamplingStrategy._rows``).  With p
+    = a / b as written and F the number of failing (s0, s1),
+
+        Pr[fail | n_ab] = sum_k prod_ab C(n_ab, k_ab) H(S, T, u0, u1) / (b^n L),
+        H = a^S (b - a)^(n - S) F(S, T, u0, u1) L / (C(S, c0) C(n - S, c1)),
+
+    L the lcm over S of C(S, c0) C(n - S, c1), so every row's total is
+    b^n L.  F is a sum over X0 of the failing X1's prefix counts, once per
+    (S, T, u0, u1).  The sum over k00 is taken for every n00 at once, by
+    Pascal's rule along S (H's rows over S, one step per n00), which
+    leaves a sum over (k01, k10, k11) per class.  A row's key indexes the
+    class's least string, whose slot-0 ones sit on pairs n-n10-n11+1..n
+    and slot-1 ones on pairs n-n10-n11-n01+1..n-n10-n11 and n-n11+1..n.
+    Each (class, kept-count vector), C(n + 7, 7) in all, is charged
+    ceil(2n / 1000) evaluations before any loop."""
+    n, half = strategy.n, strategy.k // 2
+    _refuse("exact enumeration", math.comb(n + 7, 7) * -(-2 * n // _COUNT_LENGTH_UNIT), instead=instead)
+    p = Fraction(repr(strategy.p))  # as written, as _Enumerate.coins reads it
+    a, b = p.numerator, p.denominator
+    comb = [[math.comb(m, x) for x in range(m + 1)] for m in range(n + 1)]
+    sizes = [(min(half, S), min(half, n - S)) for S in range(n + 1)]
+    ways = [comb[S][c0] * comb[n - S][c1] for S, (c0, c1) in enumerate(sizes)]
+    scale = math.lcm(*ways)
+
+    def hypergeometric(m):  # per u, the min(k/2, m)-subsets of m positions, u of them ones, by their ones x
+        c = min(half, m)
+        return [
+            [comb[u][x] * comb[m - u][c - x] if x <= u and c - x <= m - u else 0 for x in range(c + 1)]
+            for u in range(m + 1)
+        ]
+
+    hyp = [hypergeometric(m) for m in range(n + 1)]
+    # H[T][u0][u1][S - u0] for S = u0..n - u1
+    H = [[[[0] * (n - u0 - u1 + 1) for u1 in range(n - u0 + 1)] for u0 in range(n + 1)] for _ in range(n + 1)]
+    for S, (c0, c1) in enumerate(sizes):
+        weight = a ** S * (b - a) ** (n - S) * (scale // ways[S])
+        D = n * max(c0, 1) * max(c1, 1)
+        threshold = _reject_threshold(bound, n, D)
+        A0, A1 = n * (n - S) * max(c1, 1), n * S * max(c0, 1)  # n E = A0 X0 + A1 X1
+        P1 = [list(itertools.accumulate(h, initial=0)) for h in hyp[n - S]]  # X1's prefix counts per u1
+        top, whole = c1 + 1, comb[n - S][c1]
+        for T, rows in enumerate(H):
+            below, above = T * D - threshold, T * D + threshold  # fail iff n E <= below or n E >= above
+            if A1:  # per X0 = x, the failing X1 are those below lo and from hi on
+                cuts = [
+                    (min(max((below - A0 * x) // A1 + 1, 0), top), min(max(-((A0 * x - above) // A1), 0), top))
+                    for x in range(c0 + 1)
+                ]
+            else:  # S = 0: no s0, and E = 0
+                cuts = [(top if below >= 0 else 0, top)]
+            G = [[P[lo] + whole - P[hi] for lo, hi in cuts] for P in P1]  # failing s1 per X0
+            for u0, h in enumerate(hyp[S]):
+                for u1, g in enumerate(G):
+                    rows[u0][u1][S - u0] = weight * sum(map(operator.mul, h, g))
+    total = b ** n * scale
+    for n00 in range(n + 1):
+        if n00:  # Pascal's rule: the rows now sum over k00 ~ C(n00, k00)
+            for rows in H:
+                del rows[n - n00 + 1 :]
+                for u0, by_u1 in enumerate(rows):
+                    rows[u0] = [[x + y for x, y in zip(r, r[1:])] for r in by_u1[: n - n00 - u0 + 1]]
+        for m0 in range(n - n00 + 1):  # n10 + n11: the ones in slot 0
+            n01 = n - n00 - m0
+            for n11 in range(m0 + 1):
+                n10 = m0 - n11
+                failed = 0
+                for k01, w01 in enumerate(comb[n01]):
+                    for k10, w10 in enumerate(comb[n10]):
+                        rows, w = H[m0 + k01 - k10], w01 * w10
+                        for k11, w11 in enumerate(comb[n11]):
+                            failed += w * w11 * rows[k10 + k11][n01 + n11 - k01 - k11][k01]
+                yield ((1 << m0) - 1 << n) + ((1 << n01) - 1 << m0) + (1 << n11) - 1, failed, total
 
 
 def _class_cells(strategy: SamplingStrategy, classes, bound: Fraction) -> list[tuple[list, int]]:

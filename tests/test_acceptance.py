@@ -172,7 +172,19 @@ def test_criterion_03_classical_bounds_dominate_exact():
         for k in range(2, 2 * n + 1, 2):
             params = {"n": n, "k": k, "p": 0.3}
             checked += dominates(make_strategy("example6", params), ("example6", params))
-    _passed(3, "classical-bounds", f"{checked} comparisons, all dominate")
+    # example6 (counted over its pair types) at scale, with its least bound / exact ratio
+    ratio = math.inf
+    for n in (8, 12, 16):
+        for k in (2, n):
+            for p in (0.3, 0.5):
+                params = {"n": n, "k": k, "p": p}
+                strategy = make_strategy("example6", params)
+                for delta in grid:
+                    eps, bound = eps_class_exact(strategy, delta).value, analytic_bound("example6", params, delta)
+                    assert eps <= bound + 1e-12
+                    ratio = min(ratio, bound / eps) if eps > 0 else ratio
+                    checked += 1
+    _passed(3, "classical-bounds", f"{checked} comparisons, all dominate; example6 bound / exact >= {ratio:.3g}")
 
 
 def test_criterion_04_lemma2_operator_inequality():

@@ -9,6 +9,7 @@ message, however many digits their cost has.
 """
 
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from qsample import make_strategy, pair_symmetry_group, symmetric_group
 from qsample.protocols import AdversaryModel, QkdParams, make_linear_code, qkd_sampling_view, simulate_qkd
 from qsample.qsampling import accept_set, ideal_distance, is_g_symmetric, symmetric_worst_state
 from qsample.quantum import make_epr_pairs
-from qsample.sampling import BudgetExceededError, _refuse, eps_class_exact, failure_probability
+from qsample.sampling import BudgetExceededError, _refuse, custom_strategy, eps_class_exact, failure_probability
 
 
 @pytest.fixture
@@ -78,6 +79,11 @@ def test_counted_refusal_partway_through_the_law_says_at_least(monkeypatch):
     assert "needs 2000400020 evaluations" in str(whole.value)
 
 
+def _custom():
+    half = Fraction(1, 2)
+    return custom_strategy(3, [((1,), None, half), ((2, 3), None, half)], lambda t, qt, s: Fraction(sum(qt), len(qt)))
+
+
 def _example4():
     return make_strategy("example4", n=8000, k=4000)
 
@@ -85,7 +91,7 @@ def _example4():
 OVERSIZED = {
     "eps_class_exact counted": lambda: eps_class_exact(make_strategy("example1", n=100_000, k=50_000), 0.3),
     "eps_class_exact counted, example4": lambda: eps_class_exact(_example4(), 0.3),
-    # example5 is counted over pair classes now; its n^3 / 3 Pascal steps are charged at once
+    # example5 and example6 are counted over pair classes and pair types now, charged at once
     "eps_class_exact enumerated": lambda: eps_class_exact(make_strategy("example5", n=5000, k=1), 0.3),
     "eps_class_exact enumerated, example6": lambda: eps_class_exact(
         make_strategy("example6", n=5000, k=2, p=0.3), 0.3
@@ -118,9 +124,13 @@ GATED = {
     "failure_probability": (
         "failure probability", 6, lambda: failure_probability(make_strategy("example1", n=4, k=2), [0, 0, 1, 1], 0.3)
     ),
-    # 2^4 zero patterns x 6 (t, s)
+    # 2^3 strings x 2 (t, s) of a custom table, the one kind still enumerated
     "eps_class_exact enumerated": (
-        "exact enumeration", 96, lambda: eps_class_exact(make_strategy("example6", n=2, k=2, p=0.3), 0.3)
+        "exact enumeration", 16, lambda: eps_class_exact(_custom(), 0.3)
+    ),
+    # C(2 + 7, 7) (pair-type class, kept-count vector) pairs
+    "eps_class_exact pair types": (
+        "exact enumeration", 36, lambda: eps_class_exact(make_strategy("example6", n=2, k=2, p=0.3), 0.3)
     ),
     # one size class, cells of 3 and 3 positions: 4 * 4 count vectors
     "eps_class_exact counted": ("exact enumeration", 16, lambda: eps_class_exact(make_strategy("example1", n=6, k=3), 0.3)),

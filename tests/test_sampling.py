@@ -345,6 +345,7 @@ def _zero(t, qt, s):
         ("example6", dict(n=3, k=8, p=0.5)),
         ("custom", dict(n=3, table=[((1,), None, 0.5)])),
         ("custom", dict(n=3, table=[((1,), None, -1), ((2,), None, 2)])),
+        ("custom", dict(n=2, table=[((5,), None, 1)])),
     ],
 )
 def test_direct_construction_refuses_what_the_constructors_refuse(kind, params):
@@ -357,6 +358,13 @@ def test_direct_construction_refuses_what_the_constructors_refuse(kind, params):
         build()
     with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
         SamplingStrategy(kind, **params)
+
+
+@pytest.mark.parametrize("subset, shown", [((5,), "5"), ((0,), "0"), ((1, 3), "1, 3")])
+def test_custom_subsets_are_checked_on_construction(subset, shown):
+    # a subset outside the string was once refused only on first use
+    with pytest.raises(ValueError, match=rf"^subset \[{shown}\] outside string of length 2$"):
+        custom_strategy(2, [(subset, None, 1)], _zero)
 
 
 @pytest.mark.parametrize(
