@@ -106,8 +106,10 @@ def _freeze_seed(s):
 
 
 def _accept_masks(strategy: SamplingStrategy, columns, delta: float) -> np.ndarray:
-    """Accept masks of the (t, s, ...) columns over all d^L basis strings."""
+    """Accept masks of a caller's (t, s, ...) columns over all d^L basis
+    strings, each (t, s) checked first (see ``SamplingStrategy._column``)."""
     d, L = strategy.d, strategy.length
+    columns = [strategy._column(t, s) for t, s, *_ in columns]
     blocks = _reject_blocks(strategy, columns, partial(_digits, d=d, length=L), d ** L, _exact_delta(delta))
     return ~np.concatenate([reject for _, reject in blocks])
 
@@ -164,7 +166,11 @@ def ideal_distance(state: PureState, strategy: SamplingStrategy, delta: float) -
     ideal state confined to the accept subspaces:
     sum_{t,s} P(t,s) sqrt(1 - inside_weight(t,s)).  Each outside weight is
     summed over the rejected strings: 1 - inside in floats leaves an ulp
-    where a (t, s) accepts all the weight, and its square root (1e-8)."""
+    where a (t, s) accepts all the weight, and its square root (1e-8).  The
+    rejected strings come from ``sampling._reject_blocks``: on a built-in
+    kind, one exact product per block of strings with the g rows of the
+    support, built once per strategy from its own law.  Charged d^L
+    (support + 1) evaluations."""
     bound = _exact_delta(delta)
     weights = _population_weights(state, strategy)
     d, L = strategy.d, strategy.length

@@ -19,8 +19,12 @@ constructor for custom strategies.  A built-in kind is its (t, s) law,
 drawn as index rows for many trials at once (``SamplingStrategy._draws``),
 and its estimator, an integer row w over D per (t, s), f = w . z / D with
 z = (q != 0) (``SamplingStrategy._rows``).  The true value is z . 1_tbar /
-|tbar|, so exact error probabilities are int64 matrix products compared with
-delta in integers; ties follow delta as written (a float 0.1 is 1/10).  The
+|tbar|, so exact error probabilities are integer products compared with
+delta in integers; ties follow delta as written (a float 0.1 is 1/10).  A
+dense table of strings x (t, s) takes one product with the row
+g = D 1_tbar - A w of each (t, s), A = max(|tbar|, 1), as
+z . g = A D (true value - estimate); it runs in float64 while every sum
+stays below 2^53, where float64 is exact.  The
 permutation-invariant kinds ("example1", "example3", "example4") draw (t, s)
 uniformly, so their exact error probability is counted instead: per size
 class of (t, s), the number of weight-w strings one representative accepts,
@@ -360,7 +364,7 @@ def _index_rows(rows) -> np.ndarray:
     return np.array(columns, dtype=np.int64).reshape(len(columns), len(rows)).T - 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class SamplingStrategy:
     """A sampling strategy: subset law, seed law, and estimator.
 
@@ -370,7 +374,9 @@ class SamplingStrategy:
     states them.  ``n`` is the pair count for pair-indexed kinds (strings
     then have length 2n) and the string length otherwise.  Seeds may
     condition on the drawn subset internally; they are exposed as one joint
-    (t, s) draw.  Two strategies are equal when their definitions are.
+    (t, s) draw.  Two strategies are equal when their definitions are.  A
+    strategy is frozen: its fields cannot be assigned after construction,
+    so the support and rows derived from them always match them.
 
     Attributes
     ----------
@@ -393,37 +399,38 @@ class SamplingStrategy:
     estimator: Callable | None = field(default=None, repr=False)
     table: tuple | None = field(default=None, repr=False)
     # derived, outside the definition: _draw_p set on construction, the support
-    # and its rows on first use, by plain assignment (reading __dict__, as
+    # and its rows on first use, by object.__setattr__ (reading __dict__, as
     # functools.cached_property does, slows every attribute load of the
     # instance on CPython 3.11)
     _support: list | tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _support_rows: tuple | None = field(default=None, init=False, repr=False, compare=False)  # (A, D, R)
+    _support_rows: tuple | None = field(default=None, init=False, repr=False, compare=False)  # (A, D, R, G)
     _draw_p: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)  # custom draws
 
     def __post_init__(self):
         kind, n, k, p = self.kind, self.n, self.k, self.p
+        set_ = partial(object.__setattr__, self)  # the instance is frozen
         if kind == "custom":
             if self.estimator is None or self.table is None:
                 raise ValueError("a custom strategy needs a (t, s, probability) table and an estimator")
-            self.table = tuple((_positions(t), s, Fraction(prob)) for t, s, prob in self.table)
+            set_("table", tuple((_positions(t), s, Fraction(prob)) for t, s, prob in self.table))
             if any(prob < 0 for *_, prob in self.table):
                 raise ValueError("probabilities must be non-negative")
             total = sum(prob for *_, prob in self.table)
             if total != 1:
                 raise ValueError(f"support probabilities must sum to 1, got {total}")
             weights = np.array([float(prob) for *_, prob in self.table])
-            self._draw_p = weights / weights.sum()
+            set_("_draw_p", weights / weights.sum())
         elif kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy kind {kind!r}; expected one of {STRATEGY_KINDS}")
         elif self.estimator is not None or self.table is not None or self.pattern_invariant not in (None, True):
             raise ValueError(f"{kind} takes no estimator, table or pattern_invariant=False")
-        self.pattern_invariant = kind != "custom" or bool(self.pattern_invariant)
+        set_("pattern_invariant", kind != "custom" or bool(self.pattern_invariant))
         if n is None:
             raise ValueError(f"{kind} requires parameter n")
-        self.n = n = int(n)
+        set_("n", n := int(n))
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        self.d = int(self.d)
+        set_("d", int(self.d))
         if self.d < 2:
             raise ValueError(f"alphabet size d must be >= 2, got {self.d}")
         if p is not None and kind != "example6":
@@ -436,7 +443,7 @@ class SamplingStrategy:
             return
         if k is None:
             raise ValueError(f"{kind} requires parameter k")
-        self.k = k = int(k)
+        set_("k", k := int(k))
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         if kind in ("example1", "example4", "example5") and k > n:
@@ -445,7 +452,7 @@ class SamplingStrategy:
             return
         if p is None:
             raise ValueError("example6 requires the selection bias p")
-        self.p = p = float(p)
+        set_("p", p := float(p))
         if not 0.0 < p < 1.0:
             raise ValueError(f"example6 requires 0 < p < 1, got p={p}")
         if k % 2 != 0:
@@ -561,7 +568,7 @@ class SamplingStrategy:
     def ts_support(self) -> Sequence[tuple[tuple, object, Fraction]]:
         """All (t, s, probability) triples; probabilities are exact Fractions summing to 1."""
         if self._support is None:
-            self._support = self.table if self.kind == "custom" else list(self._law(_Enumerate()))
+            object.__setattr__(self, "_support", self.table if self.kind == "custom" else list(self._law(_Enumerate())))
         return self._support
 
     def sample_ts(self, rng: np.random.Generator) -> tuple[tuple, object]:
@@ -621,20 +628,35 @@ class SamplingStrategy:
             raise ValueError(f"sample {list(s)} outside {where}")
         return s
 
+    def _column(self, t, s) -> tuple:
+        """A (t, s) given by a caller, checked and put in the form
+        ``ts_support`` gives: t flat and inside the string, a seed inside t
+        (see :meth:`_seed`), split into its slots (s0, s1) on example6; an
+        example5 subset must pick one element per pair."""
+        flat = self.flatten_subset(t)
+        if self.kind in ("example1", "example3", "custom"):
+            return flat, s
+        s = self._seed(s, flat)
+        if self.kind == "example5" and sorted((x - 1) % self.n for x in flat) != list(range(self.n)):
+            raise ValueError("example5 subset must pick exactly one element per pair")
+        if self.kind == "example6":
+            s = tuple(x for x in s if x <= self.n), tuple(x for x in s if x > self.n)
+        return flat, s
+
     def _stack(self, columns) -> tuple[np.ndarray, ...]:
         """The t rows and the rows (P, W, D, A) of :meth:`_rows` for
-        (t, s, ...) columns given as tuples, as :meth:`sample_ts` and
-        ``ts_support`` give them, checked (see :meth:`_seed`); an example5
-        subset must pick one element per pair."""
-        flat = [self.flatten_subset(t) for t, *_ in columns]
-        t = _index_rows(flat)
-        s = None if self.kind in ("example1", "example3") else _index_rows(
-            [self._seed(x, f) for f, (_, x, *_) in zip(flat, columns)])
+        (t, s, ...) columns in the form ``ts_support`` gives them, unchecked:
+        the package's own support, its _Count representatives, ``sample_ts``
+        draws, or a caller's columns put in that form by :meth:`_column`."""
+        t = _index_rows([x for x, *_ in columns])
+        if self.kind in ("example1", "example3"):
+            s = None
+        elif self.kind == "example6":
+            s = _index_rows([s0 + s1 for _, (s0, s1), *_ in columns])
+        else:
+            s = _index_rows([x for _, x, *_ in columns])
         if self.kind == "example5":  # to pair order: pair i's element in column i
-            n = self.n
-            if t.shape[1] != n or (t < 0).any() or (np.sort(t % n, axis=1) != np.arange(n)).any():
-                raise ValueError("example5 subset must pick exactly one element per pair")
-            t[np.arange(len(t))[:, None], t % n] = t.copy()
+            t[np.arange(len(t))[:, None], t % self.n] = t.copy()
         return (t, *self._rows(t, s))
 
     def estimate_frac(self, q, t, s) -> Fraction:
@@ -722,9 +744,10 @@ def in_accept_set(strategy: SamplingStrategy, q, t, s, delta: float) -> bool:
 
 def _cell(strategy: SamplingStrategy, q, t, s) -> tuple[np.ndarray, ...]:
     """A, D, T and E of the one-column :func:`_table` of the one string q
-    under (t, s), q checked first as :func:`failure_probability` checks it."""
+    under (t, s), q checked first as :func:`failure_probability` checks it,
+    then (t, s) (see ``SamplingStrategy._column``)."""
     string = _symbol_row(q, strategy)
-    A, D, blocks = _table(strategy, [(t, s)], lambda lo, hi: string, 1)
+    A, D, blocks = _table(strategy, [strategy._column(t, s)], lambda lo, hi: string, 1)
     ((_, T, E),) = blocks
     return A, D, T, E
 
@@ -737,8 +760,14 @@ def _exact_delta(delta) -> Fraction:
 
 
 # The (string, (t, s)) table is built in blocks of at most this many cells, so
-# its int64 arrays stay a few MB whatever the sizes.
+# its arrays stay a few MB whatever the sizes.
 _BLOCK_CELLS = 1 << 18
+# A built-in kind's dense table is decided in float64 products over this
+# many of those blocks at once (8 MB): a product over few strings repacks the
+# g rows for each, and example4 n = 12, k = 6 (59136 columns, 4 strings a
+# block) took 1.36 s with start-up in products of one block, 1.1 s in fours
+# (2-core Xeon, OpenBLAS).  The blocks yielded stay _BLOCK_CELLS wide.
+_PRODUCT_BLOCKS = 4
 # Monte-Carlo decides at most this many trials at once: capped by cells
 # alone, a block on short strings would hold ~10^5 trials, several MB of
 # draws (or of a custom strategy's (t, s) tuples).
@@ -753,12 +782,14 @@ def _exact_dtype(bound: int):
 
 
 def _dense_rows(strategy: SamplingStrategy, columns) -> tuple[np.ndarray, ...]:
-    """A, D and the rows R of the (t, s, ...) columns, e.g. ts_support(): the
-    rows 1_tbar, then the rows w, in Python ints once a D reaches 2^63 (a
-    custom estimator's only form is its callable: its w is 0 and D is 1)."""
+    """A, D and the rows R of (t, s, ...) columns in the form ts_support()
+    gives them, read unchecked (see ``SamplingStrategy._stack``): the rows
+    1_tbar, then the rows w, so that a 0/1 string z has T = z . 1_tbar and
+    E = z . w; in Python ints once a D reaches 2^63.  A custom estimator's
+    only form is its callable: its w is 0 and D is 1."""
     m, L = len(columns), strategy.length
     if strategy.kind == "custom":
-        t, D = _index_rows([strategy.flatten_subset(t) for t, *_ in columns]), np.ones(m, dtype=np.int64)
+        t, D = _index_rows([t for t, *_ in columns]), np.ones(m, dtype=np.int64)
         A = np.maximum(L - _sizes(t), 1)
     else:
         t, P, W, D, A = strategy._stack(columns)
@@ -771,17 +802,39 @@ def _dense_rows(strategy: SamplingStrategy, columns) -> tuple[np.ndarray, ...]:
     return A, D, R[:, :L]
 
 
+def _g_rows(A: np.ndarray, D: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """The row g = D 1_tbar - A w of each column of :func:`_dense_rows`, so
+    that a 0/1 string z has z . g = T D - E A.  As |tbar| <= A and w sums
+    to at most D, each row's sum of |g| stays within 2 A D: g is int64
+    below 2^63, else Python ints."""
+    m = len(A)
+    dtype = _exact_dtype(2 * int(A.max(initial=0)) * int(D.max(initial=0)))
+    A, D, R = (x.astype(dtype, copy=False) for x in (A, D, R))
+    return D[:, None] * R[:m] - A[:, None] * R[m:]
+
+
+def _rows(strategy: SamplingStrategy, columns) -> tuple[np.ndarray, ...]:
+    """A, D and R of :func:`_dense_rows` and G of :func:`_g_rows` for the
+    columns; those of ``ts_support()`` itself are built once and kept on
+    the strategy."""
+    support = columns is strategy._support
+    if support and strategy._support_rows is not None:
+        return strategy._support_rows
+    A, D, R = _dense_rows(strategy, columns)
+    rows = A, D, R, _g_rows(A, D, R)
+    if support:
+        object.__setattr__(strategy, "_support_rows", rows)
+    return rows
+
+
 def _table(strategy: SamplingStrategy, columns, strings, count: int):
     """A, D and the blocks (lo, T, E) of the exact true values T / A and
     estimates E / D of strings 0..count-1 of ``strings(lo, hi)`` (rows) under
-    the (t, s, ...) columns: products of z with :func:`_dense_rows` (E <= D,
-    see :func:`_tie_rule`); a custom estimator's E holds Fractions over 1.
-    The rows of ``ts_support()`` itself are kept on the strategy."""
-    support = columns is strategy._support
-    if support and strategy._support_rows is None:
-        strategy._support_rows = _dense_rows(strategy, columns)
-    A, D, R = strategy._support_rows if support else _dense_rows(strategy, columns)
-    custom = [(strategy.flatten_subset(t), s) for t, s, *_ in columns] if strategy.kind == "custom" else None
+    the (t, s, ...) columns, in the form ts_support() gives them: products
+    of z with the rows R of :func:`_rows` (E <= D, see :func:`_tie_rule`);
+    a custom estimator's E holds Fractions over 1."""
+    A, D, R, _ = _rows(strategy, columns)
+    custom = [(t, s) for t, s, *_ in columns] if strategy.kind == "custom" else None
 
     def blocks():
         step = max(1, _BLOCK_CELLS // max(len(columns), 1))
@@ -804,6 +857,14 @@ def _reject_threshold(bound: Fraction, A, D):
     return -(-bound.numerator * (A * D) // bound.denominator)
 
 
+def _wide(bound: Fraction, A: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A and D in int64, or in Python ints where p A D or q (bound = p / q)
+    can reach 2^63, so that :func:`_reject_threshold` and every product of
+    A or D with a T <= A or an E <= D are exact."""
+    dtype = _exact_dtype(max(bound.numerator * int(A.max(initial=0)) * int(D.max(initial=0)), bound.denominator))
+    return A.astype(dtype, copy=False), D.astype(dtype, copy=False)
+
+
 def _tie_rule(A: np.ndarray, D: np.ndarray, bound: Fraction, fractions: bool = False):
     """The reject test of true values T / A against estimates E / D: a
     function of (T, E) saying, elementwise and exactly, that the deviation is
@@ -811,24 +872,59 @@ def _tie_rule(A: np.ndarray, D: np.ndarray, bound: Fraction, fractions: bool = F
     over D = 1 (a custom estimator), compared with bound * A.  Otherwise
     0 <= T <= A and 0 <= E <= D (a relative weight and its estimate lie in
     [0, 1]), so T D and E A lie in [0, A D]: the test runs in int64, or in
-    Python ints where p A D or q (bound = p / q) can reach 2^63."""
+    Python ints where p A D or q (bound = p / q) can reach 2^63.  It decides
+    Monte-Carlo trials, single cells and custom strategies; the dense table
+    of a built-in kind is decided by :func:`_g_rule`, whose oracle it is."""
     if fractions:
         threshold = np.array([bound * int(a) for a in A], dtype=object)
     else:
-        p, q = bound.numerator, bound.denominator
-        dtype = _exact_dtype(max(p * int(A.max(initial=0)) * int(D.max(initial=0)), q))
-        A, D = A.astype(dtype, copy=False), D.astype(dtype, copy=False)
+        A, D = _wide(bound, A, D)
         threshold = _reject_threshold(bound, A, D)
     return lambda T, E: (np.abs(T * D - E * A) >= threshold).astype(bool)
 
 
+def _g_rule(G: np.ndarray, A: np.ndarray, D: np.ndarray, bound: Fraction):
+    """The reject test of :func:`_tie_rule` in one product: a function of
+    0/1 string rows Z saying, elementwise and exactly, |Z_i . g_j| >= c_j
+    for the rows G of :func:`_g_rows` and c = ceil(bound A D), since
+    z . g = T D - E A (a tie rejects).  Every partial sum of Z_i . g_j is
+    an integer within max_j sum |g_j| in magnitude, so while that and max c
+    stay below 2^53 the product runs in float64 (BLAS), exact whatever the
+    order or the number of threads it sums in; past that, in int64 or
+    Python ints as :func:`_exact_dtype` says."""
+    c = _reject_threshold(bound, *_wide(bound, A, D))
+    top = max(int(np.abs(G).sum(axis=1).max(initial=0)), int(c.max(initial=0)))
+    dtype = np.float64 if top < 1 << 53 else _exact_dtype(top)
+    G, c = G.T.astype(dtype), c.astype(dtype)
+
+    def rejects(Z):
+        product = Z.astype(dtype) @ G
+        return np.abs(product, out=product) >= c
+
+    return rejects
+
+
 def _reject_blocks(strategy: SamplingStrategy, columns, strings, count: int, bound: Fraction):
-    """Yield (lo, reject): reject[i, j] says that string lo + i deviates by
-    at least ``bound`` under column j, decided exactly."""
-    A, D, blocks = _table(strategy, columns, strings, count)
-    rejects = _tie_rule(A, D, bound, fractions=strategy.kind == "custom")
-    for lo, T, E in blocks:
-        yield lo, rejects(T, E)
+    """Yield (lo, reject): reject[i, j] says that string lo + i of
+    ``strings(lo, hi)`` deviates by at least ``bound`` under column j, the
+    columns in the form ts_support() gives them, decided exactly.  A
+    built-in kind decides a block of strings z in one product with its g
+    rows, |z . g| >= ceil(bound A D) (:func:`_g_rule`); a custom
+    estimator, whose E comes from its callable, by :func:`_table` and
+    :func:`_tie_rule`."""
+    if strategy.kind == "custom":
+        A, D, blocks = _table(strategy, columns, strings, count)
+        rejects = _tie_rule(A, D, bound, fractions=True)
+        for lo, T, E in blocks:
+            yield lo, rejects(T, E)
+        return
+    A, D, _, G = _rows(strategy, columns)
+    rejects = _g_rule(G, A, D, bound)
+    step = max(1, _BLOCK_CELLS // max(len(columns), 1))  # _table's blocks, which ideal_distance sums in order
+    for start in range(0, count, step * _PRODUCT_BLOCKS):
+        reject = rejects(strings(start, min(start + step * _PRODUCT_BLOCKS, count)) != 0)
+        for i in range(0, len(reject), step):
+            yield start + i, reject[i : i + step]
 
 
 def failure_probability(strategy: SamplingStrategy, q, delta: float) -> Fraction:
@@ -1168,11 +1264,11 @@ def _pair_type_rows(strategy: SamplingStrategy, bound: Fraction, instead="eps_cl
 
 def _class_cells(strategy: SamplingStrategy, classes, bound: Fraction) -> list[tuple[list, int]]:
     """Each (t, s, ...) of ``classes`` as cells: its positions grouped by
-    their coefficient g in T D - E A = g . z, with g = D 1_tbar - A w (see
-    :func:`_dense_rows`).  Returns per class the (g, size) cells and the
-    reject threshold ceil(bound A D) on |g . z|."""
+    their coefficient g in T D - E A = g . z (see :func:`_g_rows`).
+    Returns per class the (g, size) cells and the reject threshold
+    ceil(bound A D) on |g . z|."""
     A, D, R = _dense_rows(strategy, classes)
-    G = D[:, None] * R[: len(A)] - A[:, None] * R[len(A) :]
+    G = _g_rows(A, D, R)
     return [
         (list(Counter(g).items()), _reject_threshold(bound, a, d)) for g, a, d in zip(G.tolist(), A.tolist(), D.tolist())
     ]

@@ -22,13 +22,16 @@ from qsample.qsampling import (
     apply_permutation,
     is_g_symmetric,
     pair_symmetry_group,
+    project_onto_accept,
     symmetric_group,
 )
+from qsample.quantum import random_pure_state
 from qsample.sampling import (
     _table,
     complement,
     deviation,
     eps_class_exact,
+    estimate,
     failure_probability,
     in_accept_set,
     custom_strategy,
@@ -210,17 +213,62 @@ OUTSIDE = {
 }
 
 
-@pytest.mark.parametrize("kind,params,q,t,s", OUTSIDE.values(), ids=OUTSIDE.keys())
-def test_seed_outside_its_subset_raises_value_error(kind, params, q, t, s):
-    strategy = make_strategy(kind, params)
-    calls = [
+def _boundary_calls(strategy, q, t, s):
+    """Every public call that takes a caller's (t, s)."""
+    state = random_pure_state((strategy.d,) * strategy.length + (1,), np.random.default_rng(0))
+    return [
         lambda: deviation(strategy, q, t, s),
+        lambda: estimate(strategy, q, t, s),
         lambda: in_accept_set(strategy, q, t, s, 0.3),
         lambda: strategy.estimate_frac(q, t, s),
         lambda: accept_set(strategy, t, s, 0.3),
+        lambda: project_onto_accept(state, strategy, t, s, 0.3),
     ]
-    for call in calls:
+
+
+@pytest.mark.parametrize("kind,params,q,t,s", OUTSIDE.values(), ids=OUTSIDE.keys())
+def test_seed_outside_its_subset_raises_value_error(kind, params, q, t, s):
+    strategy = make_strategy(kind, params)
+    for call in _boundary_calls(strategy, q, t, s):
         with pytest.raises(ValueError, match="outside"):
+            call()
+
+
+# One strategy of every kind with a valid seed for the subsets below (of
+# 1..4 on example1-4 and custom, and of pairs 1, 2 on example5 and example6).
+KINDS = {
+    "example1": (make_strategy("example1", n=4, k=2), None),
+    "example2": (make_strategy("example2", n=4, k=2), (1, 1)),
+    "example3": (make_strategy("example3", n=4), None),
+    "example4": (make_strategy("example4", n=4, k=2), (1,)),
+    "example5": (make_strategy("example5", n=2, k=1), (1,)),
+    "example6": (make_strategy("example6", n=2, k=2, p=0.3), ((1,), ())),
+    "custom": (custom_strategy(4, [((1, 2), None, 1)], lambda t, qt, s: 0.5), None),
+}
+# (t, the message) of a caller's subset that is refused, as the messages
+# read before the checks moved to the boundary
+BAD_SUBSETS = {
+    "outside": ((1, 5), r"^subset \[1, 5\] outside string of length 4$"),
+    "zero": ((0, 1), r"^subset \[0, 1\] outside string of length 4$"),
+    "duplicate": ((1, 1), r"^duplicate position 1$"),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("bad", BAD_SUBSETS)
+def test_every_kind_refuses_a_bad_subset_at_the_boundary(kind, bad):
+    strategy, s = KINDS[kind]
+    t, message = BAD_SUBSETS[bad]
+    for call in _boundary_calls(strategy, (0, 1, 1, 0), t, s):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+@pytest.mark.parametrize("t", [(1, 3), (2, 4), (1,), (1, 2, 3)])
+def test_example5_subset_missing_a_pair_is_refused_at_the_boundary(t):
+    strategy = make_strategy("example5", n=2, k=1)
+    for call in _boundary_calls(strategy, (0, 1, 1, 0), t, (1,)):
+        with pytest.raises(ValueError, match="^example5 subset must pick exactly one element per pair$"):
             call()
 
 

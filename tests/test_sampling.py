@@ -5,6 +5,7 @@ oracle that re-derives each strategy's (t, s) law from its definition and
 maximizes over all strings in plain float arithmetic.
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -389,6 +390,20 @@ def test_derived_tables_are_not_constructor_arguments(cache):
     # a given support once replaced the law: failure_probability read 1 for 1/3
     with pytest.raises(TypeError, match=cache):
         SamplingStrategy("example1", 4, k=2, **{cache: [((1, 2), None, Fraction(1))]})
+
+
+@pytest.mark.parametrize("name,value", [("k", 2), ("k", 9), ("n", 3), ("kind", "example3"), ("_support", None)])
+def test_a_strategy_cannot_be_reassigned(name, value):
+    # an assignment once kept the support of the old definition: with k = 2
+    # assigned after ts_support(), failure_probability read 1 where a fresh
+    # k = 2 strategy reads 2/5, and k = 9 on n = 5 was kept with no support
+    strat = make_strategy("example1", n=5, k=1)
+    strat.ts_support()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(strat, name, value)
+    assert strat.k == 1 and strat.support_size() == 5
+    assert failure_probability(strat, (1, 1, 0, 0, 0), 0.3) == failure_probability(mk("example1", n=5, k=1), (1, 1, 0, 0, 0), 0.3)
+    assert failure_probability(mk("example1", n=5, k=2), (1, 1, 0, 0, 0), 0.3) == Fraction(2, 5)
 
 
 def test_direct_construction_normalises_the_parameters():
