@@ -84,6 +84,8 @@ class RunConfig:
         if not isinstance(self.params, dict):
             raise ValueError(f"params must be a mapping, got {type(self.params).__name__}")
         object.__setattr__(self, "rng_seed", int(self.rng_seed))
+        if self.rng_seed < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {self.rng_seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +145,9 @@ def _cmd_eps_class(config: RunConfig):
         trials = int(_require(p, "trials"))
         estimate = eps_class_mc(strategy, q, delta, trials, rng_seed=config.rng_seed)
     else:
+        for name in ("q", "trials"):
+            if p.get(name) is not None:
+                raise ValueError(f"--{name} applies only with --mc")
         estimate = eps_class_exact(strategy, delta)
     return 0, error_estimate_to_dict(estimate)
 
@@ -530,13 +535,13 @@ def main(argv=None) -> int:
         for name, value in vars(args).items()
         if name not in ("command", "seed", "out") and value is not None
     }
-    config = RunConfig(
-        args.command,
-        params,
-        rng_seed=getattr(args, "seed", 0),
-        output_path=args.out,
-    )
     try:
+        config = RunConfig(
+            args.command,
+            params,
+            rng_seed=getattr(args, "seed", 0),
+            output_path=args.out,
+        )
         status, text = run(config)
     except (BudgetExceededError, NotImplementedError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,7 +34,10 @@ its pair classes (the numbers of 11 and of mixed pairs), example6 over its
 pair types (the numbers of 00, 01, 10 and 11 pairs).  Monte-Carlo estimation
 covers sizes outside the exact budget: each block of trials draws through
 ``_draws`` from the trials' raw PCG64 words (see :mod:`qsample.draws`), in
-the same integers and with the same tie rule.
+the same integers and with the same tie rule.  A trial that reads at most
+``_JUMP_WORDS`` words gets them by jump-ahead arithmetic on the whole block;
+a longer one seeds its own PCG64, since numpy's per-word loop is then the
+cheaper.
 
 Positions are 1-based.  Pair-indexed strategies ("example5", "example6") view
 a string of length 2n as n pairs; the pair element (i, j) with i in [1..n] and
@@ -1375,7 +1378,10 @@ def eps_class_mc(
     built-in kind draws a block with ``SamplingStrategy._draws`` from each
     trial's raw PCG64 words, numpy's bounded draws and Floyd selection
     redone as arrays (:func:`_mc_block`), and reads it with the estimator
-    rows; Generator calls make only the trials that run past their words or
+    rows.  The words of a trial that reads at most ``_JUMP_WORDS`` come
+    from jump-ahead arithmetic on the whole block, those of a longer one
+    from one PCG64 per trial, whose per-word loop is then the cheaper.
+    Generator calls make only the trials that run past their words or
     choose more than ``_FLOYD_PICKS``, where numpy's own loop is faster.
     Its blocks hold at most ``_MC_BLOCK_TRIALS`` trials, fewer once twice a
     trial's words pass ``_BLOCK_CELLS / _MC_BLOCK_TRIALS``.  A custom

@@ -272,6 +272,32 @@ def test_mc_mode_requires_target_string(capsys):
     assert "--q" in err
 
 
+@pytest.mark.parametrize("extra", [["--q", "0110011001"], ["--trials", "5"], ["--exact", "--q", "0110011001"], ["--exact", "--trials", "5"]])
+def test_mc_inputs_outside_mc_mode_exit_2(capsys, extra):
+    # the exact worst case runs over every string, so a --q or --trials it
+    # would ignore (and echo in its config) is refused
+    code, out, err = _run(capsys, "eps-class", "--kind", "example1", "--n", "10", "--k", "3", "--delta", "0.1", *extra)
+    assert code == 2 and out == ""
+    assert err == f"error: {extra[-2]} applies only with --mc\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "eps-class --kind example1 --n 4 --k 2 --delta 0.3 --mc --q 0110 --trials 5",
+        "qot-sim --n 10 --k 3 --l 2",
+        "qkd-sim --n 10 --k 3",
+        "lemma2 --n 2 --trials 2",
+        "pa-check --n 3 --trials 2",
+        "verify --quick",
+    ],
+)
+def test_negative_seed_exits_2_naming_the_option(capsys, argv):
+    code, out, err = _run(capsys, *argv.split(), "--seed", "-3")
+    assert code == 2 and out == ""
+    assert err == "error: --seed must be a non-negative integer, got -3\n"
+
+
 def test_property_failure_exits_1(capsys, monkeypatch):
     monkeypatch.setattr("qsample.cli.run_verify", lambda quick, rng_seed: {"passed": False, "quick": quick, "checks": []})
     code, out, _ = _run(capsys, "verify", "--quick")

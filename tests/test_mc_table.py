@@ -1,7 +1,12 @@
 """Monte-Carlo in blocks, against the per-trial deviation loop.
 
 ``eps_class_mc`` decides a block of built-in-kind trials from each trial's
-raw PCG64 words: ``draws._Words`` redoes numpy's draws on them as array
+raw PCG64 words.  A trial that reads at most ``draws._JUMP_WORDS`` words
+gets them from ``draws._pcg64_words``, jump-ahead arithmetic on the whole
+block, checked bit for bit against one PCG64 per trial; a longer trial
+seeds that PCG64 itself, as numpy's per-word loop is then the cheaper, and
+the draws are checked on both sides of the crossover.  ``draws._Words``
+redoes numpy's draws on the words as array
 operations (Lemire's bounded draws, Floyd's selection),
 ``SamplingStrategy._draws`` makes them the index rows of every trial's
 (t, s), and ``_draw_block`` reads those with the estimator rows of
@@ -192,6 +197,35 @@ def test_trial_generators_load_the_states_of_default_rng(seed, trials):
     assert got == [np.random.default_rng((seed, i)).bit_generator.state for i in trials]
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("trials", [range(300), range(2 ** 32 - 5, 2 ** 32 + 5)])
+def test_jump_ahead_words_are_those_of_a_pcg64_per_trial(seed, trials):
+    seeds = draws._trial_seeds(seed, trials)
+    want = np.array([draws._pcg64(row).random_raw(draws._JUMP_WORDS) for row in seeds])
+    for count in range(1, draws._JUMP_WORDS + 1):
+        got = draws._pcg64_words(seeds, count)
+        assert got.dtype == np.uint64 and (got == want[:, :count]).all()
+
+
+@pytest.mark.parametrize("per_trial", [1, draws._JUMP_WORDS, draws._JUMP_WORDS + 1, 3 * draws._JUMP_WORDS])
+def test_words_take_the_jump_ahead_only_up_to_the_crossover(monkeypatch, per_trial):
+    jumped, pcg64_words = [], draws._pcg64_words
+    monkeypatch.setattr(draws, "_pcg64_words", lambda seeds, count: jumped.append(count) or pcg64_words(seeds, count))
+    seeds = draws._trial_seeds(6, range(5))
+    got = draws._Words(seeds, per_trial)._words()
+    assert jumped == ([per_trial] if per_trial <= draws._JUMP_WORDS else [])
+    assert got.tolist() == [draws._pcg64(row).random_raw(per_trial).tolist() for row in seeds]
+
+
+def test_jump_constants_are_built_at_the_first_draw_not_at_import():
+    path = os.path.dirname(os.path.dirname(sampling.__file__))  # the qsample under test
+    code = (
+        f"import sys; sys.path.insert(0, {path!r}); import qsample.cli; import qsample.draws as d; "
+        "print(d._jumps.cache_info().currsize)"
+    )
+    assert subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout == "0\n"
+
+
 def test_importing_qsample_leaves_numpy_random_as_importing_numpy_does():
     # draws._entropy_type imports numpy.random at first use, which keeps it
     # out of every start-up that draws nothing
@@ -233,14 +267,18 @@ def draw_programs(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(program=draw_programs(), seed=st.integers(0, 2 ** 32))
-def test_raw_word_draws_match_the_generator_calls(program, seed):
-    # choice is compared as a set, the only thing the kernels read of it
+@given(program=draw_programs(), seed=st.integers(0, 2 ** 32), data=st.data())
+def test_raw_word_draws_match_the_generator_calls(program, seed, data):
+    # choice is compared as a set, the only thing the kernels read of it.
+    # The words come from the jump-ahead arithmetic up to _JUMP_WORDS a
+    # trial, where a trial may run past them, or from one PCG64 per trial
+    # past it, with room for rejections
     rows, calls = program
     seeds = draws._trial_seeds(seed, range(rows))
     reads = sum(2 * int(np.max(c[2])) if c[0] == "choice" else c[2] for c in calls if c[0] != "random_below")
     whole = sum(c[1] for c in calls if c[0] == "random_below")
-    words, oracle = draws._Words(seeds, whole + 2 * reads + 64), draws._Calls(seeds)  # room for rejections
+    per_trial = data.draw(st.integers(whole + 1, draws._JUMP_WORDS) | st.just(whole + 2 * reads + 64), label="words")
+    words, oracle = draws._Words(seeds, per_trial), draws._Calls(seeds)
     replayed = np.zeros(rows, dtype=bool)
     for op, *args in calls:
         got, want = getattr(words, op)(*args), getattr(oracle, op)(*args)
@@ -248,8 +286,14 @@ def test_raw_word_draws_match_the_generator_calls(program, seed):
             replayed |= args[1] > 128  # left to the Generator call
             got, want = np.sort(got, axis=1), np.sort(want, axis=1)
         assert got.shape == want.shape
-        assert (got[~replayed] == want[~replayed]).all()
-    assert words.lost.tolist() == replayed.tolist()
+        assert (got[~words.lost] == want[~words.lost]).all()
+    # a trial runs past its words iff its Generator read more than per_trial:
+    # the next word it would read is not among the first per_trial + 1
+    ran_out = [
+        g.bit_generator.random_raw() not in draws._pcg64(row).random_raw(per_trial + 1)
+        for g, row in zip(oracle.generators, seeds)
+    ]
+    assert words.lost.tolist() == (replayed | ran_out).tolist()
 
 
 def test_bounded_draw_rejects_as_numpy_does():
