@@ -6,7 +6,8 @@ seed, so rerunning the same invocation reproduces the output byte for byte.
 
 Exit status: 0 on success, 1 when a checked property fails, 2 on a
 configuration error (unknown command, malformed or out-of-range parameters,
-exceeded enumeration budget).
+a --seed where nothing is drawn, an unwritable --out, exceeded enumeration
+budget).
 """
 
 from __future__ import annotations
@@ -86,6 +87,11 @@ class RunConfig:
         object.__setattr__(self, "rng_seed", int(self.rng_seed))
         if self.rng_seed < 0:
             raise ValueError(f"--seed must be a non-negative integer, got {self.rng_seed}")
+        # a seed is echoed in the report, so one that nothing draws from is refused
+        if self.rng_seed and self.command == "eps-class" and self.params.get("mode") != "mc":
+            raise ValueError("--seed applies only with --mc")
+        if self.rng_seed and self.command in ("eps-quant", "bounds", "tightness", "qkd-plan"):
+            raise ValueError(f"--seed does not apply to {self.command}, which draws nothing")
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +471,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--q", help="input string for --mc, e.g. 0110")
     cmd.add_argument("--trials", type=int, help="Monte-Carlo trial count")
 
-    cmd = new("eps-quant", "optimal-projection distance versus sqrt(eps_class)")
+    cmd = new("eps-quant", "optimal-projection distance versus sqrt(eps_class)", seed=False)
     cmd.add_argument("--kind", required=True, choices=STRATEGY_KINDS)
     cmd.add_argument("--n", type=int)
     cmd.add_argument("--k", type=int)
@@ -473,7 +479,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--delta", type=float, required=True)
     cmd.add_argument("--state", help="JSON state file; default is the symmetric worst case")
 
-    cmd = new("bounds", "closed-form error-probability bounds over a delta grid")
+    cmd = new("bounds", "closed-form error-probability bounds over a delta grid", seed=False)
     cmd.add_argument("--kind", required=True, choices=BOUND_KINDS)
     cmd.add_argument("--n", type=int)
     cmd.add_argument("--k", type=int)
@@ -483,7 +489,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--beta", type=float, help="free parameter of the four-term bound")
     cmd.add_argument("--csv", action="store_true", help="emit delta,bound rows")
 
-    cmd = new("tightness", "worst-case symmetric state meets sqrt(eps_class)")
+    cmd = new("tightness", "worst-case symmetric state meets sqrt(eps_class)", seed=False)
     cmd.add_argument("--n", type=int, required=True)
     cmd.add_argument("--k", type=int, required=True)
     cmd.add_argument("--delta", type=float, default=0.3)
@@ -543,14 +549,14 @@ def main(argv=None) -> int:
             output_path=args.out,
         )
         status, text = run(config)
+        if config.output_path is not None:
+            with open(config.output_path, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (BudgetExceededError, NotImplementedError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if config.output_path is not None:
-        with open(config.output_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return status
 
 

@@ -22,7 +22,6 @@ Python ints, at any l.  The extraction distance of (key, public view, E) from
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -43,7 +42,6 @@ __all__ = [
     "hash_eval",
     "pad_input",
     "pa_exact_check",
-    "pa_report_json",
     "classical_env_min_entropy",
     "CqState",
 ]
@@ -443,17 +441,3 @@ def pa_exact_check(
     bound = 0.5 * 2.0 ** (-0.5 * (hmin - l))
     return {"distance": distance, "bound": bound, "holds": distance <= bound + 1e-9, "hmin": hmin}
 
-
-def pa_report_json(rho_XE: CqState, family: HashFamily, l: int, certificate=None) -> str:
-    """JSON report {n, l, hmin, distance, bound}."""
-    result = pa_exact_check(rho_XE, family, l, certificate=certificate)
-    return json.dumps(
-        {
-            "n": family.input_bits,
-            "l": int(l),
-            "hmin": result["hmin"],
-            "distance": result["distance"],
-            "bound": result["bound"],
-        },
-        sort_keys=True,
-    )

@@ -22,7 +22,6 @@ population law depends only on the weight.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -45,7 +44,6 @@ from .sampling import (
     _table,
     _worst_case,
     eps_class_exact,
-    strategy_to_json,
 )
 
 __all__ = [
@@ -56,10 +54,8 @@ __all__ = [
     "ideal_distance",
     "symmetric_ideal_distance",
     "check_sqrt_bound",
-    "sqrt_bound_report",
     "symmetric_worst_state",
     "is_g_symmetric",
-    "apply_permutation",
     "symmetric_group",
     "pair_symmetry_group",
     "NotSymmetricError",
@@ -225,21 +221,6 @@ def check_sqrt_bound(state: PureState, strategy: SamplingStrategy, delta: float)
     return _sqrt_check(ideal_distance(state, strategy, delta), eps_class_exact(strategy, delta).value)
 
 
-def sqrt_bound_report(state: PureState, strategy: SamplingStrategy, delta: float) -> str:
-    """JSON report {strategy, delta, ideal_distance, sqrt_eps_class, gap}."""
-    result = check_sqrt_bound(state, strategy, delta)
-    return json.dumps(
-        {
-            "strategy": json.loads(strategy_to_json(strategy)),
-            "delta": float(delta),
-            "ideal_distance": result["ideal_distance"],
-            "sqrt_eps_class": result["sqrt_eps_class"],
-            "gap": result["sqrt_eps_class"] - result["ideal_distance"],
-        },
-        sort_keys=True,
-    )
-
-
 # ---------------------------------------------------------------------------
 # permutation groups
 # ---------------------------------------------------------------------------
@@ -248,14 +229,6 @@ def sqrt_bound_report(state: PureState, strategy: SamplingStrategy, delta: float
 def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     # (a . b)(i) = a(b(i))
     return tuple(a[b[i] - 1] for i in range(len(b)))
-
-
-def apply_permutation(perm: tuple[int, ...], q) -> tuple[int, ...]:
-    """Move the symbol at position i to position perm[i-1]."""
-    out = [0] * len(perm)
-    for i, sym in enumerate(q):
-        out[perm[i] - 1] = sym
-    return tuple(out)
 
 
 @dataclass(frozen=True)

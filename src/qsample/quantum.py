@@ -28,7 +28,6 @@ __all__ = [
     "MeasurementBranch",
     "HADAMARD",
     "trace_distance",
-    "hybrid_trace_distance",
     "cq_distance",
     "partial_trace",
     "to_density",
@@ -296,16 +295,6 @@ def trace_distance(rho, sigma) -> float:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return 0.5 * _trace_norm(a - b)
-
-
-def hybrid_trace_distance(a: CqState, b: CqState) -> float:
-    """Distance between two hybrids sharing one classical distribution:
-    sum_x P(x) * trace_distance(rho_E^x, rho_E'^x)."""
-    pa = {x: p for (x, p, _) in a.entries}
-    pb = {x: p for (x, p, _) in b.entries}
-    if set(pa) != set(pb) or any(abs(pa[x] - pb[x]) > 1e-12 for x in pa):
-        raise ValueError("hybrids do not share the same classical distribution")
-    return cq_distance(a, b)
 
 
 def cq_distance(a: CqState, b: CqState) -> float:

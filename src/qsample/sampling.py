@@ -71,7 +71,6 @@ __all__ = [
     "restrict",
     "complement",
     "pair_position",
-    "position_pair",
     "make_strategy",
     "custom_strategy",
     "estimate",
@@ -83,8 +82,6 @@ __all__ = [
     "analytic_bound",
     "BOUND_KINDS",
     "STRATEGY_KINDS",
-    "strategy_to_json",
-    "strategy_from_json",
     "error_estimate_to_dict",
     "error_estimate_to_json",
     "mc_halfwidth",
@@ -231,13 +228,6 @@ def pair_position(i: int, j: int, n: int) -> int:
     if j not in (0, 1):
         raise ValueError(f"pair slot must be 0 or 1, got {j}")
     return i + j * n
-
-
-def position_pair(pos: int, n: int) -> tuple[int, int]:
-    """Inverse of :func:`pair_position`."""
-    if not 1 <= pos <= 2 * n:
-        raise ValueError(f"position {pos} outside [1..{2 * n}]")
-    return (pos, 0) if pos <= n else (pos - n, 1)
 
 
 def _symbols(q, strategy: SamplingStrategy | None = None) -> tuple[int, ...]:
@@ -1539,29 +1529,6 @@ def _example6_bound(params: Mapping, delta: float) -> float:
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
-
-
-def strategy_to_json(strategy: SamplingStrategy) -> str:
-    """Serialize a built-in strategy as a JSON object {kind, n, k?, p?}."""
-    if strategy.kind == "custom":
-        raise ValueError("custom strategies have no JSON form")
-    obj: dict = {"kind": strategy.kind, "n": strategy.n}
-    if strategy.k is not None:
-        obj["k"] = strategy.k
-    if strategy.p is not None:
-        obj["p"] = strategy.p
-    if strategy.d != 2:
-        obj["d"] = strategy.d
-    return json.dumps(obj, sort_keys=True)
-
-
-def strategy_from_json(text: str) -> SamplingStrategy:
-    """Inverse of :func:`strategy_to_json`."""
-    obj = json.loads(text)
-    kind = obj.pop("kind", None)
-    if kind is None:
-        raise ValueError("strategy JSON needs a 'kind' field")
-    return make_strategy(kind, obj)
 
 
 def error_estimate_to_dict(est: ErrorEstimate) -> dict:

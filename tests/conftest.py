@@ -18,3 +18,18 @@ def _tensordot_hadamard(tensor: np.ndarray, axes) -> np.ndarray:
 @pytest.fixture(scope="session")
 def tensordot_hadamard():
     return _tensordot_hadamard
+
+
+def _apply_permutation(perm: tuple[int, ...], q) -> tuple[int, ...]:
+    """Move the symbol at position i to position perm[i-1]: one group
+    element's image of a string, for the symmetry oracles that loop over
+    a group's elements."""
+    out = [0] * len(perm)
+    for i, sym in enumerate(q):
+        out[perm[i] - 1] = sym
+    return tuple(out)
+
+
+@pytest.fixture(scope="session")
+def apply_permutation():
+    return _apply_permutation

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsample.protocols
-from qsample.cli import RunConfig, _indented_json, main, run
+from qsample.cli import COMMANDS, RunConfig, _indented_json, main, run
 from qsample.quantum import random_density_matrix, random_pure_state, state_to_json
 
 
@@ -39,7 +39,10 @@ def test_eps_class_worked_example(capsys):
 
 
 def test_report_embeds_config_and_seed(capsys):
-    code, out, _ = _run(capsys, "eps-class", "--kind", "example5", "--n", "4", "--k", "2", "--delta", "0.3", "--seed", "17")
+    code, out, _ = _run(
+        capsys, "eps-class", "--kind", "example5", "--n", "4", "--k", "2", "--delta", "0.3",
+        "--mc", "--q", "01100110", "--trials", "50", "--seed", "17",
+    )
     assert code == 0
     report = json.loads(out)
     assert report["command"] == "eps-class"
@@ -72,6 +75,13 @@ def test_out_flag_writes_file(capsys, tmp_path):
     report = json.loads(target.read_text())
     assert report["config"]["output_path"] == str(target)
     assert report["result"]["tight"]
+
+
+def test_unwritable_out_exits_2_with_one_line(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = _run(capsys, "tightness", "--n", "4", "--k", "2", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_json_keys_are_sorted(capsys):
@@ -272,10 +282,21 @@ def test_mc_mode_requires_target_string(capsys):
     assert "--q" in err
 
 
-@pytest.mark.parametrize("extra", [["--q", "0110011001"], ["--trials", "5"], ["--exact", "--q", "0110011001"], ["--exact", "--trials", "5"]])
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--q", "0110011001"],
+        ["--trials", "5"],
+        ["--seed", "17"],
+        ["--exact", "--q", "0110011001"],
+        ["--exact", "--trials", "5"],
+        ["--exact", "--seed", "17"],
+    ],
+)
 def test_mc_inputs_outside_mc_mode_exit_2(capsys, extra):
-    # the exact worst case runs over every string, so a --q or --trials it
-    # would ignore (and echo in its config) is refused
+    # the exact worst case runs over every string and draws nothing, so a
+    # --q, --trials or --seed it would ignore (and echo in its config) is
+    # refused
     code, out, err = _run(capsys, "eps-class", "--kind", "example1", "--n", "10", "--k", "3", "--delta", "0.1", *extra)
     assert code == 2 and out == ""
     assert err == f"error: {extra[-2]} applies only with --mc\n"
@@ -296,6 +317,40 @@ def test_negative_seed_exits_2_naming_the_option(capsys, argv):
     code, out, err = _run(capsys, *argv.split(), "--seed", "-3")
     assert code == 2 and out == ""
     assert err == "error: --seed must be a non-negative integer, got -3\n"
+
+
+# the commands that draw, and valid params for each of the others
+DRAWING_COMMANDS = ("eps-class", "lemma2", "pa-check", "qkd-sim", "qot-sim", "verify")
+DRAWLESS_PARAMS = {
+    "eps-quant": {"kind": "example1", "n": 3, "k": 1, "delta": 0.3},
+    "bounds": {"kind": "example1-simple", "n": 4, "k": 2},
+    "tightness": {"n": 3, "k": 1},
+    "qkd-plan": {"n": 100, "k": 10},
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_seed_is_offered_by_exactly_the_commands_that_draw(capsys, command):
+    assert set(COMMANDS) == set(DRAWING_COMMANDS) | set(DRAWLESS_PARAMS)
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert ("--seed" in capsys.readouterr().out) == (command in DRAWING_COMMANDS)
+    if command in DRAWLESS_PARAMS:
+        argv = [part for name, value in DRAWLESS_PARAMS[command].items() for part in (f"--{name}", str(value))]
+        with pytest.raises(SystemExit) as info:
+            main([command, *argv, "--seed", "1"])
+        captured = capsys.readouterr()
+        assert info.value.code == 2 and captured.out == ""
+        assert captured.err.endswith("error: unrecognized arguments: --seed 1\n")
+
+
+@pytest.mark.parametrize("command", DRAWLESS_PARAMS)
+def test_runconfig_refuses_a_seed_where_nothing_draws(command):
+    # the library entry point echoes rng_seed as the CLI does
+    params = DRAWLESS_PARAMS[command]
+    with pytest.raises(ValueError, match=f"^--seed does not apply to {command}, which draws nothing$"):
+        RunConfig(command, params, rng_seed=5)
+    assert run(RunConfig(command, params))[0] == 0
 
 
 def test_property_failure_exits_1(capsys, monkeypatch):

@@ -1,6 +1,5 @@
 """Entropy, certificates, hashing, and privacy amplification."""
 
-import json
 import math
 
 import numpy as np
@@ -26,7 +25,6 @@ from qsample import (
     measure,
     min_entropy_classical_side,
     pa_exact_check,
-    pa_report_json,
     pad_input,
     partial_trace,
     random_density_matrix,
@@ -695,14 +693,3 @@ def test_pa_size_limits():
     uni = _uniform_cq(2)
     with pytest.raises(ValueError, match="output_bits"):
         pa_exact_check(uni, HashFamily(2, 1), 2)
-
-
-def test_pa_report_json():
-    rho = _uniform_cq(3)
-    raw = pa_report_json(rho, HashFamily(3, 2), 2)
-    data = json.loads(raw)
-    assert sorted(data) == ["bound", "distance", "hmin", "l", "n"]
-    assert data["n"] == 3 and data["l"] == 2
-    assert data["hmin"] == pytest.approx(3.0)
-    assert data["distance"] == 0.0
-    assert raw.index('"bound"') < raw.index('"distance"') < raw.index('"hmin"')

@@ -17,7 +17,6 @@ from qsample.quantum import (
     apply_unitary,
     cq_distance,
     dephased_density,
-    hybrid_trace_distance,
     make_epr_pairs,
     measure,
     partial_trace,
@@ -125,20 +124,9 @@ def test_hybrid_distance_matches_block_diagonal_assembly():
         b = CqState(
             [(x, probs[x], random_density_matrix(3, rng)) for x in range(3)], 3
         )
-        direct = hybrid_trace_distance(a, b)
+        direct = cq_distance(a, b)
         assembled = trace_distance(a.as_density(), b.as_density())
         assert abs(direct - assembled) < 1e-9
-
-
-def test_hybrid_distance_rejects_mismatched_distributions():
-    rho = DensityMatrix(np.eye(2) / 2, (2,))
-    a = CqState([(0, 0.5, rho), (1, 0.5, rho)], 2)
-    b = CqState([(0, 0.6, rho), (1, 0.4, rho)], 2)
-    c = CqState([(0, 0.5, rho), (2, 0.5, rho)], 2)
-    with pytest.raises(ValueError, match="classical distribution"):
-        hybrid_trace_distance(a, b)
-    with pytest.raises(ValueError, match="classical distribution"):
-        hybrid_trace_distance(a, c)
 
 
 def test_cq_distance_handles_different_laws():
@@ -148,10 +136,10 @@ def test_cq_distance_handles_different_laws():
     b = CqState([(1, 1.0, sig)], 2)
     # disjoint labels: the states are perfectly distinguishable
     assert cq_distance(a, b) == pytest.approx(1.0)
-    # agreement with the shared-law distance when laws do match
+    # agreement with the block-diagonal assembly when laws do match
     c = CqState([(0, 0.5, rho), (1, 0.5, rho)], 2)
     d = CqState([(0, 0.5, sig), (1, 0.5, rho)], 2)
-    assert cq_distance(c, d) == pytest.approx(hybrid_trace_distance(c, d))
+    assert cq_distance(c, d) == pytest.approx(trace_distance(c.as_density(), d.as_density()))
 
 
 def test_cq_state_validates_probabilities():
