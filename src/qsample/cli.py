@@ -440,8 +440,17 @@ def _indented_json(value, indent: str = "") -> str:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose refusals (an unknown option, a missing one, a
+    bad choice or value) print one line, ``error: ...``, and exit 2, as every
+    refusal :func:`main` makes; its subcommand parsers are of this class."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qsample",
         description="Sampling-strategy error probabilities, quantum sampling bounds, "
         "and desk-scale protocol simulations with reproducible JSON output.",

@@ -7,9 +7,12 @@ microseconds of interpreter work each.  Here the seeds of a block of trials
 come from one batched SeedSequence hash (:func:`_trial_seeds`).  A trial
 that reads at most ``_JUMP_WORDS`` words gets them by jump-ahead arithmetic
 on the whole block (:func:`_pcg64_words`): PCG64 is a 128-bit LCG, so each
-word is one multiply-add from the seed.  That costs about 15 times as much
-per word as numpy's own loop, so a longer trial seeds one PCG64 and reads
-its words with one ``random_raw`` call instead.  :class:`_Words` makes the
+word is one multiply-add from the seed.  The arithmetic runs in place on
+chunks of the block, so its memory past the words stays at most three
+chunks of ``_WORD_CELLS`` words however many trials a block holds (up to
+1024, ``sampling._MC_BLOCK_TRIALS``).  It costs about 8 times as much per word as numpy's own
+loop, so a longer trial seeds one PCG64 and reads its words with one
+``random_raw`` call instead.  :class:`_Words` makes the
 draws numpy would make from those words, as array operations on the whole
 block: ``random`` compared with a bias, bounded ``integers`` by Lemire's
 method, and ``choice`` without replacement by Floyd's algorithm.
@@ -99,15 +102,16 @@ def _pcg64(words: np.ndarray) -> np.random.PCG64:
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _WORD64, _STATE = (1 << 64) - 1, (1 << 128) - 1
 
-# A jump-ahead word costs 15-20 ns of array arithmetic, about 15 times a word
-# of numpy's own loop, so the arithmetic wins only while the 3-4 us of
-# seeding one PCG64 per trial dominates.  At 256 trials (2-core Xeon, medians
-# of 60 alternating runs on a host whose speed drifted between runs, against
-# one PCG64 and random_raw per trial): 12 words 0.21-0.23 ms against 0.94 ms,
-# 51 words 0.36-0.55 ms against 0.63-1.03 ms, 64 words 0.43-0.60 ms against
-# 0.64-1.03 ms, 72 words 0.68-1.18 ms against 1.04-1.09 ms, 80 words 1.5 ms
-# against 1.1 ms.  A trial that reads more is seeded as its own PCG64.
-_JUMP_WORDS = 64
+# A jump-ahead word costs about 23 ns of array arithmetic, some 8 times a
+# word of numpy's own loop, so the arithmetic wins only while the 2 us of
+# seeding one PCG64 per trial dominates.  At 1024 trials (2-core Xeon,
+# medians of 7 interleaved runs, against one PCG64 and random_raw per
+# trial): 12 words 0.38 ms against 2.12 ms, 51 words 1.38 against 2.22, 64
+# words 1.62 against 2.21, 80 words 2.03 against 2.33, 88 words 2.22 against
+# 2.31, 96 words 2.40 against 2.29, 128 words 3.13 against 2.45; at 256
+# trials 80 words 0.53 ms against 0.58 and 96 words 0.60 against 0.60.  A
+# trial that reads more is seeded as its own PCG64.
+_JUMP_WORDS = 80
 
 
 @functools.cache
@@ -126,13 +130,36 @@ def _jumps() -> np.ndarray:
     return out
 
 
-def _mulhi(c0: np.ndarray, c1: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The high 64 bits of c x, c = c1 2^32 + c0, in 32-bit limbs whose
-    partial sums stay below 2^64 (Hacker's Delight, 8-2)."""
+def _mulhi(hi: np.ndarray, c0: np.ndarray, c1: np.ndarray, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
+    """hi += the high 64 bits of c x, c = c1 2^32 + c0, in 32-bit limbs whose
+    partial sums stay below 2^64 (Hacker's Delight, 8-2); u and v, of hi's
+    shape, are scratch."""
     x0, x1 = x & np.uint64(_WORD), x >> np.uint64(32)
-    u = c1 * x0 + (c0 * x0 >> np.uint64(32))
-    v = c0 * x1 + (u & np.uint64(_WORD))
-    return c1 * x1 + (u >> np.uint64(32)) + (v >> np.uint64(32))
+    np.multiply(c0, x0, out=u)
+    u >>= np.uint64(32)
+    np.multiply(c1, x0, out=v)
+    u += v  # u = c1 x0 + (c0 x0 >> 32)
+    np.bitwise_and(u, np.uint64(_WORD), out=v)
+    u >>= np.uint64(32)
+    hi += u
+    np.multiply(c0, x1, out=u)
+    v += u  # v = c0 x1 + (u & (2^32 - 1))
+    v >>= np.uint64(32)
+    hi += v
+    np.multiply(c1, x1, out=u)
+    hi += u
+
+
+# _pcg64_words runs on chunks of rows of about this many words each, in three
+# scratch arrays of one chunk that every chunk reuses, so its memory past
+# the output stays flat however many trials a block holds.  At 1024 trials
+# (2-core Xeon, medians of 5 interleaved runs), chunks of 2^13, 2^14, 2^15,
+# 2^16 words and the whole block took 0.45, 0.37, 0.49, 0.51, 0.50 ms at 12
+# words a trial, 1.58, 1.36, 1.26, 1.22, 1.22 ms at 51, and 1.91, 1.57,
+# 1.46, 1.50, 1.55 ms at 64; a 1024 x 64 call peaks at 1.06 MB of traced
+# memory, where the same arithmetic on whole-block temporaries took 2.95 ms
+# and peaked at 3.7 MB.
+_WORD_CELLS = 1 << 14
 
 
 def _pcg64_words(seeds: np.ndarray, count: int) -> np.ndarray:
@@ -147,17 +174,33 @@ def _pcg64_words(seeds: np.ndarray, count: int) -> np.ndarray:
     output of S_j = M^(j+1) init + G_(j+2) inc mod 2^128, with G_m = 1 + M +
     ... + M^(m-1) (Brown, "Random Number Generation with Arbitrary Strides",
     1994): two 128-bit products per word, from the constants of
-    :func:`_jumps`."""
+    :func:`_jumps`.  The products run in place, chunk by chunk of
+    ``_WORD_CELLS`` words, with each chunk's low halves in the output."""
     a_hi, a_lo, b_hi, b_lo, a0, a1, b0, b1 = _jumps()[:, :count]
-    w0, w1, w2, w3 = (seeds[:, i : i + 1] for i in range(4))
-    c_hi, c_lo = w2 << np.uint64(1) | w3 >> np.uint64(63), w3 << np.uint64(1) | np.uint64(1)
-    lo_a = a_lo * w1
-    lo = lo_a + b_lo * c_lo
-    hi = _mulhi(a0, a1, w1) + _mulhi(b0, b1, c_lo) + (lo < lo_a)
-    hi += a_lo * w0 + a_hi * w1 + b_lo * c_hi + b_hi * c_lo
-    lo ^= hi
-    rot = hi >> np.uint64(58)
-    return lo >> rot | lo << (-rot & np.uint64(63))
+    out, step = np.empty((len(seeds), count), dtype=np.uint64), max(1, _WORD_CELLS // count)
+    scratch = np.empty((3, min(len(seeds), step), count), dtype=np.uint64)
+    for first in range(0, len(seeds), step):
+        w0, w1, w2, w3 = (seeds[first : first + step, i : i + 1] for i in range(4))
+        c_hi, c_lo = w2 << np.uint64(1) | w3 >> np.uint64(63), w3 << np.uint64(1) | np.uint64(1)
+        lo = out[first : first + step]
+        hi, u, v = scratch[:, : len(lo)]
+        np.multiply(a_lo, w1, out=u)
+        np.multiply(b_lo, c_lo, out=lo)
+        lo += u
+        np.less(lo, u, out=hi)  # the carry out of the low half
+        _mulhi(hi, a0, a1, w1, u, v)
+        _mulhi(hi, b0, b1, c_lo, u, v)
+        for c, x in ((a_lo, w0), (a_hi, w1), (b_lo, c_hi), (b_hi, c_lo)):
+            np.multiply(c, x, out=u)
+            hi += u
+        lo ^= hi
+        hi >>= np.uint64(58)  # the rotation r
+        np.negative(hi, out=u)
+        u &= np.uint64(63)
+        np.left_shift(lo, u, out=v)
+        lo >>= hi
+        lo |= v  # rotr64(lo, r) = lo >> r | lo << (-r & 63)
+    return out
 
 
 def _trial_seeds(seed: int, trials: range) -> np.ndarray:
@@ -282,6 +325,7 @@ class _Words:
         nothing."""
         if self.stream is None:
             self.stream = np.ascontiguousarray(self._words()[:, self.read :]).astype("<u8", copy=False).view("<u4")
+            self.words = None  # whole words are read first: a copied stream leaves them unread
             self.at = np.zeros(len(self.seeds), dtype=np.int64)
         width, rows, stream, at = self.stream.shape[1], np.arange(len(self.seeds)), self.stream, self.at.copy()
         if len(ranges) == 1 and (at == at[0]).all():  # every trial at the same read: one row of positions

@@ -763,8 +763,15 @@ _BLOCK_CELLS = 1 << 18
 _PRODUCT_BLOCKS = 4
 # Monte-Carlo decides at most this many trials at once: capped by cells
 # alone, a block on short strings would hold ~10^5 trials, several MB of
-# draws (or of a custom strategy's (t, s) tuples).
-_MC_BLOCK_TRIALS = 256
+# draws (or of a custom strategy's (t, s) tuples).  Each block pays a fixed
+# cost in array calls, so 700 trials (2-core Xeon, medians of 5 interleaved
+# runs) took 1.59, 1.27 and 0.93 ms in blocks of 256, 512 and 1024 on
+# example2 n = 100, k = 20 (12 words a trial), and 4.40, 3.81 and 3.11 ms on
+# example6 n = 40, k = 10 (51 words); 2048 and 4096 were no faster there.
+# At 20 000 trials 2048 was about 10% faster than 1024 on kinds 1, 2, 4, 5
+# and 6, but its blocks peak at about twice the memory (2.3 MB traced on
+# example6 n = 40 against 1.2 MB).
+_MC_BLOCK_TRIALS = 1024
 
 
 def _exact_dtype(bound: int):
@@ -1363,13 +1370,15 @@ def eps_class_mc(
 
     Trial i draws its (t, s) as ``sample_ts`` does from
     ``np.random.default_rng((rng_seed, i))``, so the result does not depend
-    on execution order; the seeds of every ``_MC_BLOCK_TRIALS`` trials are
-    hashed at once (:func:`_trial_seeds`) and sliced into blocks.  A
+    on execution order; the seeds of every ``_MC_BLOCK_TRIALS`` (1024)
+    trials are hashed at once (:func:`_trial_seeds`) and sliced into blocks.  A
     built-in kind draws a block with ``SamplingStrategy._draws`` from each
     trial's raw PCG64 words, numpy's bounded draws and Floyd selection
     redone as arrays (:func:`_mc_block`), and reads it with the estimator
     rows.  The words of a trial that reads at most ``_JUMP_WORDS`` come
-    from jump-ahead arithmetic on the whole block, those of a longer one
+    from jump-ahead arithmetic on the whole block, run in place chunk by
+    chunk, so its scratch stays at most three chunks of ``_WORD_CELLS``
+    words however many trials the block holds; those of a longer trial come
     from one PCG64 per trial, whose per-word loop is then the cheaper.
     Generator calls make only the trials that run past their words or
     choose more than ``_FLOYD_PICKS``, where numpy's own loop is faster.

@@ -276,6 +276,25 @@ def test_option_prefixes_are_not_abbreviations(capsys, prefix):
     assert "unrecognized arguments" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ("eps-quant --kind example1 --n 3 --k 1 --delta 0.3 --seed 1", "unrecognized arguments: --seed 1"),
+        ("eps-class --kind example1 --n 3 --k 1", "the following arguments are required: --delta"),
+        ("eps-class --kind example9 --delta 0.3", "argument --kind: invalid choice: 'example9'"),
+        ("tightness --n three --k 1", "argument --n: invalid int value: 'three'"),
+        ("", "the following arguments are required: command"),
+    ],
+)
+def test_argparse_refusals_are_one_error_line(capsys, argv, message):
+    # argparse's own refusals read like main's: no usage line before them
+    with pytest.raises(SystemExit) as info:
+        main(argv.split())
+    captured = capsys.readouterr()
+    assert info.value.code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+
 def test_mc_mode_requires_target_string(capsys):
     code, _, err = _run(capsys, "eps-class", "--kind", "example1", "--n", "4", "--k", "1", "--delta", "0.3", "--mc", "--trials", "100")
     assert code == 2
@@ -341,7 +360,7 @@ def test_seed_is_offered_by_exactly_the_commands_that_draw(capsys, command):
             main([command, *argv, "--seed", "1"])
         captured = capsys.readouterr()
         assert info.value.code == 2 and captured.out == ""
-        assert captured.err.endswith("error: unrecognized arguments: --seed 1\n")
+        assert captured.err == "error: unrecognized arguments: --seed 1\n"
 
 
 @pytest.mark.parametrize("command", DRAWLESS_PARAMS)

@@ -3,7 +3,8 @@
 ``eps_class_mc`` decides a block of built-in-kind trials from each trial's
 raw PCG64 words.  A trial that reads at most ``draws._JUMP_WORDS`` words
 gets them from ``draws._pcg64_words``, jump-ahead arithmetic on the whole
-block, checked bit for bit against one PCG64 per trial; a longer trial
+block in place, chunk by chunk, checked bit for bit against one PCG64 per
+trial on both sides of every chunk edge; a longer trial
 seeds that PCG64 itself, as numpy's per-word loop is then the cheaper, and
 the draws are checked on both sides of the crossover.  ``draws._Words``
 redoes numpy's draws on the words as array
@@ -159,27 +160,31 @@ def test_mc_hits_ties_at_delta_on_block_edges(monkeypatch, trials, kind, params,
 ])
 def test_mc_on_strings_longer_than_a_full_block(kind, params):
     # L > _BLOCK_CELLS / _MC_BLOCK_TRIALS; a block of a built-in kind is
-    # sized by twice a trial's words instead, 225 to 256 trials here, so 300
-    # trials end in a part block
+    # sized by twice a trial's words instead where that is smaller: 225 to
+    # 428 trials for kinds 3, 5 and 6 here, while kinds 1, 2 and 4 read 17 to
+    # 46 words and take _MC_BLOCK_TRIALS (1024), so 1100 trials end in a part
+    # block on every kind
     strategy = make_strategy(kind, params)
     assert strategy.length * sampling._MC_BLOCK_TRIALS > sampling._BLOCK_CELLS
+    assert 1100 % min(sampling._MC_BLOCK_TRIALS, sampling._BLOCK_CELLS // (2 * sampling._trial_words(strategy)))
     q = [int(x) for x in np.random.default_rng(5).integers(0, 2, size=strategy.length)]
-    est = eps_class_mc(strategy, q, 0.05, 300, rng_seed=11)
-    assert est.value == oracle_mc(strategy, q, 0.05, 300, rng_seed=11)
+    est = eps_class_mc(strategy, q, 0.05, 1100, rng_seed=11)
+    assert est.value == oracle_mc(strategy, q, 0.05, 1100, rng_seed=11)
 
 
 def test_mc_hashes_the_seeds_once_per_block_trials(monkeypatch):
     # a choice of 500 picks is made by Generator calls, so a block is sized
-    # by the 20 000 positions: 13 trials; the seeds are still hashed once
-    # per _MC_BLOCK_TRIALS trials and sliced
-    strategy = make_strategy("example1", {"n": 20000, "k": 500})
+    # by the 2000 positions: 131 trials; the seeds are still hashed once per
+    # _MC_BLOCK_TRIALS trials and sliced
+    strategy = make_strategy("example1", {"n": 2000, "k": 500})
     hashed, trial_seeds = [], sampling._trial_seeds
     monkeypatch.setattr(sampling, "_trial_seeds", lambda seed, trials: hashed.append(trials) or trial_seeds(seed, trials))
     q = [int(x) for x in np.random.default_rng(8).integers(0, 2, size=strategy.length)]
-    est = eps_class_mc(strategy, q, 0.02, 300, rng_seed=3)
-    assert sampling._trial_words(strategy) is None and sampling._BLOCK_CELLS // strategy.length == 13
-    assert hashed == [range(0, 256), range(256, 300)]
-    assert est.value == oracle_mc(strategy, q, 0.02, 300, rng_seed=3)
+    block = sampling._MC_BLOCK_TRIALS
+    est = eps_class_mc(strategy, q, 0.02, block + 44, rng_seed=3)
+    assert sampling._trial_words(strategy) is None and sampling._BLOCK_CELLS // strategy.length == 131
+    assert hashed == [range(0, block), range(block, block + 44)]
+    assert est.value == oracle_mc(strategy, q, 0.02, block + 44, rng_seed=3)
 
 
 SEEDS = [0, 1, 2 ** 31 - 2, 2 ** 32 + 5, 2 ** 64 + 3, 2 ** 100]  # one to four entropy words
@@ -205,6 +210,39 @@ def test_jump_ahead_words_are_those_of_a_pcg64_per_trial(seed, trials):
     for count in range(1, draws._JUMP_WORDS + 1):
         got = draws._pcg64_words(seeds, count)
         assert got.dtype == np.uint64 and (got == want[:, :count]).all()
+
+
+@pytest.mark.parametrize("seed", [2 ** 32 + 5, 2 ** 64 + 3])
+def test_jump_ahead_words_are_exact_where_the_chunks_meet(seed):
+    # _pcg64_words runs on chunks of h = _WORD_CELLS // count rows: a block
+    # of 1, h - 1, h, h + 1 and 1024 rows, at every count
+    heights = [max(1, draws._WORD_CELLS // count) for count in range(1, draws._JUMP_WORDS + 1)]
+    seeds = draws._trial_seeds(seed, range(max(max(heights) + 1, 1024)))
+    want = np.array([draws._pcg64(row).random_raw(draws._JUMP_WORDS) for row in seeds])
+    for count, h in zip(range(1, draws._JUMP_WORDS + 1), heights):
+        for rows in sorted({1, h - 1, h, h + 1, 1024} - {0}):
+            got = draws._pcg64_words(seeds[:rows], count)
+            assert got.shape == (rows, count) and (got == want[:rows, :count]).all(), (count, rows)
+
+
+# Peak traced allocation of one 1024 x 64 _pcg64_words call: the 512 KB
+# output, three 128 KB scratch chunks and numpy's 128 KB of buffers for a
+# broadcast product, 1.06 MB in all.  The same
+# arithmetic on whole-block temporaries peaked at 3.7 MB, about 7 times the
+# output.
+WORDS_PEAK_LIMIT_BYTES = 1_300_000
+
+
+def test_jump_ahead_words_take_flat_scratch_memory():
+    seeds = draws._trial_seeds(2 ** 32 + 5, range(1024))
+    draws._pcg64_words(seeds, 64)  # the jump constants stay out of the peak
+    tracemalloc.start()
+    try:
+        draws._pcg64_words(seeds, 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < WORDS_PEAK_LIMIT_BYTES
 
 
 @pytest.mark.parametrize("per_trial", [1, draws._JUMP_WORDS, draws._JUMP_WORDS + 1, 3 * draws._JUMP_WORDS])
@@ -277,7 +315,7 @@ def test_raw_word_draws_match_the_generator_calls(program, seed, data):
     seeds = draws._trial_seeds(seed, range(rows))
     reads = sum(2 * int(np.max(c[2])) if c[0] == "choice" else c[2] for c in calls if c[0] != "random_below")
     whole = sum(c[1] for c in calls if c[0] == "random_below")
-    per_trial = data.draw(st.integers(whole + 1, draws._JUMP_WORDS) | st.just(whole + 2 * reads + 64), label="words")
+    per_trial = data.draw(st.integers(whole + 1, draws._JUMP_WORDS) | st.just(whole + 2 * reads + draws._JUMP_WORDS), label="words")
     words, oracle = draws._Words(seeds, per_trial), draws._Calls(seeds)
     replayed = np.zeros(rows, dtype=bool)
     for op, *args in calls:
@@ -501,9 +539,10 @@ def test_mc_past_int64_matches_the_per_trial_deviation():
 
 
 # Peak traced allocation of one call, 20 000 trials.  Blocks of at most
-# _MC_BLOCK_TRIALS peak at about 0.1 to 0.25 MB on each case.  Blocks sized
-# by twice a trial's words alone (10922, 65536 and 10922 trials) peak at
-# about 6.7, 8.3 and 6.7 MB, so each case catches them.
+# _MC_BLOCK_TRIALS (1024) peak at about 0.85, 0.20 and 0.85 MB.  Blocks
+# sized by twice a trial's words alone (10922, 65536 and 10922 trials) peak
+# at about 7.4, 2.50 and 7.4 MB, so the first and last cases catch them
+# (the second only just, since the jump-ahead words take flat scratch).
 PEAK_LIMIT_BYTES = 2_500_000
 
 
