@@ -36,16 +36,12 @@ from .quantum import (
     apply_cnot_pairs,
     apply_unitary,
     cq_distance,
-    dephased_density,
     make_epr_pairs,
     measure,
-    partial_trace,
-    random_density_matrix,
     random_pure_state,
     sample_measurement,
     state_from_json,
     state_to_json,
-    to_density,
     trace_distance,
 )
 from .qsampling import (
@@ -68,12 +64,8 @@ from .entropy import (
     binary_entropy,
     check_certificate,
     classical_env_min_entropy,
-    corollary1_bound,
-    hamming_ball_log_bound,
-    hamming_ball_log_exact,
     hash_eval,
     lemma2_operator_check,
-    min_entropy_classical_side,
     pa_exact_check,
     pad_input,
 )

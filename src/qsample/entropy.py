@@ -1,10 +1,11 @@
 """Min-entropy accounting and privacy amplification.
 
-Provides the binary entropy function and the Hamming-ball counting bound, the
-classical-side min-entropy formula, PSD certificates for min-entropy lower
-bounds against quantum side information, the measurement/mixture operator
-inequality behind the entropy lemma, and an exact small-instance check of the
-two-universal-hashing key-extraction bound.
+Provides the binary entropy function h, from which the protocols write the
+entropy bound h(beta+delta) n of Corollary 1 inline; the min-entropy of a
+classical-quantum state whose environment is classical; PSD certificates for
+min-entropy lower bounds against quantum side information; the
+measurement/mixture operator inequality behind the entropy lemma; and an exact
+small-instance check of the two-universal-hashing key-extraction bound.
 
 The hash family is linear over GF(2): the output is the first l input bits
 XORed with a Toeplitz combination of the remaining n-l bits, so the seed has
@@ -33,17 +34,12 @@ __all__ = [
     "HashFamily",
     "EntropyCertificate",
     "binary_entropy",
-    "hamming_ball_log_bound",
-    "hamming_ball_log_exact",
-    "min_entropy_classical_side",
     "check_certificate",
     "lemma2_operator_check",
-    "corollary1_bound",
     "hash_eval",
     "pad_input",
     "pa_exact_check",
     "classical_env_min_entropy",
-    "CqState",
 ]
 
 _PSD_TOL = 1e-9
@@ -51,7 +47,7 @@ _EXACT_INPUT_BITS = 6  # pa_exact_check's limit: 2^n inputs, each hashed under 2
 
 
 # ---------------------------------------------------------------------------
-# entropies and counting
+# entropies
 # ---------------------------------------------------------------------------
 
 
@@ -63,54 +59,6 @@ def binary_entropy(p: float) -> float:
     if p == 0.0 or p == 1.0:
         return 0.0
     return -(p * math.log2(p) + (1 - p) * math.log2(1 - p))
-
-
-def _check_radius(beta: float, delta: float) -> float:
-    beta, delta = float(beta), float(delta)
-    if beta < 0 or delta < 0:
-        raise ValueError("beta and delta must be non-negative")
-    radius = beta + delta
-    if radius > 0.5:
-        raise ValueError(f"beta + delta must be <= 1/2, got {radius}")
-    return radius
-
-
-def hamming_ball_log_bound(beta: float, delta: float, n: int) -> float:
-    """log2 of the entropy bound on the ball {b : relwt(b) <= beta+delta}:
-    h(beta+delta) * n, valid for beta+delta <= 1/2."""
-    radius = _check_radius(beta, delta)
-    return binary_entropy(radius) * n
-
-
-def hamming_ball_log_exact(beta: float, delta: float, n: int) -> float:
-    """log2 of the exact ball size sum_{w <= (beta+delta) n} C(n, w), n <= 30."""
-    radius = _check_radius(beta, delta)
-    n = int(n)
-    if not 0 <= n <= 30:
-        raise ValueError(f"exact counting supports 0 <= n <= 30, got {n}")
-    cut = math.floor(radius * n + 1e-9)  # guard against float droop at integers
-    total = sum(math.comb(n, w) for w in range(cut + 1))
-    return math.log2(total)
-
-
-def min_entropy_classical_side(joint) -> float:
-    """H_min(X|Y) = -log2 sum_y max_x P(x, y) for a finite joint distribution.
-
-    ``joint`` maps (x, y) pairs to probabilities.  With a constant y this
-    reduces to -log2 max_x P(x).  The pairs are laid out as an (x, y) array,
-    rows and columns in order of first appearance, with 0 where a pair is
-    absent.
-    """
-    items = dict(joint)
-    rows: dict = {}
-    cols: dict = {}
-    for x, y in items:
-        rows.setdefault(x, len(rows))
-        cols.setdefault(y, len(cols))
-    table = np.zeros((len(rows), len(cols)))
-    for (x, y), p in items.items():
-        table[rows[x], cols[y]] = float(p)
-    return _min_entropy(table)
 
 
 def _min_entropy(table: np.ndarray) -> float:
@@ -232,15 +180,6 @@ def lemma2_operator_check(phi: PureState, J, W_basis: BasisSpec) -> dict:
     ops = len(J) * dephased - coherent * coherent.conj().swapaxes(-1, -2)
     min_eig = float(np.linalg.eigvalsh(ops.reshape(-1, phi.dim_E, phi.dim_E))[:, 0].min())
     return {"min_eig": min_eig, "holds": min_eig >= -_PSD_TOL}
-
-
-def corollary1_bound(theta: BasisSpec, beta: float, delta: float, n: int) -> float:
-    """weight(theta) - h(beta+delta) n; may be negative and is returned as-is."""
-    n = int(n)
-    if len(theta) != n:
-        raise ValueError(f"theta length {len(theta)} != n = {n}")
-    radius = _check_radius(beta, delta)
-    return sum(theta.theta) - binary_entropy(radius) * n
 
 
 # ---------------------------------------------------------------------------

@@ -29,16 +29,12 @@ __all__ = [
     "HADAMARD",
     "trace_distance",
     "cq_distance",
-    "partial_trace",
-    "to_density",
     "measure",
     "sample_measurement",
-    "dephased_density",
     "apply_cnot_pairs",
     "apply_unitary",
     "make_epr_pairs",
     "random_pure_state",
-    "random_density_matrix",
     "state_to_json",
     "state_from_json",
 ]
@@ -314,30 +310,8 @@ def cq_distance(a: CqState, b: CqState) -> float:
 
 
 # ---------------------------------------------------------------------------
-# reductions and transformations
+# transformations
 # ---------------------------------------------------------------------------
-
-
-def partial_trace(rho, keep) -> DensityMatrix:
-    """Reduce to the subsystems named by ``keep`` (1-based positions).  A pure
-    state's kept axes form the rows of its amplitude matrix M, giving M M^H."""
-    dims = rho.dims
-    pos = tuple(sorted(_positions_tuple(keep, len(dims))))
-    if not pos:
-        raise ValueError("keep must name at least one subsystem")
-    axes = [i - 1 for i in pos] + [i for i in range(len(dims)) if i + 1 not in pos]
-    kept = tuple(dims[i - 1] for i in pos)
-    dim = math.prod(kept)
-    if isinstance(rho, PureState):
-        M = rho.tensor().transpose(axes).reshape(dim, -1)
-        return DensityMatrix(M @ M.conj().T, kept)
-    tensor = rho.matrix.reshape(dims + dims).transpose(axes + [len(dims) + i for i in axes])
-    rest = rho.dim // dim
-    return DensityMatrix(np.trace(tensor.reshape(dim, rest, dim, rest), axis1=1, axis2=3), kept)
-
-
-def to_density(state: PureState) -> DensityMatrix:
-    return DensityMatrix(np.outer(state.amps, state.amps.conj()), state.dims)
 
 
 def _positions_tuple(positions, count: int) -> tuple[int, ...]:
@@ -461,17 +435,6 @@ def sample_measurement(
     return _branch(state, pos, turned, rotated, probs, outcome)
 
 
-def dephased_density(state: PureState, positions, basis: BasisSpec | None = None) -> DensityMatrix:
-    """Mixture of the measurement branches: sum_b p_b |post_b><post_b|."""
-    out = None
-    for branch in measure(state, positions, basis):
-        block = branch.probability * np.outer(
-            branch.post_state.amps, branch.post_state.amps.conj()
-        )
-        out = block if out is None else out + block
-    return DensityMatrix(out, state.dims)
-
-
 def apply_cnot_pairs(state: PureState, pairs) -> PureState:
     """Apply one CNOT per (control, target) pair of qubit positions.
 
@@ -547,14 +510,6 @@ def random_pure_state(dims, rng: np.random.Generator) -> PureState:
     dim = math.prod(dims)
     amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return PureState(amps / np.linalg.norm(amps), dims)
-
-
-def random_density_matrix(dim: int, rng: np.random.Generator, rank: int | None = None) -> DensityMatrix:
-    """Random mixed state from a Wishart draw."""
-    rank = dim if rank is None else rank
-    a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-    m = a @ a.conj().T
-    return DensityMatrix(m / np.trace(m).real, (dim,))
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,7 @@ import pytest
 
 from qsample.entropy import (
     HashFamily,
-    hamming_ball_log_bound,
-    hamming_ball_log_exact,
+    binary_entropy,
     lemma2_operator_check,
     pa_exact_check,
 )
@@ -237,17 +236,20 @@ def test_criterion_05_privacy_amplification():
 
 
 def test_criterion_06_hamming_ball_bound():
-    # log2 of the exact ball size <= h(beta+delta) n for every n <= 20 and
-    # every grid radius up to 1/2
+    # log2 of the exact ball size sum_{w <= (beta+delta) n} C(n, w) <=
+    # h(beta+delta) n for every n <= 100 and every grid radius up to 1/2
     checked = 0
     worst = -math.inf
-    for n in range(1, 21):
+    for n in range(1, 101):
+        ball = list(itertools.accumulate(math.comb(n, w) for w in range(n + 1)))
         for beta in np.arange(0.0, 0.5, 0.05):
             for delta in np.arange(0.025, 0.5, 0.025):
-                if beta + delta > 0.5:
+                radius = float(beta) + float(delta)
+                if radius > 0.5:
                     continue
-                exact = hamming_ball_log_exact(float(beta), float(delta), n)
-                bound = hamming_ball_log_bound(float(beta), float(delta), n)
+                # 1e-9 guards against float droop at integers
+                exact = math.log2(ball[math.floor(radius * n + 1e-9)])
+                bound = binary_entropy(radius) * n
                 worst = max(worst, exact - bound)
                 assert exact <= bound + 1e-12
                 checked += 1

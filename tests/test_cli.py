@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import qsample.protocols
 from qsample.cli import COMMANDS, RunConfig, _indented_json, main, run
-from qsample.quantum import random_density_matrix, random_pure_state, state_to_json
+from qsample.quantum import random_pure_state, state_to_json
 
 
 def _run(capsys, *argv):
@@ -474,7 +474,7 @@ def test_selection_bias_on_a_kind_without_one_exits_2(capsys, command):
     assert err == "error: example1 takes no selection bias p\n"
 
 
-def test_eps_quant_rejects_density_matrix_file(capsys, tmp_path):
+def test_eps_quant_rejects_density_matrix_file(capsys, tmp_path, random_density_matrix):
     rng = np.random.default_rng(5)
     path = tmp_path / "rho.json"
     path.write_text(state_to_json(random_density_matrix(4, rng)))

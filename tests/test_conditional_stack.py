@@ -21,10 +21,8 @@ from qsample import (
     HashFamily,
     check_certificate,
     classical_env_min_entropy,
-    min_entropy_classical_side,
     pa_batch,
     pa_exact_check,
-    random_density_matrix,
 )
 from qsample.entropy import (
     _bit_labels,
@@ -62,7 +60,7 @@ def _entry_fault(mat, dim: int):
     return None
 
 
-def _matrix(rng, dim: int, fault: str) -> np.ndarray:
+def _matrix(random_density_matrix, rng, dim: int, fault: str) -> np.ndarray:
     """A random density matrix, then the named fault put into it."""
     mat = random_density_matrix(dim, rng).matrix.copy()
     if fault == "hermitian":
@@ -97,11 +95,11 @@ def _raised(fn):
     dim=st.integers(1, 4),
     faults=st.lists(st.sampled_from(FAULTS), min_size=1, max_size=6),
 )
-def test_stack_check_reports_the_first_fault_of_the_per_matrix_checks(seed, dim, faults):
+def test_stack_check_reports_the_first_fault_of_the_per_matrix_checks(seed, dim, faults, random_density_matrix):
     # any number of faulty matrices: the first one in stack order, with its
     # first fault in the order finite, Hermitian, trace, eigenvalue
     rng = np.random.default_rng(seed)
-    mats = np.stack([_matrix(rng, dim, fault) for fault in faults])
+    mats = np.stack([_matrix(random_density_matrix, rng, dim, fault) for fault in faults])
     expected = next((msg for msg in (_entry_fault(mat, dim) for mat in mats) if msg), None)
     assert _raised(lambda: _check_density(mats)) == expected
     for mat in mats:
@@ -116,11 +114,16 @@ def test_stack_check_reports_the_first_fault_of_the_per_matrix_checks(seed, dim,
     fault=st.sampled_from(FAULTS + ("shape",)),
     data=st.data(),
 )
-def test_cq_state_reports_one_faulty_entry_as_its_density_matrix_would(seed, dim, count, fault, data):
+def test_cq_state_reports_one_faulty_entry_as_its_density_matrix_would(
+    seed, dim, count, fault, data, random_density_matrix
+):
     rng = np.random.default_rng(seed)
     at = data.draw(st.integers(0, count - 1))
-    mats = [_matrix(rng, dim, "none") for _ in range(count)]
-    mats[at] = _matrix(rng, dim + 1, "none") if fault == "shape" else _matrix(rng, dim, fault)
+    mats = [_matrix(random_density_matrix, rng, dim, "none") for _ in range(count)]
+    if fault == "shape":
+        mats[at] = _matrix(random_density_matrix, rng, dim + 1, "none")
+    else:
+        mats[at] = _matrix(random_density_matrix, rng, dim, fault)
     entries = tuple((x, 1 / count, mat) for x, mat in enumerate(mats))
     expected = _entry_fault(mats[at], dim)
     assert _raised(lambda: CqState(entries, dim)) == expected
@@ -145,7 +148,7 @@ def test_cq_state_reports_entry_order_faults_before_numeric_ones():
         CqState(((0, 0.5, bad_trace), (1, 0.4, good)), 2)  # numeric faults before the sum
 
 
-def test_cq_state_stacks_density_matrices_and_plain_matrices_in_entry_order():
+def test_cq_state_stacks_density_matrices_and_plain_matrices_in_entry_order(random_density_matrix):
     rng = np.random.default_rng(5)
     given_dm = random_density_matrix(3, rng)
     plain = random_density_matrix(3, rng).matrix
@@ -258,7 +261,7 @@ def _outcome(fn, arg):
     zeros=st.floats(0.0, 0.9),
     fault=st.sampled_from(("none", "negative", "tiny-negative", "sum", "absent")),
 )
-def test_min_entropy_is_the_dict_loop_on_row_major_joints(seed, rows, cols, zeros, fault):
+def test_min_entropy_is_the_dict_loop_on_row_major_joints(seed, rows, cols, zeros, fault, min_entropy_classical_side):
     # zeros make a later row the first to reach some column, so the column
     # maxima are added in the loop's order, not in column order
     rng = np.random.default_rng(seed)
@@ -278,7 +281,7 @@ def test_min_entropy_is_the_dict_loop_on_row_major_joints(seed, rows, cols, zero
     assert _outcome(min_entropy_classical_side, joint) == _outcome(_dict_loop_min_entropy, joint)
 
 
-def test_column_maxima_are_added_in_the_order_the_loop_meets_them():
+def test_column_maxima_are_added_in_the_order_the_loop_meets_them(min_entropy_classical_side):
     # row x0 reaches column 2 first, so the loop adds the maxima as columns
     # 2, 0, 1; in column order their sum differs in the last bit
     table = np.array([[0.0, 0.0, 0.041], [0.637, 0.27, 0.0]])
@@ -293,7 +296,7 @@ def test_column_maxima_are_added_in_the_order_the_loop_meets_them():
     assert classical_env_min_entropy(rho) == _dict_loop_classical_env(rho)
 
 
-def test_min_entropy_errors_are_those_of_the_dict_loop():
+def test_min_entropy_errors_are_those_of_the_dict_loop(min_entropy_classical_side):
     for joint in ({}, {(0, 0): 0.5, (1, 0): 0.4}, {(0, 0): 1.5, (1, 0): -0.5}, {(0, 0): 1.0, (0, 1): -1e-14}):
         assert _outcome(min_entropy_classical_side, joint) == _outcome(_dict_loop_min_entropy, joint)
 
@@ -323,7 +326,7 @@ def test_classical_env_min_entropy_is_the_dict_loop(seed, n_inputs, env, zeros):
     assert classical_env_min_entropy(rho) == _dict_loop_classical_env(rho)
 
 
-def test_classical_env_min_entropy_errors_are_those_of_the_dict_loop():
+def test_classical_env_min_entropy_errors_are_those_of_the_dict_loop(random_density_matrix):
     rng = np.random.default_rng(3)
     # a diagonal entry just below zero passes the PSD check but not the
     # joint's negative-probability check
@@ -343,7 +346,7 @@ def test_classical_env_min_entropy_errors_are_those_of_the_dict_loop():
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n_inputs=st.integers(1, 8), env=st.integers(1, 4), h=st.floats(0.0, 4.0))
-def test_certificate_minimum_is_the_per_entry_eigvalsh_minimum(seed, n_inputs, env, h):
+def test_certificate_minimum_is_the_per_entry_eigvalsh_minimum(seed, n_inputs, env, h, random_density_matrix):
     rng = np.random.default_rng(seed)
     probs = rng.random(n_inputs)
     probs /= probs.sum()

@@ -17,18 +17,11 @@ from qsample import (
     binary_entropy,
     check_certificate,
     classical_env_min_entropy,
-    corollary1_bound,
-    hamming_ball_log_bound,
-    hamming_ball_log_exact,
     hash_eval,
     lemma2_operator_check,
     measure,
-    min_entropy_classical_side,
     pa_exact_check,
     pad_input,
-    partial_trace,
-    random_density_matrix,
-    to_density,
 )
 from qsample.entropy import _hash_keys
 
@@ -59,55 +52,14 @@ def test_binary_entropy_domain():
         binary_entropy(1.1)
 
 
-# ---------------------------------------------------------------------------
-# Hamming ball counting
-# ---------------------------------------------------------------------------
-
-
-def test_ball_exact_example():
-    # sum_{w<=5} C(10,w) = 638
-    got = hamming_ball_log_exact(0.25, 0.25, 10)
-    assert got == pytest.approx(math.log2(638), abs=1e-12)
-    assert got == pytest.approx(9.318, abs=1e-3)
-    assert hamming_ball_log_bound(0.25, 0.25, 10) == pytest.approx(10.0, abs=1e-12)
-
-
-def test_ball_zero_radius():
-    assert hamming_ball_log_bound(0.0, 0.0, 8) == 0.0
-    assert hamming_ball_log_exact(0.0, 0.0, 8) == 0.0
-
-
-def test_ball_exact_matches_enumeration():
-    # independent oracle: count strings of each weight directly
-    n = 10
-    for radius in [0.1, 0.2, 0.3, 0.35, 0.5]:
-        count = 0
-        for v in range(2 ** n):
-            w = bin(v).count("1")
-            if w <= radius * n + 1e-9:
-                count += 1
-        assert hamming_ball_log_exact(radius, 0.0, n) == pytest.approx(
-            math.log2(count), abs=1e-12
-        )
-
-
 def test_ball_exact_below_bound_grid():
+    # log2 sum_{w <= r n} C(n, w) <= h(r) n, with the ball counted by math.comb
     for n in [5, 10, 16, 20]:
         for radius in np.linspace(0.02, 0.5, 13):
-            exact = hamming_ball_log_exact(0.0, float(radius), n)
-            bound = hamming_ball_log_bound(0.0, float(radius), n)
-            assert exact <= bound + 1e-12
-
-
-def test_ball_domain_errors():
-    with pytest.raises(ValueError):
-        hamming_ball_log_bound(0.3, 0.3, 10)
-    with pytest.raises(ValueError):
-        hamming_ball_log_exact(0.6, 0.0, 10)
-    with pytest.raises(ValueError):
-        hamming_ball_log_exact(0.1, 0.1, 31)
-    with pytest.raises(ValueError):
-        hamming_ball_log_bound(-0.1, 0.2, 10)
+            # 1e-9 guards against float droop at integers
+            top = math.floor(float(radius) * n + 1e-9)
+            exact = math.log2(sum(math.comb(n, w) for w in range(top + 1)))
+            assert exact <= binary_entropy(float(radius)) * n + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -115,24 +67,24 @@ def test_ball_domain_errors():
 # ---------------------------------------------------------------------------
 
 
-def test_min_entropy_uniform():
+def test_min_entropy_uniform(min_entropy_classical_side):
     m = 3
     joint = {((b0, b1, b2), None): 1 / 8 for b0 in (0, 1) for b1 in (0, 1) for b2 in (0, 1)}
     assert min_entropy_classical_side(joint) == pytest.approx(m, abs=1e-12)
 
 
-def test_min_entropy_perfect_copy():
+def test_min_entropy_perfect_copy(min_entropy_classical_side):
     joint = {(x, x): 0.25 for x in range(4)}
     assert min_entropy_classical_side(joint) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_min_entropy_noisy_bit():
+def test_min_entropy_noisy_bit(min_entropy_classical_side):
     joint = {(0, 0): 0.375, (0, 1): 0.125, (1, 0): 0.125, (1, 1): 0.375}
     assert min_entropy_classical_side(joint) == pytest.approx(-math.log2(0.75), abs=1e-12)
     assert min_entropy_classical_side(joint) == pytest.approx(0.415, abs=1e-3)
 
 
-def test_min_entropy_validation():
+def test_min_entropy_validation(min_entropy_classical_side):
     with pytest.raises(ValueError, match="sum"):
         min_entropy_classical_side({(0, 0): 0.5, (1, 0): 0.4})
     with pytest.raises(ValueError, match="negative"):
@@ -141,7 +93,7 @@ def test_min_entropy_validation():
         min_entropy_classical_side({})
 
 
-def test_min_entropy_chain_rule():
+def test_min_entropy_chain_rule(min_entropy_classical_side):
     # H_min(X|Y) >= H_min(XY) - log|Y| on random classical joints
     rng = np.random.default_rng(11)
     for _ in range(200):
@@ -210,7 +162,7 @@ def _ball_labels(n: int, radius: float) -> list[int]:
     return out
 
 
-def _measured_ball_instance(rng, n, radius, dim_e, theta):
+def _measured_ball_instance(rng, n, radius, dim_e, theta, partial_trace):
     """Random state on the radius ball, measured in H^theta, as a cq state."""
     ball = _ball_labels(n, radius)
     amps = np.zeros((2 ** n, dim_e), dtype=complex)
@@ -220,12 +172,12 @@ def _measured_ball_instance(rng, n, radius, dim_e, theta):
     phi = PureState(amps.reshape(-1), (2,) * n + (dim_e,))
     entries = []
     for branch in measure(phi, range(1, n + 1), BasisSpec(theta)):
-        cond = partial_trace(to_density(branch.post_state), (n + 1,))
+        cond = partial_trace(branch.post_state, (n + 1,))
         entries.append((branch.outcome, branch.probability, cond))
     return phi, CqState(tuple(entries), dim_e)
 
 
-def test_certificate_from_measured_ball_states():
+def test_certificate_from_measured_ball_states(partial_trace):
     # measuring a ball-supported state in H^theta certifies
     # weight(theta) - h(beta+delta) n bits against the env reduced state
     rng = np.random.default_rng(23)
@@ -234,13 +186,13 @@ def test_certificate_from_measured_ball_states():
         radius = float(rng.uniform(0.0, 0.5))
         dim_e = int(rng.integers(1, 4))
         theta = tuple(int(b) for b in rng.integers(0, 2, size=n))
-        phi, rho_xe = _measured_ball_instance(rng, n, radius, dim_e, theta)
-        h = corollary1_bound(BasisSpec(theta), 0.0, radius, n)
-        sigma = partial_trace(to_density(phi), (n + 1,))
+        phi, rho_xe = _measured_ball_instance(rng, n, radius, dim_e, theta, partial_trace)
+        h = sum(theta) - binary_entropy(radius) * n
+        sigma = partial_trace(phi, (n + 1,))
         assert check_certificate(rho_xe, EntropyCertificate(h, sigma))
 
 
-def test_certificate_survives_measuring_environment():
+def test_certificate_survives_measuring_environment(random_density_matrix):
     # a valid certificate stays valid after dephasing the environment
     rng = np.random.default_rng(31)
     for _ in range(100):
@@ -382,29 +334,6 @@ def test_lemma2_basis_length():
     phi = PureState.from_population([1, 0, 0, 0], d=2)
     with pytest.raises(ValueError, match="length"):
         lemma2_operator_check(phi, {0}, BasisSpec((0,)))
-
-
-# ---------------------------------------------------------------------------
-# corollary bound arithmetic
-# ---------------------------------------------------------------------------
-
-
-def test_corollary1_values():
-    assert corollary1_bound(BasisSpec((1,) * 10), 0.25, 0.25, 10) == pytest.approx(0.0)
-    assert corollary1_bound(BasisSpec((0,) * 6), 0.1, 0.1, 6) == pytest.approx(
-        -binary_entropy(0.2) * 6
-    )
-    theta = BasisSpec((1, 1, 1, 1, 1, 1, 0, 0))
-    assert corollary1_bound(theta, 0.1, 0.15, 8) == pytest.approx(
-        6 - 8 * binary_entropy(0.25)
-    )
-
-
-def test_corollary1_errors():
-    with pytest.raises(ValueError):
-        corollary1_bound(BasisSpec((1, 1)), 0.3, 0.3, 2)
-    with pytest.raises(ValueError, match="length"):
-        corollary1_bound(BasisSpec((1, 1)), 0.1, 0.1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +576,7 @@ def test_pa_random_states_within_bound():
             assert report["holds"]
 
 
-def test_pa_hmin_matches_classical_formula():
+def test_pa_hmin_matches_classical_formula(min_entropy_classical_side):
     rng = np.random.default_rng(41)
     rho = _random_classical_cq(rng, 3, 4)
     report = pa_exact_check(rho, HashFamily(3, 2), 2)
@@ -658,7 +587,7 @@ def test_pa_hmin_matches_classical_formula():
     assert report["hmin"] == pytest.approx(min_entropy_classical_side(joint), abs=1e-12)
 
 
-def test_pa_certificate_path():
+def test_pa_certificate_path(random_density_matrix):
     rng = np.random.default_rng(43)
     probs = rng.random(4)
     probs /= probs.sum()

@@ -538,12 +538,12 @@ def test_mc_past_int64_matches_the_per_trial_deviation():
     assert estimate.value == 0.8
 
 
-# Peak traced allocation of one call, 20 000 trials.  Blocks of at most
-# _MC_BLOCK_TRIALS (1024) peak at about 0.85, 0.20 and 0.85 MB.  Blocks
-# sized by twice a trial's words alone (10922, 65536 and 10922 trials) peak
-# at about 7.4, 2.50 and 7.4 MB, so the first and last cases catch them
-# (the second only just, since the jump-ahead words take flat scratch).
-PEAK_LIMIT_BYTES = 2_500_000
+# Peak traced allocation of one call, 20 000 trials, under a limit per kind.
+# Blocks of at most _MC_BLOCK_TRIALS (1024) peak at about 0.86, 0.21 and
+# 0.86 MB.  Blocks sized by twice a trial's words alone (10922, 65536 and
+# 10922 trials) peak at about 7.4, 2.50 and 7.4 MB, so every case catches
+# them with room on both sides.
+PEAK_LIMIT_BYTES = {"example2": 2_500_000, "example5": 1_000_000}
 
 
 @pytest.mark.parametrize("kind,params,q", [
@@ -560,7 +560,7 @@ def test_mc_block_memory_is_bounded(kind, params, q):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < PEAK_LIMIT_BYTES
+    assert peak < PEAK_LIMIT_BYTES[kind]
 
 
 # ---------------------------------------------------------------------------

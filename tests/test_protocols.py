@@ -28,7 +28,6 @@ from qsample import (
     make_epr_pairs,
     make_linear_code,
     measure,
-    partial_trace,
     qkd_bound,
     qkd_key_length,
     qkd_max_len,
@@ -1063,7 +1062,7 @@ def test_experiment_equivalence_on_random_states():
         assert view["agrees"] is True
 
 
-def _branch_view_gaps(state, n):
+def _branch_view_gaps(state, n, partial_trace):
     """The per-branch oracle for :func:`qkd_sampling_view`: (max total
     variation, max conditional distance) between the two experiments, with
     every measurement branch its own state, its environment a partial trace,
@@ -1129,21 +1128,21 @@ def _view_cases():
     return [case + (sample,) for case, sample in zip(cases, samples)]
 
 
-def test_experiment_view_matches_the_branch_oracle():
+def test_experiment_view_matches_the_branch_oracle(partial_trace):
     for state, n, seed, sample in _view_cases():
         view = qkd_sampling_view(state, QkdParams(n, 1), rng_seed=seed)
         assert view["agrees"] is True
         assert max(view["max_total_variation"], view["max_conditional_distance"]) <= 1e-9
-        assert max(_branch_view_gaps(state, n)) <= 1e-9
+        assert max(_branch_view_gaps(state, n, partial_trace)) <= 1e-9
         assert json.dumps(protocols._jsonable(view["sample"])) == json.dumps(sample)
 
 
-def test_experiment_view_disagreement_reports_the_oracle_gaps(monkeypatch):
+def test_experiment_view_disagreement_reports_the_oracle_gaps(monkeypatch, partial_trace):
     # without the CNOTs the modified experiment reads x and y in place of w
     # and z, so the view must refuse, naming the per-branch gaps
     monkeypatch.setattr(protocols, "apply_cnot_pairs", lambda state, pairs: state)
     for state, n, seed, _ in _view_cases():
-        tv, cond = _branch_view_gaps(state, n)
+        tv, cond = _branch_view_gaps(state, n, partial_trace)
         assert tv > 1e-3
         with pytest.raises(ValueError, match="experiments disagree") as info:
             qkd_sampling_view(state, QkdParams(n, 1), rng_seed=seed)

@@ -16,19 +16,15 @@ from qsample.quantum import (
     apply_cnot_pairs,
     apply_unitary,
     cq_distance,
-    dephased_density,
     make_epr_pairs,
     measure,
-    partial_trace,
-    random_density_matrix,
     random_pure_state,
     sample_measurement,
     state_from_json,
     state_to_json,
-    to_density,
     trace_distance,
 )
-from qsample.quantum import _hadamard
+from qsample.quantum import _as_matrix, _hadamard
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +87,7 @@ def test_trace_distance_dim_mismatch():
         trace_distance(np.eye(2) / 2, np.eye(4) / 4)
 
 
-def test_trace_distance_is_a_metric_on_random_states():
+def test_trace_distance_is_a_metric_on_random_states(random_density_matrix):
     rng = np.random.default_rng(11)
     for _ in range(200):
         dim = int(rng.integers(2, 9))
@@ -111,10 +107,10 @@ def test_pure_state_distance_formula():
         psi = random_pure_state((4, 1), rng)
         overlap = abs(np.vdot(phi.amps, psi.amps)) ** 2
         expected = math.sqrt(max(0.0, 1 - overlap))
-        assert abs(trace_distance(to_density(phi), to_density(psi)) - expected) < 1e-9
+        assert abs(trace_distance(phi, psi) - expected) < 1e-9
 
 
-def test_hybrid_distance_matches_block_diagonal_assembly():
+def test_hybrid_distance_matches_block_diagonal_assembly(random_density_matrix):
     rng = np.random.default_rng(3)
     for _ in range(20):
         probs = rng.dirichlet((1.0, 1.0, 1.0))
@@ -155,14 +151,14 @@ def test_cq_state_validates_probabilities():
 # ---------------------------------------------------------------------------
 
 
-def test_partial_trace_of_epr_is_maximally_mixed():
+def test_partial_trace_of_epr_is_maximally_mixed(partial_trace):
     epr = make_epr_pairs(1)
-    reduced = partial_trace(to_density(epr), (1,))
+    reduced = partial_trace(DensityMatrix(*_as_matrix(epr)), (1,))
     np.testing.assert_allclose(reduced.matrix, np.eye(2) / 2, atol=1e-12)
     assert reduced.dims == (2,)
 
 
-def test_partial_trace_preserves_trace_and_matches_kron_structure():
+def test_partial_trace_preserves_trace_and_matches_kron_structure(partial_trace, random_density_matrix):
     rng = np.random.default_rng(9)
     a = random_density_matrix(2, rng)
     b = random_density_matrix(3, rng)
@@ -171,7 +167,7 @@ def test_partial_trace_preserves_trace_and_matches_kron_structure():
     np.testing.assert_allclose(partial_trace(joint, (2,)).matrix, b.matrix, atol=1e-12)
 
 
-def test_partial_trace_keeps_multiple_subsystems():
+def test_partial_trace_keeps_multiple_subsystems(partial_trace):
     rng = np.random.default_rng(2)
     phi = random_pure_state((2, 2, 2, 3), rng)
     rho = partial_trace(phi, (1, 3, 4))
@@ -185,12 +181,12 @@ def test_partial_trace_keeps_multiple_subsystems():
     # for the environment alone too
     for keep in ((1,), (2, 3), (1, 3, 4), (4,), (2, 4), (1, 2, 3, 4)):
         np.testing.assert_allclose(
-            partial_trace(phi, keep).matrix, partial_trace(to_density(phi), keep).matrix, atol=1e-12
+            partial_trace(phi, keep).matrix, partial_trace(DensityMatrix(*_as_matrix(phi)), keep).matrix, atol=1e-12
         )
 
 
-def test_partial_trace_rejects_bad_subsets():
-    rho = to_density(make_epr_pairs(1))
+def test_partial_trace_rejects_bad_subsets(partial_trace):
+    rho = DensityMatrix(*_as_matrix(make_epr_pairs(1)))
     with pytest.raises(ValueError):
         partial_trace(rho, (0,))
     with pytest.raises(ValueError):
@@ -199,8 +195,8 @@ def test_partial_trace_rejects_bad_subsets():
         partial_trace(rho, ())
 
 
-def test_partial_trace_names_the_faulty_position():
-    rho = to_density(make_epr_pairs(1))
+def test_partial_trace_names_the_faulty_position(partial_trace):
+    rho = DensityMatrix(*_as_matrix(make_epr_pairs(1)))
     for keep, message in [
         ((0,), "position 0 outside [1..3]"),
         ((4,), "position 4 outside [1..3]"),
@@ -299,9 +295,12 @@ def test_mixing_measurement_branches_gives_dephased_density():
     rng = np.random.default_rng(13)
     for theta in [(0, 0), (1, 0), (1, 1)]:
         phi = random_pure_state((2, 2, 2), rng)
-        mixed = dephased_density(phi, (1, 2), BasisSpec(theta))
+        mixed = sum(
+            b.probability * np.outer(b.post_state.amps, b.post_state.amps.conj())
+            for b in measure(phi, (1, 2), BasisSpec(theta))
+        )
         # oracle: conjugate the projector sum directly
-        rho = to_density(phi).matrix
+        rho, _ = _as_matrix(phi)
         expected = np.zeros_like(rho)
         for o1 in range(2):
             for o2 in range(2):
@@ -310,7 +309,7 @@ def test_mixing_measurement_branches_gives_dephased_density():
                 proj = np.kron(np.outer(v1, v1.conj()), np.outer(v2, v2.conj()))
                 proj = np.kron(proj, np.eye(2))
                 expected += proj @ rho @ proj
-        np.testing.assert_allclose(mixed.matrix, expected, atol=1e-10)
+        np.testing.assert_allclose(mixed, expected, atol=1e-10)
 
 
 def test_sample_measurement_is_seed_deterministic():
@@ -487,7 +486,7 @@ def test_hadamard_on_no_axes_is_the_identity():
 # ---------------------------------------------------------------------------
 
 
-def test_state_json_round_trip():
+def test_state_json_round_trip(random_density_matrix):
     rng = np.random.default_rng(31)
     phi = random_pure_state((2, 2, 3), rng)
     again = state_from_json(state_to_json(phi))
