@@ -24,20 +24,21 @@ delta in integers; ties follow delta as written (a float 0.1 is 1/10).  A
 dense table of strings x (t, s) takes one product with the row
 g = D 1_tbar - A w of each (t, s), A = max(|tbar|, 1), as
 z . g = A D (true value - estimate); it runs in float64 while every sum
-stays below 2^53, where float64 is exact.  The
-permutation-invariant kinds ("example1", "example3", "example4") draw (t, s)
-uniformly, so their exact error probability is counted instead: per size
-class of (t, s), the number of weight-w strings one representative accepts,
-a sum of products of binomials over its cells (the positions with equal
-coefficients in the row), in exact Python ints.  Example5 is counted over
-its pair classes (the numbers of 11 and of mixed pairs), example6 over its
-pair types (the numbers of 00, 01, 10 and 11 pairs).  Monte-Carlo estimation
-covers sizes outside the exact budget: each block of trials draws through
-``_draws`` from the trials' raw PCG64 words (see :mod:`qsample.draws`), in
-the same integers and with the same tie rule.  A trial that reads at most
-``_JUMP_WORDS`` words gets them by jump-ahead arithmetic on the whole block;
-a longer one seeds its own PCG64, since numpy's per-word loop is then the
-cheaper.
+stays below 2^53, where float64 is exact.  The permutation-invariant kinds
+("example1", "example3", "example4") draw (t, s) uniformly, so their exact
+error probability is counted instead: per size class of (t, s), the number of
+weight-w strings one representative accepts, a sum of products of binomials
+over its cells (the positions with equal coefficients in the row), in exact
+Python ints.  Example5 is counted over its pair classes (the numbers of 11 and
+of mixed pairs), example6 over its pair types (the numbers of 00, 01, 10 and
+11 pairs).  The three counted paths share one kernel: the window of counts a
+test accepts (``_window``), binomial rows, and tail tables of hypergeometric
+counts (``_tail_table``).  Monte-Carlo estimation covers sizes outside the
+exact budget: each block of trials draws through ``_draws`` from the trials'
+raw PCG64 words (see :mod:`qsample.draws`), in the same integers and with the
+same tie rule.  A trial that reads at most ``_JUMP_WORDS`` words gets them by
+jump-ahead arithmetic on the whole block; a longer one seeds its own PCG64,
+since numpy's per-word loop is then the cheaper.
 
 Positions are 1-based.  Pair-indexed strategies ("example5", "example6") view
 a string of length 2n as n pairs; the pair element (i, j) with i in [1..n] and
@@ -318,9 +319,8 @@ class _Enumerate:
         return [(x, prob) for x in itertools.combinations(pool, k)]
 
     def coins(self, pool, p=None):
-        m, fair = len(pool), Fraction(1, 2 ** len(pool))
-        p = p if p is None else Fraction(repr(float(p)))  # p as written: 0.3 is 3/10
-        probs = [fair if p is None else p ** a * (1 - p) ** (m - a) for a in range(m + 1)]
+        m, p = len(pool), None if p is None else _as_written(p)
+        probs = [Fraction(1, 2 ** m)] * (m + 1) if p is None else [p ** a * (1 - p) ** (m - a) for a in range(m + 1)]
         kept = [()]  # outcome r keeps pool[i] when bit i of r is set
         for x in pool:
             kept += [c + (x,) for c in kept]
@@ -745,11 +745,16 @@ def _cell(strategy: SamplingStrategy, q, t, s) -> tuple[np.ndarray, ...]:
     return A, D, T, E
 
 
+def _as_written(x) -> Fraction:
+    """A delta or a bias p as written: a float 0.1 is 1/10; a Fraction is kept."""
+    return x if isinstance(x, Fraction) else Fraction(repr(float(x)))
+
+
 def _exact_delta(delta) -> Fraction:
-    """Check 0 < delta < 1; return delta as written (a float 0.1 is 1/10)."""
+    """Check 0 < delta < 1; return delta as written (:func:`_as_written`)."""
     if not 0.0 < float(delta) < 1.0:
         raise ValueError(f"delta must satisfy 0 < delta < 1, got {delta}")
-    return delta if isinstance(delta, Fraction) else Fraction(repr(float(delta)))
+    return _as_written(delta)
 
 
 # The (string, (t, s)) table is built in blocks of at most this many cells, so
@@ -1034,9 +1039,10 @@ def eps_class_exact(strategy: SamplingStrategy, delta: float) -> ErrorEstimate:
       every (candidate, (t, s)) cell of the integer table; a row is a
       block of candidates' first maximum.
 
-    Every path's value is the float of an exact Fraction.  Refuses
-    strategies without an enumerable (t, s) law and work beyond the
-    evaluation budget, charged before any loop.
+    The three counted paths share :func:`_window`, :func:`_binomial_row`
+    and :func:`_tail_table`.  Every path's value is the float of an exact
+    Fraction.  Refuses strategies without an enumerable (t, s) law and
+    work beyond the evaluation budget, charged before any loop.
     """
     value, witness = _worst_case(strategy, _failure_rows(strategy, _exact_delta(delta)))
     return ErrorEstimate(
@@ -1141,39 +1147,29 @@ def _pair_rows(strategy: SamplingStrategy, bound: Fraction, instead="eps_class_m
 
         Pr[fail | a, b] = sum_j C(b, j) F[a + j, a + b - j] / (2^b C(n, k)).
 
-    F's diagonals u + v = 2a + b are read one at a time from the prefix sums
-    of the hypergeometric counts, so memory stays O(n k), and the sums run
-    along each by Pascal's rule: b steps of T[i] += T[i + 1] give the sums
-    of every class with that b, in n^3 / 3 additions of exact ints (at
-    n = 600 a quarter of the time that the n^3 / 6 products of binomials
-    took).
+    F's diagonals u + v = 2a + b are read one at a time from the tail table
+    of (n, k) by X's window per v (:func:`_tail_table`), so memory stays
+    O(n k), and the sums run along each by Pascal's rule: b steps of
+    T[i] += T[i + 1] give the sums of every class with that b, in n^3 / 3
+    additions of exact ints (at n = 600 a quarter of the time that the
+    n^3 / 6 products of binomials took).
     A row's key indexes the class's least string, whose ones are slot 0's
     on pairs n-a+1..n and slot 1's on pairs n-a-b+1..n; its failed and total
     are 2^n C(n, k) Pr[fail | a, b] and 2^n C(n, k)."""
     n, k = strategy.n, strategy.k
-    steps = math.comb(n + 2, 3) + math.comb(n + 1, 3) + (n + 1) * (n + k + 2)  # Pascal; F and its prefix sums
+    steps = math.comb(n + 2, 3) + math.comb(n + 1, 3) + (n + 1) * (n + k + 2)  # Pascal; F and its tail table
     _refuse("exact enumeration", steps * -(-2 * n // _COUNT_LENGTH_UNIT), instead=instead)
-    rows = [_binomial_row(m) for m in range(n + 1)]
-    # prefix[u, x]: the k-subsets that hold fewer than x of u given positions
-    prefix = np.zeros((n + 1, k + 2), dtype=object)
-    for u in range(n + 1):
-        lo, hi = max(0, k - n + u), min(u, k)
-        prefix[u, lo + 1 : hi + 2] = np.cumsum(rows[u][lo : hi + 1] * rows[n - u][k - hi : k - lo + 1][::-1])
-        prefix[u, hi + 2 :] = prefix[u, hi + 1]
-    # X fails iff X n <= v k - threshold or X n >= v k + threshold
-    threshold = _reject_threshold(bound, n, k)
-    vk = np.arange(n + 1) * k
-    below = np.clip((vk - threshold) // n + 1, 0, k + 1)
-    above = np.clip(-((-vk - threshold) // n), 0, k + 1)
+    P = _tail_table(n, k)
+    lo, hi = _window(np.arange(n + 1) * -k, n, _reject_threshold(bound, n, k), k)  # per v: |X n - v k| < threshold
     total = math.comb(n, k) << n
     for s in range(2 * n + 1):
-        lo = max(0, s - n)  # the least a, and the least u on the diagonal
-        u = np.arange(lo, min(s, n) + 1)
-        T = prefix[u, below[s - u]] + prefix[u, k + 1] - prefix[u, above[s - u]]  # F[u, s - u]
-        for b in range(s - 2 * lo + 1):  # T[i] = sum_j C(b, j) F[lo + i + j, s - lo - i - j]
+        least = max(0, s - n)  # the least a, and the least u on the diagonal
+        u = np.arange(least, min(s, n) + 1)
+        T = P[u, lo[s - u]] + P[u, k + 1] - P[u, hi[s - u]]  # F[u, s - u]
+        for b in range(s - 2 * least + 1):  # T[i] = sum_j C(b, j) F[least + i + j, s - least - i - j]
             a, odd = divmod(s - b, 2)
             if not odd:
-                yield ((1 << a) - 1 << n) + (1 << a + b) - 1, T[a - lo] << n - b, total
+                yield ((1 << a) - 1 << n) + (1 << a + b) - 1, T[a - least] << n - b, total
             T = T[:-1] + T[1:]
 
 
@@ -1195,70 +1191,54 @@ def _pair_type_rows(strategy: SamplingStrategy, bound: Fraction, instead="eps_cl
         H = a^S (b - a)^(n - S) F(S, T, u0, u1) L / (C(S, c0) C(n - S, c1)),
 
     L the lcm over S of C(S, c0) C(n - S, c1), so every row's total is
-    b^n L.  F is a sum over X0 of the failing X1's prefix counts, once per
-    (S, T, u0, u1).  The sum over k00 is taken for every n00 at once, by
-    Pascal's rule along S (H's rows over S, one step per n00), which
-    leaves a sum over (k01, k10, k11) per class.  A row's key indexes the
-    class's least string, whose slot-0 ones sit on pairs n-n10-n11+1..n
-    and slot-1 ones on pairs n-n10-n11-n01+1..n-n10-n11 and n-n11+1..n.
-    Each (class, kept-count vector), C(n + 7, 7) in all, is charged
-    ceil(2n / 1000) evaluations before any loop."""
+    b^n L.  F sums over X0 the s0 with that X0 times the failing s1, read
+    from two tail tables (:func:`_tail_table`), for all (T, u0, u1) of an S
+    at once.  The sum over k00 is taken for every n00 at once, by Pascal's
+    rule along S (H's rows over S, one step per n00), which leaves a sum
+    over (k01, k10, k11) per class.  A row's key indexes the class's least
+    string, whose slot-0 ones sit on pairs n-n10-n11+1..n and slot-1 ones on
+    pairs n-n10-n11-n01+1..n-n10-n11 and n-n11+1..n.  Each (class,
+    kept-count vector), C(n + 7, 7) in all, is charged ceil(2n / 1000)
+    evaluations before any loop."""
     n, half = strategy.n, strategy.k // 2
     _refuse("exact enumeration", math.comb(n + 7, 7) * -(-2 * n // _COUNT_LENGTH_UNIT), instead=instead)
-    p = Fraction(repr(strategy.p))  # as written, as _Enumerate.coins reads it
-    a, b = p.numerator, p.denominator
-    comb = [[math.comb(m, x) for x in range(m + 1)] for m in range(n + 1)]
+    a, b = _as_written(strategy.p).as_integer_ratio()  # p = a / b, as _Enumerate.coins reads it
+    binomial = [_binomial_row(m).tolist() for m in range(n + 1)]
+    tails = [_tail_table(m, min(half, m)) for m in range(n + 1)]
     sizes = [(min(half, S), min(half, n - S)) for S in range(n + 1)]
-    ways = [comb[S][c0] * comb[n - S][c1] for S, (c0, c1) in enumerate(sizes)]
+    ways = [binomial[S][c0] * binomial[n - S][c1] for S, (c0, c1) in enumerate(sizes)]
     scale = math.lcm(*ways)
-
-    def hypergeometric(m):  # per u, the min(k/2, m)-subsets of m positions, u of them ones, by their ones x
-        c = min(half, m)
-        return [
-            [comb[u][x] * comb[m - u][c - x] if x <= u and c - x <= m - u else 0 for x in range(c + 1)]
-            for u in range(m + 1)
-        ]
-
-    hyp = [hypergeometric(m) for m in range(n + 1)]
-    # H[T][u0][u1][S - u0] for S = u0..n - u1
-    H = [[[[0] * (n - u0 - u1 + 1) for u1 in range(n - u0 + 1)] for u0 in range(n + 1)] for _ in range(n + 1)]
+    H = [[[] for _ in range(n + 1)] for _ in range(n + 1)]  # H[T][u0][S - u0][u1], S = u0..n, u1 = 0..n - S
+    T = np.arange(n + 1)[:, None]  # T D and A0 c0 reach n D, far below 2^63 at any n whose H fits in memory
     for S, (c0, c1) in enumerate(sizes):
         weight = a ** S * (b - a) ** (n - S) * (scale // ways[S])
         D = n * max(c0, 1) * max(c1, 1)
-        threshold = _reject_threshold(bound, n, D)
         A0, A1 = n * (n - S) * max(c1, 1), n * S * max(c0, 1)  # n E = A0 X0 + A1 X1
-        P1 = [list(itertools.accumulate(h, initial=0)) for h in hyp[n - S]]  # X1's prefix counts per u1
-        top, whole = c1 + 1, comb[n - S][c1]
-        for T, rows in enumerate(H):
-            below, above = T * D - threshold, T * D + threshold  # fail iff n E <= below or n E >= above
-            if A1:  # per X0 = x, the failing X1 are those below lo and from hi on
-                cuts = [
-                    (min(max((below - A0 * x) // A1 + 1, 0), top), min(max(-((A0 * x - above) // A1), 0), top))
-                    for x in range(c0 + 1)
-                ]
-            else:  # S = 0: no s0, and E = 0
-                cuts = [(top if below >= 0 else 0, top)]
-            G = [[P[lo] + whole - P[hi] for lo, hi in cuts] for P in P1]  # failing s1 per X0
-            for u0, h in enumerate(hyp[S]):
-                for u1, g in enumerate(G):
-                    rows[u0][u1][S - u0] = weight * sum(map(operator.mul, h, g))
+        # per (T, X0 = x), the accepted X1 are those in [lo, hi): |A0 x - T D + A1 X1| < threshold
+        lo, hi = _window(np.arange(c0 + 1) * A0 - T * D, A1, _reject_threshold(bound, n, D), c1)
+        tail0, tail1 = tails[S], tails[n - S].T
+        failing = tail1[lo] + tail1[c1 + 1] - tail1[hi]  # [T, x, u1]: the failing s1
+        F = (tail0[:, 1:] - tail0[:, :-1]) * weight @ failing  # [T, u0, u1]; weighted first: 7 MB less at n = 50
+        for rows, plane in zip(H, F.tolist()):
+            for by_S, values in zip(rows, plane):
+                by_S.append(values)
     total = b ** n * scale
     for n00 in range(n + 1):
         if n00:  # Pascal's rule: the rows now sum over k00 ~ C(n00, k00)
             for rows in H:
                 del rows[n - n00 + 1 :]
-                for u0, by_u1 in enumerate(rows):
-                    rows[u0] = [[x + y for x, y in zip(r, r[1:])] for r in by_u1[: n - n00 - u0 + 1]]
+                for u0, by_S in enumerate(rows):
+                    rows[u0] = [[x + y for x, y in zip(r, r1)] for r, r1 in zip(by_S, by_S[1:])]
         for m0 in range(n - n00 + 1):  # n10 + n11: the ones in slot 0
             n01 = n - n00 - m0
             for n11 in range(m0 + 1):
                 n10 = m0 - n11
                 failed = 0
-                for k01, w01 in enumerate(comb[n01]):
-                    for k10, w10 in enumerate(comb[n10]):
+                for k01, w01 in enumerate(binomial[n01]):
+                    for k10, w10 in enumerate(binomial[n10]):
                         rows, w = H[m0 + k01 - k10], w01 * w10
-                        for k11, w11 in enumerate(comb[n11]):
-                            failed += w * w11 * rows[k10 + k11][n01 + n11 - k01 - k11][k01]
+                        for k11, w11 in enumerate(binomial[n11]):
+                            failed += w * w11 * rows[k10 + k11][k01][n01 + n11 - k01 - k11]
                 yield ((1 << m0) - 1 << n) + ((1 << n01) - 1 << m0) + (1 << n11) - 1, failed, total
 
 
@@ -1274,6 +1254,21 @@ def _class_cells(strategy: SamplingStrategy, classes, bound: Fraction) -> list[t
     ]
 
 
+def _window(base, g: int, threshold: int, top: int):
+    """(lo, hi), 0 <= lo <= hi <= top + 1: y in 0..top has |base + g y| <
+    threshold exactly when lo <= y < hi.  Exact on ints, and elementwise on an
+    array base whose dtype (int64 or object) holds |base| + threshold + |g|."""
+    if g < 0:  # |base + g y| = |-base - g y|
+        base, g = -base, -g
+    if g:  # -threshold < base + g y < threshold, the scalars summed first
+        lo, hi = (g - threshold - base) // g, (threshold + g - 1 - base) // g
+    else:
+        lo, hi = base * 0, (abs(base) < threshold) * (top + 1)
+    low, high = (np.maximum, np.minimum) if isinstance(base, np.ndarray) else (max, min)  # np.clip: 10x slower
+    lo = high(low(lo, 0), top + 1)
+    return lo, high(low(hi, lo), top + 1)
+
+
 def _binomial_row(m: int) -> np.ndarray:
     """C(m, 0..m) as Python ints in an object array."""
     row = [1]
@@ -1282,27 +1277,35 @@ def _binomial_row(m: int) -> np.ndarray:
     return np.array(row, dtype=object)
 
 
+def _tail_table(m: int, c: int) -> np.ndarray:
+    """P[u, x], u = 0..m, x = 0..c + 1: the c-subsets of m positions holding
+    fewer than x of u given ones, in Python ints.  P[u, lo] + P[u, c + 1] -
+    P[u, hi] fall outside a window [lo, hi) of :func:`_window` (top = c)."""
+    P = np.zeros((m + 1, c + 2), dtype=object)
+    for u in range(m + 1):  # P[u, 1 + x] = C(u, x)
+        P[u, 1 : min(u, c) + 2] = _binomial_row(u)[: c + 1]
+    # in place: a separate table of binomials raised example5's peak at n = 736 by 10 MB
+    P[:, 1:] *= P[::-1, :0:-1]  # times C(m - u, c - x)
+    np.add.accumulate(P[:, 1:], axis=1, out=P[:, 1:])  # np.cumsum: twice the cost on small tables
+    return P
+
+
 def _accepted_counts(cells, threshold: int, L: int, rows: dict) -> np.ndarray:
     """acc[w], w = 0..L: the number of weight-w 0/1 strings z with
     |g . z| < threshold over the (g, m) cells, i.e. the sum over count
     vectors x (x_c ones in cell c, sum x = w) of prod_c C(m_c, x_c).  The
     largest cell with g != 0 is innermost: its accepted counts form one
-    interval per count vector of the other cells.  ``rows[m]`` is the
-    binomial row C(m, 0..m)."""
+    window (:func:`_window`) per count vector of the other cells (every
+    count when every g is 0).  ``rows[m]`` is the binomial row C(m, 0..m)."""
     cells = sorted(cells, key=lambda c: (c[0] != 0, c[1]))
-    (g, m), prefix = cells[-1], cells[:-1]
-    if g < 0:  # |g . z| is blind to the sign
-        g, prefix = -g, [(-gc, mc) for gc, mc in prefix]
-    inner, outer = rows[m], [rows[mc] for _, mc in prefix]
+    (g, m), others = cells[-1], cells[:-1]
+    inner, outer, gs = rows[m], [rows[mc] for _, mc in others], [gc for gc, _ in others]
     acc = np.zeros(L + 1, dtype=object)
-    for x in itertools.product(*(range(mc + 1) for _, mc in prefix)):
-        base = sum(gc * xc for (gc, _), xc in zip(prefix, x))
-        # -threshold < base + g y < threshold, for y in 0..m; g = 0 only if
-        # every g is, and then base = 0 and every y is accepted
-        lo, hi = (max(0, (-threshold - base) // g + 1), min(m, (threshold - base - 1) // g)) if g else (0, m)
-        if lo <= hi:
+    for x in itertools.product(*(range(mc + 1) for _, mc in others)):
+        lo, hi = _window(sum(map(operator.mul, gs, x)), g, threshold, m)
+        if lo < hi:
             at = sum(x) + lo
-            acc[at : at + hi - lo + 1] += math.prod(row[xc] for row, xc in zip(outer, x)) * inner[lo : hi + 1]
+            acc[at : at + hi - lo] += math.prod(map(operator.getitem, outer, x)) * inner[lo:hi]
     return acc
 
 

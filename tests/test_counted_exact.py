@@ -70,7 +70,8 @@ def test_gate_charges_every_count_vector_before_counting(monkeypatch):
     # example1 n=6 k=3: one class, cells of 3 and 3 positions, 4 * 4 vectors
     strategy = make_strategy("example1", n=6, k=3)
     with monkeypatch.context() as mp:
-        mp.setattr(sampling, "_accepted_counts", lambda *a: pytest.fail("counted before the gate"))
+        for name in ("_window", "_tail_table", "_binomial_row"):  # the tail-count kernel
+            mp.setattr(sampling, name, lambda *a: pytest.fail("counted before the gate"))
         mp.setenv("QSAMPLE_BUDGET", "15")
         with pytest.raises(BudgetExceededError, match="16 evaluations"):
             eps_class_exact(strategy, 0.3)

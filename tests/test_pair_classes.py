@@ -127,7 +127,8 @@ def test_gate_charges_the_pascal_steps_and_the_tail_table_before_any_sum(monkeyp
     strategy = make_strategy("example5", n=6, k=3)
     charge = 56 + 35 + 77
     with monkeypatch.context() as mp:
-        mp.setattr(sampling, "_binomial_row", lambda m: pytest.fail("counted before the gate"))
+        for name in ("_window", "_tail_table", "_binomial_row"):  # the tail-count kernel
+            mp.setattr(sampling, name, lambda *a: pytest.fail("counted before the gate"))
         mp.setenv("QSAMPLE_BUDGET", str(charge - 1))
         with pytest.raises(BudgetExceededError, match=f"needs {charge} evaluations"):
             eps_class_exact(strategy, 0.3)

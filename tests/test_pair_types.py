@@ -130,7 +130,8 @@ def test_gate_charges_every_kept_count_vector_before_any_loop(monkeypatch):
     strategy = make_strategy("example6", n=4, k=4, p=0.3)
     charge = math.comb(11, 7)
     with monkeypatch.context() as mp:
-        mp.setattr(sampling, "_reject_threshold", lambda *a: pytest.fail("counted before the gate"))
+        for name in ("_window", "_tail_table", "_binomial_row"):  # the tail-count kernel
+            mp.setattr(sampling, name, lambda *a: pytest.fail("counted before the gate"))
         mp.setenv("QSAMPLE_BUDGET", str(charge - 1))
         with pytest.raises(BudgetExceededError, match=f"needs {charge} evaluations"):
             eps_class_exact(strategy, 0.3)
