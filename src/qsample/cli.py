@@ -4,6 +4,10 @@ Every command emits one JSON document that embeds its own configuration and
 seed, so rerunning the same invocation reproduces the output byte for byte.
 ``bounds`` and ``qkd-plan`` also offer a CSV curve mode for plotting.
 
+Each command's options are declared once, in ``_COMMANDS``, for the parser
+and ``run(RunConfig(...))`` alike: an omitted parameter takes the command
+line's default, and one the command does not declare is refused.
+
 Exit status: 0 on success, 1 when a checked property fails, 2 on a
 configuration error (unknown command, malformed or out-of-range parameters,
 a --seed where nothing is drawn, an unwritable --out, exceeded enumeration
@@ -16,10 +20,13 @@ import argparse
 import sys
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .protocols import (
+    _QKD_KINDS,
+    _QOT_KINDS,
     AdversaryModel,
     EccModel,
     QkdParams,
@@ -51,28 +58,16 @@ from .verify import lemma2_batch, pa_batch, run_verify
 
 __all__ = ["RunConfig", "run", "main"]
 
-COMMANDS = (
-    "eps-class",
-    "eps-quant",
-    "bounds",
-    "tightness",
-    "lemma2",
-    "pa-check",
-    "qkd-plan",
-    "qkd-sim",
-    "qot-sim",
-    "verify",
-)
-
-CLI_ADVERSARIES = ("none", "intercept-resend", "entangling-probe")
-CLI_BOB_KINDS = ("none", "commit-flip", "open-flip", "no-measure", "delay-measure")
-
 _INF = float("inf")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One batch run: a command, its parameters, a seed, and a destination."""
+    """One batch run: a command, its parameters, a seed, and a destination.
+
+    A parameter the command does not declare is refused; an omitted one takes
+    the command line's default, so ``run`` reports what the command line would.
+    """
 
     command: str
     params: dict = field(default_factory=dict)
@@ -90,8 +85,15 @@ class RunConfig:
         # a seed is echoed in the report, so one that nothing draws from is refused
         if self.rng_seed and self.command == "eps-class" and self.params.get("mode") != "mc":
             raise ValueError("--seed applies only with --mc")
-        if self.rng_seed and self.command in ("eps-quant", "bounds", "tightness", "qkd-plan"):
+        command = _COMMANDS[self.command]
+        if self.rng_seed and not command.draws:
             raise ValueError(f"--seed does not apply to {self.command}, which draws nothing")
+        for name in self.params:
+            if name not in command.options:
+                raise ValueError(f"unknown parameter {name!r} for {self.command}")
+        for name in _REQUIRED[self.command]:
+            _require(self.params, name)
+        object.__setattr__(self, "params", {**_DEFAULTS[self.command], **self.params})
 
 
 # ---------------------------------------------------------------------------
@@ -108,14 +110,8 @@ def _require(params: dict, name: str):
 
 def _strategy_params(params: dict) -> dict:
     # only forward what the caller supplied; each kind rejects extras itself
-    out = {}
-    if params.get("n") is not None:
-        out["n"] = int(params["n"])
-    if params.get("k") is not None:
-        out["k"] = int(params["k"])
-    if params.get("p") is not None:
-        out["p"] = float(params["p"])
-    return out
+    casts = (("n", int), ("k", int), ("p", float))
+    return {name: cast(params[name]) for name, cast in casts if params.get(name) is not None}
 
 
 def _parse_symbols(text: str) -> tuple[int, ...]:
@@ -123,6 +119,13 @@ def _parse_symbols(text: str) -> tuple[int, ...]:
     if not cleaned.isdigit():
         raise ValueError(f"expected a digit string for --q, got {text!r}")
     return tuple(int(c) for c in cleaned)
+
+
+def _parse_flips(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(part) for part in str(text).split(",") if part != "")
+    except ValueError:
+        raise ValueError(f"expected comma-separated positions for --flips, got {text!r}") from None
 
 
 def _load_state(path: str) -> PureState:
@@ -139,13 +142,14 @@ def _delta_grid() -> list[float]:
 
 # ---------------------------------------------------------------------------
 # command handlers: each returns (exit status, result dict or raw CSV text)
+# and reads its parameters with the defaults of _COMMANDS filled in
 # ---------------------------------------------------------------------------
 
 
 def _cmd_eps_class(config: RunConfig):
     p = config.params
-    strategy = make_strategy(_require(p, "kind"), _strategy_params(p))
-    delta = float(_require(p, "delta"))
+    strategy = make_strategy(p["kind"], _strategy_params(p))
+    delta = float(p["delta"])
     if p.get("mode") == "mc":
         q = _parse_symbols(_require(p, "q"))
         trials = int(_require(p, "trials"))
@@ -160,8 +164,8 @@ def _cmd_eps_class(config: RunConfig):
 
 def _cmd_eps_quant(config: RunConfig):
     p = config.params
-    strategy = make_strategy(_require(p, "kind"), _strategy_params(p))
-    delta = float(_require(p, "delta"))
+    strategy = make_strategy(p["kind"], _strategy_params(p))
+    delta = float(p["delta"])
     if p.get("state") is not None:
         result = check_sqrt_bound(_load_state(p["state"]), strategy, delta)
         source = "file"
@@ -181,27 +185,22 @@ def _cmd_eps_quant(config: RunConfig):
 
 def _cmd_bounds(config: RunConfig):
     p = config.params
-    kind = _require(p, "kind")
-    if kind not in BOUND_KINDS:
-        raise ValueError(f"unknown bound kind {kind!r}; expected one of {BOUND_KINDS}")
     bound_params = _strategy_params(p)
     if p.get("eps") is not None:
         bound_params["eps"] = float(p["eps"])
     if p.get("beta") is not None:
         bound_params["beta"] = float(p["beta"])
     grid = [float(p["delta"])] if p.get("delta") is not None else _delta_grid()
-    curve = [[d, analytic_bound(kind, bound_params, d)] for d in grid]
-    if p.get("csv"):
+    curve = [[d, analytic_bound(p["kind"], bound_params, d)] for d in grid]
+    if p["csv"]:
         lines = ["delta,bound"] + [f"{d:.10g},{v:.10g}" for d, v in curve]
         return 0, "\n".join(lines) + "\n"
-    return 0, {"kind": kind, "params": bound_params, "curve": curve}
+    return 0, {"kind": p["kind"], "params": bound_params, "curve": curve}
 
 
 def _cmd_tightness(config: RunConfig):
     p = config.params
-    n = int(_require(p, "n"))
-    k = int(_require(p, "k"))
-    delta = float(p.get("delta", 0.3))
+    n, k, delta = int(p["n"]), int(p["k"]), float(p["delta"])
     result = _symmetric_sqrt_bound(make_strategy("example1", {"n": n, "k": k}), delta)
     gap = result["sqrt_eps_class"] - result["ideal_distance"]
     tight = abs(gap) <= 1e-9
@@ -220,29 +219,27 @@ def _cmd_tightness(config: RunConfig):
 def _cmd_lemma2(config: RunConfig):
     p = config.params
     rng = np.random.default_rng(config.rng_seed)
-    batch = lemma2_batch(int(p.get("trials", 50)), int(p.get("n", 3)), rng)
+    batch = lemma2_batch(int(p["trials"]), int(p["n"]), rng)
     return (0 if batch["holds"] else 1), batch
 
 
 def _cmd_pa_check(config: RunConfig):
     p = config.params
-    n = int(p.get("n", 4))
+    n = int(p["n"])
     l = None if p.get("l") is None else int(p["l"])
     rng = np.random.default_rng(config.rng_seed)
-    batch = pa_batch(int(p.get("trials", 20)), n, l, rng)
+    batch = pa_batch(int(p["trials"]), n, l, rng)
     result = {"n": n, "l": l, **batch}
     return (0 if batch["holds"] else 1), result
 
 
 def _cmd_qkd_plan(config: RunConfig):
     p = config.params
-    if p.get("csv"):
+    if p["csv"]:
         return 0, rate_curve_csv([i * 0.005 for i in range(100)])
     n = int(_require(p, "n"))
     k = int(_require(p, "k"))
-    m = int(p.get("m", 0))
-    beta = float(p.get("beta", 0.0))
-    eps_target = float(p.get("eps", 1e-9))
+    m, beta, eps_target = int(p["m"]), float(p["beta"]), float(p["eps"])
     l, delta = qkd_max_len(n, k, m, beta, eps_target)
     report = qkd_bound(n, k, m, l, beta, delta)
     result = {
@@ -264,14 +261,8 @@ def _cmd_qkd_plan(config: RunConfig):
 
 def _cmd_qkd_sim(config: RunConfig):
     p = config.params
-    n = int(_require(p, "n"))
-    k = int(_require(p, "k"))
-    m = int(p.get("m", 0))
-    radius = float(p.get("beta", 0.0))
-    noise = float(p.get("p", 0.0))
-    kind = p.get("adversary", "none")
-    if kind not in CLI_ADVERSARIES:
-        raise ValueError(f"unknown adversary {kind!r}; expected one of {CLI_ADVERSARIES}")
+    n, k, m = int(p["n"]), int(p["k"]), int(p["m"])
+    radius, noise, kind = float(p["beta"]), float(p["p"]), p["adversary"]
     exact = None if p.get("mode") is None else p["mode"] == "exact"
     params = QkdParams(n, k, EccModel(m, radius))
     adversary = AdversaryModel(kind=kind, noise=noise)
@@ -297,17 +288,10 @@ def _cmd_qkd_sim(config: RunConfig):
 
 def _cmd_qot_sim(config: RunConfig):
     p = config.params
-    n = int(_require(p, "n"))
-    k = int(_require(p, "k"))
-    l = int(_require(p, "l"))
-    kind = p.get("adversary", "none")
-    if kind not in CLI_BOB_KINDS:
-        raise ValueError(f"unknown adversary {kind!r}; expected one of {CLI_BOB_KINDS}")
-    flips = ()
-    if p.get("flips") is not None:
-        flips = tuple(int(part) for part in str(p["flips"]).split(",") if part != "")
+    n, k, l, kind = int(p["n"]), int(p["k"]), int(p["l"]), p["adversary"]
+    flips = () if p.get("flips") is None else _parse_flips(p["flips"])
     params = QotParams(n, k, l)
-    bob = AdversaryModel(kind=kind, flips=flips, choice_bit=int(p.get("choice", 0)))
+    bob = AdversaryModel(kind=kind, flips=flips, choice_bit=int(p["choice"]))
     transcript, k0, k1, bob_output, report = simulate_qot(params, bob, rng_seed=config.rng_seed)
     result = {
         "n": n,
@@ -328,22 +312,88 @@ def _cmd_qot_sim(config: RunConfig):
 
 
 def _cmd_verify(config: RunConfig):
-    result = run_verify(quick=bool(config.params.get("quick")), rng_seed=config.rng_seed)
+    result = run_verify(quick=bool(config.params["quick"]), rng_seed=config.rng_seed)
     return (0 if result["passed"] else 1), result
 
 
-_HANDLERS = {
-    "eps-class": _cmd_eps_class,
-    "eps-quant": _cmd_eps_quant,
-    "bounds": _cmd_bounds,
-    "tightness": _cmd_tightness,
-    "lemma2": _cmd_lemma2,
-    "pa-check": _cmd_pa_check,
-    "qkd-plan": _cmd_qkd_plan,
-    "qkd-sim": _cmd_qkd_sim,
-    "qot-sim": _cmd_qot_sim,
-    "verify": _cmd_verify,
+# ---------------------------------------------------------------------------
+# the commands: each option is declared once, here, for the parser and for
+# RunConfig alike
+# ---------------------------------------------------------------------------
+
+
+class _Command(NamedTuple):
+    help: str
+    handler: Callable
+    draws: bool  # offers --seed
+    options: dict  # name -> add_argument keywords; "mode" -> help of --exact and --mc
+
+
+def _strategy_options(kinds: tuple, **delta) -> dict:
+    numbers = dict(n=dict(type=int), k=dict(type=int), p=dict(type=float))
+    return dict(kind=dict(required=True, choices=kinds), **numbers, delta=dict(type=float, **delta))
+
+
+_REQUIRED_INT = dict(type=int, required=True)
+
+_COMMANDS = {
+    "eps-class": _Command("classical error probability of a sampling strategy", _cmd_eps_class, True, dict(
+        **_strategy_options(STRATEGY_KINDS, required=True),
+        mode=dict(exact="exhaustive worst-case maximization (default)", mc="Monte-Carlo estimate for one input"),
+        q=dict(help="input string for --mc, e.g. 0110"),
+        trials=dict(type=int, help="Monte-Carlo trial count"),
+    )),
+    "eps-quant": _Command("optimal-projection distance versus sqrt(eps_class)", _cmd_eps_quant, False, dict(
+        **_strategy_options(STRATEGY_KINDS, required=True),
+        state=dict(help="JSON state file; default is the symmetric worst case"),
+    )),
+    "bounds": _Command("closed-form error-probability bounds over a delta grid", _cmd_bounds, False, dict(
+        **_strategy_options(BOUND_KINDS, help="single point instead of the grid"),
+        eps=dict(type=float, help="free parameter of the four-term bound"),
+        beta=dict(type=float, help="free parameter of the four-term bound"),
+        csv=dict(action="store_true", default=False, help="emit delta,bound rows"),
+    )),
+    "tightness": _Command("worst-case symmetric state meets sqrt(eps_class)", _cmd_tightness, False, dict(
+        n=_REQUIRED_INT, k=_REQUIRED_INT, delta=dict(type=float, default=0.3))),
+    "lemma2": _Command("randomized batch of counting-operator inequality checks", _cmd_lemma2, True, dict(
+        n=dict(type=int, default=3, help="largest population size (default %(default)s)"),
+        trials=dict(type=int, default=50),
+    )),
+    "pa-check": _Command("randomized batch of exact privacy-amplification checks", _cmd_pa_check, True, dict(
+        n=dict(type=int, default=4, help="input bits (default %(default)s)"),
+        l=dict(type=int, help="output bits; default draws 1 or 2 per trial"),
+        trials=dict(type=int, default=20),
+    )),
+    "qkd-plan": _Command("largest secure key length for given parameters", _cmd_qkd_plan, False, dict(
+        n=dict(type=int), k=dict(type=int),
+        m=dict(type=int, default=0, help="syndrome bits leaked (default %(default)s)"),
+        beta=dict(type=float, default=0.0, help="observed error rate"),
+        eps=dict(type=float, default=1e-9, help="security target"),
+        csv=dict(action="store_true", default=False, help="emit the phi,rate asymptotic curve"),
+    )),
+    "qkd-sim": _Command("one run of the entanglement-based key protocol", _cmd_qkd_sim, True, dict(
+        n=_REQUIRED_INT, k=_REQUIRED_INT,
+        m=dict(type=int, default=0, help="ECC syndrome bits (default %(default)s)"),
+        beta=dict(type=float, default=0.0, help="ECC correction radius"),
+        p=dict(type=float, default=0.0, help="channel bit-flip probability"),
+        # custom-unitary takes a probe unitary, which no option can give
+        adversary=dict(choices=tuple(kind for kind in _QKD_KINDS if kind != "custom-unitary"), default="none"),
+        mode=dict(exact="force exact key-versus-view distance", mc="force sampled transcript mode"),
+    )),
+    "qot-sim": _Command("one run of the commit-and-open transfer protocol", _cmd_qot_sim, True, dict(
+        n=_REQUIRED_INT, k=_REQUIRED_INT, l=_REQUIRED_INT,
+        adversary=dict(choices=_QOT_KINDS, default="none"),
+        flips=dict(help="positions the adversary lies about, e.g. 1,3"),
+        choice=dict(type=int, choices=(0, 1), default=0),
+    )),
+    "verify": _Command("run the property suite", _cmd_verify, True, dict(
+        quick=dict(action="store_true", default=False, help="reduced sizes, finishes in seconds"),
+    )),
 }
+
+COMMANDS = tuple(_COMMANDS)
+_DEFAULTS = {name: {o: s["default"] for o, s in c.options.items() if "default" in s} for name, c in _COMMANDS.items()}
+_REQUIRED = {name: [o for o, s in c.options.items() if s.get("required")] for name, c in _COMMANDS.items()}
 
 
 def run(config: RunConfig) -> tuple[int, str]:
@@ -352,7 +402,7 @@ def run(config: RunConfig) -> tuple[int, str]:
     CSV-mode commands return the raw curve; everything else returns a JSON
     document {"command", "config", "result"} with sorted keys.
     """
-    status, payload = _HANDLERS[config.command](config)
+    status, payload = _COMMANDS[config.command].handler(config)
     if isinstance(payload, str):
         return status, payload
     report = {
@@ -457,89 +507,18 @@ def _build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,  # a prefix such as --d would silently stand for --delta
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def new(name: str, help_text: str, seed: bool = True) -> argparse.ArgumentParser:
-        cmd = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        if seed:
-            cmd.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    for name, command in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.help, allow_abbrev=False)
+        if command.draws:
+            cmd.add_argument("--seed", type=int, default=0, help="RNG seed (default %(default)s)")
         cmd.add_argument("--out", default=None, help="write the report here instead of stdout")
-        return cmd
-
-    def mode_group(cmd: argparse.ArgumentParser, exact_help: str, mc_help: str) -> None:
-        group = cmd.add_mutually_exclusive_group()
-        group.add_argument("--exact", dest="mode", action="store_const", const="exact", help=exact_help)
-        group.add_argument("--mc", dest="mode", action="store_const", const="mc", help=mc_help)
-
-    cmd = new("eps-class", "classical error probability of a sampling strategy")
-    cmd.add_argument("--kind", required=True, choices=STRATEGY_KINDS)
-    cmd.add_argument("--n", type=int)
-    cmd.add_argument("--k", type=int)
-    cmd.add_argument("--p", type=float)
-    cmd.add_argument("--delta", type=float, required=True)
-    mode_group(cmd, "exhaustive worst-case maximization (default)", "Monte-Carlo estimate for one input")
-    cmd.add_argument("--q", help="input string for --mc, e.g. 0110")
-    cmd.add_argument("--trials", type=int, help="Monte-Carlo trial count")
-
-    cmd = new("eps-quant", "optimal-projection distance versus sqrt(eps_class)", seed=False)
-    cmd.add_argument("--kind", required=True, choices=STRATEGY_KINDS)
-    cmd.add_argument("--n", type=int)
-    cmd.add_argument("--k", type=int)
-    cmd.add_argument("--p", type=float)
-    cmd.add_argument("--delta", type=float, required=True)
-    cmd.add_argument("--state", help="JSON state file; default is the symmetric worst case")
-
-    cmd = new("bounds", "closed-form error-probability bounds over a delta grid", seed=False)
-    cmd.add_argument("--kind", required=True, choices=BOUND_KINDS)
-    cmd.add_argument("--n", type=int)
-    cmd.add_argument("--k", type=int)
-    cmd.add_argument("--p", type=float)
-    cmd.add_argument("--delta", type=float, help="single point instead of the grid")
-    cmd.add_argument("--eps", type=float, help="free parameter of the four-term bound")
-    cmd.add_argument("--beta", type=float, help="free parameter of the four-term bound")
-    cmd.add_argument("--csv", action="store_true", help="emit delta,bound rows")
-
-    cmd = new("tightness", "worst-case symmetric state meets sqrt(eps_class)", seed=False)
-    cmd.add_argument("--n", type=int, required=True)
-    cmd.add_argument("--k", type=int, required=True)
-    cmd.add_argument("--delta", type=float, default=0.3)
-
-    cmd = new("lemma2", "randomized batch of counting-operator inequality checks")
-    cmd.add_argument("--n", type=int, default=3, help="largest population size (default 3)")
-    cmd.add_argument("--trials", type=int, default=50)
-
-    cmd = new("pa-check", "randomized batch of exact privacy-amplification checks")
-    cmd.add_argument("--n", type=int, default=4, help="input bits (default 4)")
-    cmd.add_argument("--l", type=int, help="output bits; default draws 1 or 2 per trial")
-    cmd.add_argument("--trials", type=int, default=20)
-
-    cmd = new("qkd-plan", "largest secure key length for given parameters", seed=False)
-    cmd.add_argument("--n", type=int)
-    cmd.add_argument("--k", type=int)
-    cmd.add_argument("--m", type=int, default=0, help="syndrome bits leaked (default 0)")
-    cmd.add_argument("--beta", type=float, default=0.0, help="observed error rate")
-    cmd.add_argument("--eps", type=float, default=1e-9, help="security target")
-    cmd.add_argument("--csv", action="store_true", help="emit the phi,rate asymptotic curve")
-
-    cmd = new("qkd-sim", "one run of the entanglement-based key protocol")
-    cmd.add_argument("--n", type=int, required=True)
-    cmd.add_argument("--k", type=int, required=True)
-    cmd.add_argument("--m", type=int, default=0, help="ECC syndrome bits (default 0)")
-    cmd.add_argument("--beta", type=float, default=0.0, help="ECC correction radius")
-    cmd.add_argument("--p", type=float, default=0.0, help="channel bit-flip probability")
-    cmd.add_argument("--adversary", choices=CLI_ADVERSARIES, default="none")
-    mode_group(cmd, "force exact key-versus-view distance", "force sampled transcript mode")
-
-    cmd = new("qot-sim", "one run of the commit-and-open transfer protocol")
-    cmd.add_argument("--n", type=int, required=True)
-    cmd.add_argument("--k", type=int, required=True)
-    cmd.add_argument("--l", type=int, required=True)
-    cmd.add_argument("--adversary", choices=CLI_BOB_KINDS, default="none")
-    cmd.add_argument("--flips", help="positions the adversary lies about, e.g. 1,3")
-    cmd.add_argument("--choice", type=int, choices=(0, 1), default=0)
-
-    cmd = new("verify", "run the property suite")
-    cmd.add_argument("--quick", action="store_true", help="reduced sizes, finishes in seconds")
-
+        for option, spec in command.options.items():
+            if option == "mode":  # one mutually exclusive pair
+                group = cmd.add_mutually_exclusive_group()
+                for const, help_text in spec.items():
+                    group.add_argument(f"--{const}", dest="mode", action="store_const", const=const, help=help_text)
+            else:
+                cmd.add_argument(f"--{option}", **spec)
     return parser
 
 

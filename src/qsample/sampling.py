@@ -1287,6 +1287,8 @@ def _tail_table(m: int, c: int) -> np.ndarray:
     # in place: a separate table of binomials raised example5's peak at n = 736 by 10 MB
     P[:, 1:] *= P[::-1, :0:-1]  # times C(m - u, c - x)
     np.add.accumulate(P[:, 1:], axis=1, out=P[:, 1:])  # np.cumsum: twice the cost on small tables
+    for u in range(min(c, m + 1)):  # past x = u + 1 the row's total: one object, not a fresh int each
+        P[u, u + 2 :] = P[u, u + 1]
     return P
 
 

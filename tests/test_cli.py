@@ -780,3 +780,86 @@ def test_run_returns_status_and_text():
     report = json.loads(text)
     assert report["result"]["tight"]
     assert run(config) == (status, text)
+
+
+# each command's options on the command line, and as RunConfig params
+ARGV_AND_PARAMS = [
+    ("eps-class --kind example1 --n 4 --k 2 --delta 0.3", {"kind": "example1", "n": 4, "k": 2, "delta": 0.3}, 0),
+    (
+        "eps-class --kind example5 --n 3 --k 1 --delta 0.2 --mc --q 011001 --trials 40 --seed 3",
+        {"kind": "example5", "n": 3, "k": 1, "delta": 0.2, "mode": "mc", "q": "011001", "trials": 40},
+        3,
+    ),
+    ("eps-quant --kind example1 --n 3 --k 1 --delta 0.3", {"kind": "example1", "n": 3, "k": 1, "delta": 0.3}, 0),
+    ("bounds --kind serfling --n 10 --k 4", {"kind": "serfling", "n": 10, "k": 4}, 0),
+    ("bounds --kind hoeffding --k 8 --csv", {"kind": "hoeffding", "k": 8, "csv": True}, 0),
+    ("tightness --n 3 --k 1", {"n": 3, "k": 1}, 0),
+    ("lemma2 --seed 2", {}, 2),
+    ("pa-check --trials 3 --seed 8", {"trials": 3}, 8),
+    ("qkd-plan --n 60 --k 15 --eps 1.95", {"n": 60, "k": 15, "eps": 1.95}, 0),
+    ("qkd-plan --csv", {"csv": True}, 0),
+    ("qkd-sim --n 10 --k 3 --seed 9", {"n": 10, "k": 3}, 9),
+    (
+        "qkd-sim --n 24 --k 6 --adversary intercept-resend --mc --seed 12",
+        {"n": 24, "k": 6, "adversary": "intercept-resend", "mode": "mc"},
+        12,
+    ),
+    ("qot-sim --n 10 --k 3 --l 2 --seed 11", {"n": 10, "k": 3, "l": 2}, 11),
+    (
+        "qot-sim --n 10 --k 3 --l 2 --adversary open-flip --flips 2,5 --seed 7",
+        {"n": 10, "k": 3, "l": 2, "adversary": "open-flip", "flips": "2,5"},
+        7,
+    ),
+    ("verify", {}, 0),
+    ("verify --quick --seed 4", {"quick": True}, 4),
+]
+
+
+@pytest.mark.parametrize("argv, params, seed", ARGV_AND_PARAMS, ids=[case[0] for case in ARGV_AND_PARAMS])
+def test_run_prints_what_the_command_line_prints(capsys, monkeypatch, argv, params, seed):
+    # an omitted parameter takes the command line's default, in the result
+    # and in the echoed config alike
+    assert {case[0].split()[0] for case in ARGV_AND_PARAMS} == set(COMMANDS)
+    monkeypatch.setattr("qsample.cli.run_verify", lambda quick, rng_seed: {"passed": True, "quick": quick, "checks": []})
+    code, out, err = _run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert run(RunConfig(argv.split()[0], params, rng_seed=seed)) == (0, out)
+
+
+@pytest.mark.parametrize(
+    "command, params, name",
+    [
+        ("qkd-sim", {"n": 10, "k": 2, "adversry": "intercept-resend", "mode": "mc"}, "adversry"),
+        ("lemma2", {"trails": 5}, "trails"),
+        ("tightness", {"n": 3, "k": 1, "seed": 4}, "seed"),
+    ],
+)
+def test_runconfig_refuses_a_parameter_its_command_does_not_declare(command, params, name):
+    with pytest.raises(ValueError, match=f"^unknown parameter '{name}' for {command}$"):
+        RunConfig(command, params)
+
+
+def test_runconfig_refuses_a_missing_required_parameter():
+    with pytest.raises(ValueError, match="^--l is required for this command$"):
+        RunConfig("qot-sim", {"n": 10, "k": 3})
+
+
+@pytest.mark.parametrize(
+    "command, kind", [("qkd-sim", "open-flip"), ("qkd-sim", "custom-unitary"), ("qot-sim", "intercept-resend")]
+)
+def test_run_refuses_an_adversary_its_protocol_lacks_by_name(command, kind):
+    # the command line offers neither: the protocols refuse them by name
+    params = {"n": 10, "k": 3, "adversary": kind, **({"l": 2} if command == "qot-sim" else {"mode": "mc"})}
+    with pytest.raises(ValueError, match=kind):
+        run(RunConfig(command, params))
+
+
+def test_run_refuses_an_unknown_bound_kind_by_name():
+    with pytest.raises(ValueError, match="^unknown bound kind 'chernoff'"):
+        run(RunConfig("bounds", {"kind": "chernoff", "k": 8}))
+
+
+def test_flips_that_are_not_integers_exit_2_naming_the_option(capsys):
+    code, out, err = _run(capsys, "qot-sim", "--n", "10", "--k", "3", "--l", "2", "--flips", "1,x")
+    assert (code, out) == (2, "")
+    assert err == "error: expected comma-separated positions for --flips, got '1,x'\n"

@@ -9,6 +9,7 @@ oracles are a set comprehension over y and ``math.comb`` sums.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -79,3 +80,13 @@ def test_tail_table_is_the_comb_prefix_sums(m, c, window):
         failing = sum(counts[x] for x in range(c + 1) if x not in accepted(base, g, threshold, c))
         assert P[u, lo] + P[u, c + 1] - P[u, hi] == failing
         assert (P[u, 1:] - P[u, :-1]).tolist() == counts
+
+
+@pytest.mark.parametrize("m, c", [(40, 20), (300, 299), (50, 7)])
+def test_tail_table_shares_each_rows_total_past_its_top(m, c):
+    # past x = min(u, c) + 1 a row adds only zero counts: a fresh int per
+    # entry held example5's table at n = 736, k = 368 at 27 MB, not 19 MB
+    P = sampling._tail_table(m, c)
+    for u in range(m + 1):
+        top = min(u, c) + 1
+        assert all(P[u, x] is P[u, top] for x in range(top, c + 2)), u
