@@ -6,7 +6,12 @@ seed, so rerunning the same invocation reproduces the output byte for byte.
 
 Each command's options are declared once, in ``_COMMANDS``, for the parser
 and ``run(RunConfig(...))`` alike: an omitted parameter takes the command
-line's default, and one the command does not declare is refused.
+line's default, and one the command does not declare, or a value outside an
+option's declared choices, is refused.
+
+Only the sampling layer loads with this module.  The other layers are bound
+as modules (``protocols.simulate_qkd(...)``) and load on first use, so a
+classical command never runs the quantum, entropy, protocol or verify code.
 
 Exit status: 0 on success, 1 when a checked property fails, 2 on a
 configuration error (unknown command, malformed or out-of-range parameters,
@@ -24,27 +29,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .protocols import (
+from . import protocols, qsampling, quantum, verify
+from .sampling import (
     _QKD_KINDS,
     _QOT_KINDS,
-    AdversaryModel,
-    EccModel,
-    QkdParams,
-    QotParams,
-    asymptotic_qkd_rate,
-    qkd_bound,
-    qkd_key_length,
-    qkd_max_len,
-    qkd_rate_threshold,
-    qot_catch_probability,
-    rate_curve_csv,
-    security_report_to_dict,
-    simulate_qkd,
-    simulate_qot,
-)
-from .qsampling import _symmetric_sqrt_bound, check_sqrt_bound
-from .quantum import PureState, state_from_json
-from .sampling import (
     BOUND_KINDS,
     STRATEGY_KINDS,
     BudgetExceededError,
@@ -54,7 +42,6 @@ from .sampling import (
     error_estimate_to_dict,
     make_strategy,
 )
-from .verify import lemma2_batch, pa_batch, run_verify
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -65,8 +52,9 @@ _INF = float("inf")
 class RunConfig:
     """One batch run: a command, its parameters, a seed, and a destination.
 
-    A parameter the command does not declare is refused; an omitted one takes
-    the command line's default, so ``run`` reports what the command line would.
+    A parameter the command does not declare, or a value outside the choices
+    it declares, is refused; an omitted one takes the command line's default,
+    so ``run`` reports what the command line would.
     """
 
     command: str
@@ -88,9 +76,17 @@ class RunConfig:
         command = _COMMANDS[self.command]
         if self.rng_seed and not command.draws:
             raise ValueError(f"--seed does not apply to {self.command}, which draws nothing")
-        for name in self.params:
-            if name not in command.options:
+        for name, value in self.params.items():
+            spec = command.options.get(name)
+            if spec is None:
                 raise ValueError(f"unknown parameter {name!r} for {self.command}")
+            choices = tuple(spec) if name == "mode" else spec.get("choices")
+            # make_strategy and analytic_bound refuse a kind by name themselves
+            if choices is None or value in choices or name == "kind":
+                continue
+            if value is None and "default" not in spec:  # None stands for an omitted mode
+                continue
+            raise ValueError(f"parameter {name!r} for {self.command} must be one of {choices}, got {value!r}")
         for name in _REQUIRED[self.command]:
             _require(self.params, name)
         object.__setattr__(self, "params", {**_DEFAULTS[self.command], **self.params})
@@ -128,10 +124,10 @@ def _parse_flips(text: str) -> tuple[int, ...]:
         raise ValueError(f"expected comma-separated positions for --flips, got {text!r}") from None
 
 
-def _load_state(path: str) -> PureState:
+def _load_state(path: str) -> quantum.PureState:
     with open(path) as fh:
-        state = state_from_json(fh.read())
-    if not isinstance(state, PureState):
+        state = quantum.state_from_json(fh.read())
+    if not isinstance(state, quantum.PureState):
         raise ValueError("eps-quant requires a pure state")
     return state
 
@@ -167,10 +163,10 @@ def _cmd_eps_quant(config: RunConfig):
     strategy = make_strategy(p["kind"], _strategy_params(p))
     delta = float(p["delta"])
     if p.get("state") is not None:
-        result = check_sqrt_bound(_load_state(p["state"]), strategy, delta)
+        result = qsampling.check_sqrt_bound(_load_state(p["state"]), strategy, delta)
         source = "file"
     else:
-        result = _symmetric_sqrt_bound(strategy, delta)
+        result = qsampling._symmetric_sqrt_bound(strategy, delta)
         source = "symmetric-worst-case"
     result = {
         "delta": delta,
@@ -201,7 +197,7 @@ def _cmd_bounds(config: RunConfig):
 def _cmd_tightness(config: RunConfig):
     p = config.params
     n, k, delta = int(p["n"]), int(p["k"]), float(p["delta"])
-    result = _symmetric_sqrt_bound(make_strategy("example1", {"n": n, "k": k}), delta)
+    result = qsampling._symmetric_sqrt_bound(make_strategy("example1", {"n": n, "k": k}), delta)
     gap = result["sqrt_eps_class"] - result["ideal_distance"]
     tight = abs(gap) <= 1e-9
     result = {
@@ -219,7 +215,7 @@ def _cmd_tightness(config: RunConfig):
 def _cmd_lemma2(config: RunConfig):
     p = config.params
     rng = np.random.default_rng(config.rng_seed)
-    batch = lemma2_batch(int(p["trials"]), int(p["n"]), rng)
+    batch = verify.lemma2_batch(int(p["trials"]), int(p["n"]), rng)
     return (0 if batch["holds"] else 1), batch
 
 
@@ -228,7 +224,7 @@ def _cmd_pa_check(config: RunConfig):
     n = int(p["n"])
     l = None if p.get("l") is None else int(p["l"])
     rng = np.random.default_rng(config.rng_seed)
-    batch = pa_batch(int(p["trials"]), n, l, rng)
+    batch = verify.pa_batch(int(p["trials"]), n, l, rng)
     result = {"n": n, "l": l, **batch}
     return (0 if batch["holds"] else 1), result
 
@@ -236,12 +232,12 @@ def _cmd_pa_check(config: RunConfig):
 def _cmd_qkd_plan(config: RunConfig):
     p = config.params
     if p["csv"]:
-        return 0, rate_curve_csv([i * 0.005 for i in range(100)])
+        return 0, protocols.rate_curve_csv([i * 0.005 for i in range(100)])
     n = int(_require(p, "n"))
     k = int(_require(p, "k"))
     m, beta, eps_target = int(p["m"]), float(p["beta"]), float(p["eps"])
-    l, delta = qkd_max_len(n, k, m, beta, eps_target)
-    report = qkd_bound(n, k, m, l, beta, delta)
+    l, delta = protocols.qkd_max_len(n, k, m, beta, eps_target)
+    report = protocols.qkd_bound(n, k, m, l, beta, delta)
     result = {
         "n": n,
         "k": k,
@@ -250,11 +246,11 @@ def _cmd_qkd_plan(config: RunConfig):
         "eps_target": eps_target,
         "l": l,
         "delta": delta,
-        "bound": security_report_to_dict(report),
+        "bound": protocols.security_report_to_dict(report),
         "feasible": report.total_bound <= eps_target,
-        "protocol_cap": qkd_key_length(n, k, m, beta),
-        "asymptotic_rate": asymptotic_qkd_rate(beta),
-        "rate_threshold": qkd_rate_threshold(),
+        "protocol_cap": protocols.qkd_key_length(n, k, m, beta),
+        "asymptotic_rate": protocols.asymptotic_qkd_rate(beta),
+        "rate_threshold": protocols.qkd_rate_threshold(),
     }
     return 0, result
 
@@ -264,9 +260,9 @@ def _cmd_qkd_sim(config: RunConfig):
     n, k, m = int(p["n"]), int(p["k"]), int(p["m"])
     radius, noise, kind = float(p["beta"]), float(p["p"]), p["adversary"]
     exact = None if p.get("mode") is None else p["mode"] == "exact"
-    params = QkdParams(n, k, EccModel(m, radius))
-    adversary = AdversaryModel(kind=kind, noise=noise)
-    transcript, alice, bob, report = simulate_qkd(params, adversary, rng_seed=config.rng_seed, exact=exact)
+    params = protocols.QkdParams(n, k, protocols.EccModel(m, radius))
+    adversary = protocols.AdversaryModel(kind=kind, noise=noise)
+    transcript, alice, bob, report = protocols.simulate_qkd(params, adversary, rng_seed=config.rng_seed, exact=exact)
     beta_observed = next(e["payload"] for e in transcript if e["type"] == "beta")
     result = {
         "n": n,
@@ -280,7 +276,7 @@ def _cmd_qkd_sim(config: RunConfig):
         "bob_key": bob,
         "keys_match": alice is not None and alice == bob,
         "beta_observed": beta_observed,
-        "report": security_report_to_dict(report),
+        "report": protocols.security_report_to_dict(report),
         "transcript": transcript,
     }
     return 0, result
@@ -290,9 +286,9 @@ def _cmd_qot_sim(config: RunConfig):
     p = config.params
     n, k, l, kind = int(p["n"]), int(p["k"]), int(p["l"]), p["adversary"]
     flips = () if p.get("flips") is None else _parse_flips(p["flips"])
-    params = QotParams(n, k, l)
-    bob = AdversaryModel(kind=kind, flips=flips, choice_bit=int(p["choice"]))
-    transcript, k0, k1, bob_output, report = simulate_qot(params, bob, rng_seed=config.rng_seed)
+    params = protocols.QotParams(n, k, l)
+    bob = protocols.AdversaryModel(kind=kind, flips=flips, choice_bit=int(p["choice"]))
+    transcript, k0, k1, bob_output, report = protocols.simulate_qot(params, bob, rng_seed=config.rng_seed)
     result = {
         "n": n,
         "k": k,
@@ -304,15 +300,15 @@ def _cmd_qot_sim(config: RunConfig):
         "k0": k0,
         "k1": k1,
         "bob_output": bob_output,
-        "catch_probability": qot_catch_probability(params, bob),
-        "report": security_report_to_dict(report),
+        "catch_probability": protocols.qot_catch_probability(params, bob),
+        "report": protocols.security_report_to_dict(report),
         "transcript": transcript,
     }
     return 0, result
 
 
 def _cmd_verify(config: RunConfig):
-    result = run_verify(quick=bool(config.params["quick"]), rng_seed=config.rng_seed)
+    result = verify.run_verify(quick=bool(config.params["quick"]), rng_seed=config.rng_seed)
     return (0 if result["passed"] else 1), result
 
 

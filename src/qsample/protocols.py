@@ -36,7 +36,7 @@ from .quantum import (
 )
 from .quantum import _hadamard
 from . import sampling
-from .sampling import _refuse, complement, rel_weight, restrict
+from .sampling import _QKD_KINDS, _QOT_KINDS, _refuse, complement, rel_weight, restrict
 
 __all__ = [
     "EccModel",
@@ -124,8 +124,6 @@ class QotParams:
         object.__setattr__(self, "l", l)
 
 
-_QKD_KINDS = ("none", "intercept-resend", "entangling-probe", "custom-unitary")
-_QOT_KINDS = ("none", "commit-flip", "open-flip", "no-measure", "delay-measure")
 _POLICIES = ("random", "computational", "hadamard")
 
 

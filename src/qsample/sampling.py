@@ -60,7 +60,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .draws import _FLOYD_PICKS, _Calls, _generators, _trial_seeds, _Words
+from . import draws
 
 __all__ = [
     "SymbolString",
@@ -97,6 +97,12 @@ STRATEGY_KINDS = (
     "example5",  # pairwise one-out-of-two, using only part of the sample
     "example6",  # pairwise biased one-out-of-two
 )
+
+# The adversary kinds of the two protocols (protocols.AdversaryModel), kept
+# here beside the strategy and bound kinds so that the command line's parser
+# and RunConfig read every declared choice without loading the protocol layer.
+_QKD_KINDS = ("none", "intercept-resend", "entangling-probe", "custom-unitary")
+_QOT_KINDS = ("none", "commit-flip", "open-flip", "no-measure", "delay-measure")
 
 _DEFAULT_BUDGET = 2 ** 28
 
@@ -471,41 +477,41 @@ class SamplingStrategy:
 
     # -- the (t, s) law -----------------------------------------------------
 
-    def _draws(self, draws) -> tuple[np.ndarray, np.ndarray | None]:
+    def _draws(self, source) -> tuple[np.ndarray, np.ndarray | None]:
         """The built-in (t, s) laws, drawn: one row of t and of s per trial
-        of ``draws`` (a :class:`_Words` or :class:`_Calls`), padded with -1.
+        of ``source`` (a :class:`_Words` or :class:`_Calls`), padded with -1.
         A t row holds t's 0-based positions, on the pair-indexed kinds pair
         i's in column i; an s row the seed's 0-based positions (pairs on
         example5; None without a seed), ordered as :meth:`sample_ts` reads
         them."""
         n, k, kind = self.n, self.k, self.kind
         if kind == "example1":
-            return draws.choice(n, k), None
+            return source.choice(n, k), None
         if kind == "example2":  # s: the ordered draws; t: the distinct ones
-            s = draws.integers(n, k)
+            s = source.integers(n, k)
             X = np.sort(s, axis=1)
             X[:, 1:][X[:, 1:] == X[:, :-1]] = -1
             return X, s
         if kind == "example3":  # t: the positions whose coin is 1, as (i + 1) coin_i - 1
-            t = draws.integers(2, n)
+            t = source.integers(2, n)
             t *= np.arange(1, n + 1)  # in place, as below: a fresh n-wide array costs more
             t -= 1
             return t, None
         if kind == "example4":  # s: the elements of sorted t whose coin is 1
-            t = np.sort(draws.choice(n, k), axis=1)
-            return t, (t + 1) * draws.integers(2, k) - 1
+            t = np.sort(source.choice(n, k), axis=1)
+            return t, (t + 1) * source.integers(2, k) - 1
         if kind == "example5":  # pair i gives slot 1 when its coin is 1; s: k pairs
-            t = draws.integers(2, n)
+            t = source.integers(2, n)
             t *= n
             t += np.arange(n)
-            return t, draws.choice(n, k)
+            return t, source.choice(n, k)
         # example6: slot 0 of the kept pairs, slot 1 of the rest; s_j: half of t_j
-        kept = draws.random_below(n, self.p)
+        kept = source.random_below(n, self.p)
         size0 = kept.sum(axis=1)
         order = np.argsort(~kept, axis=1, kind="stable")  # t0's pairs, then t1's, each ascending
         s = []
         for j, (pool, offset) in enumerate(((size0, 0), (n - size0, size0))):
-            X = draws.choice(pool, np.minimum(k // 2, pool))
+            X = source.choice(pool, np.minimum(k // 2, pool))
             pairs = np.take_along_axis(order, np.where(X >= 0, X + np.reshape(offset, (-1, 1)), 0), axis=1)
             s.append(np.where(X >= 0, pairs + j * n, -1))
         t = n * ~kept
@@ -570,7 +576,7 @@ class SamplingStrategy:
         ``default_rng((rng_seed, i))``: :meth:`_draws` on ``rng`` alone."""
         if self.kind == "custom":
             return self.table[rng.choice(len(self.table), p=self._draw_p)][:2]
-        rows = self._draws(_Calls([rng]))
+        rows = self._draws(draws._Calls([rng]))
         t, s = (None if x is None else [i + 1 for i in x[0].tolist() if i >= 0] for x in rows)
         if self.kind == "example6":  # (s0, s1), one per slot
             s = sorted(s)
@@ -1320,7 +1326,7 @@ def _trial_words(strategy: SamplingStrategy) -> int | None:
     the pairs."""
     n, k = strategy.n, strategy.k or 0
     picks = min(k // 2, n - n // 2) if strategy.kind == "example6" else k
-    if strategy.kind in ("example1", "example4", "example5", "example6") and picks > _FLOYD_PICKS:
+    if strategy.kind in ("example1", "example4", "example5", "example6") and picks > draws._FLOYD_PICKS:
         return None
     floyd = 2 * k - 1 - (k == n)  # choice(n, k): Floyd's steps, then the shuffle's, a uint32 each
     whole, reads = {  # whole words, then uint32 reads, half a word each
@@ -1334,12 +1340,12 @@ def _trial_words(strategy: SamplingStrategy) -> int | None:
     return whole + reads // 2 + 2
 
 
-def _draw_block(strategy: SamplingStrategy, z: np.ndarray, draws) -> tuple[np.ndarray, ...]:
+def _draw_block(strategy: SamplingStrategy, z: np.ndarray, source) -> tuple[np.ndarray, ...]:
     """T, E, A and D (as in :func:`_table`) of one block of trials of a
-    built-in kind on the 0/1 string z: (t, s) drawn by ``draws`` (a
+    built-in kind on the 0/1 string z: (t, s) drawn by ``source`` (a
     :class:`_Words` or :class:`_Calls`) through ``_draws``, and the estimator
     rows of ``_rows``, read by gathers of z."""
-    t, s = strategy._draws(draws)
+    t, s = strategy._draws(source)
     P, W, D, A = strategy._rows(t, s)
     z = np.append(z, 0)  # the padding -1 reads the 0 past the end
     on_t = z[t].sum(axis=1, dtype=np.int32)
@@ -1353,13 +1359,13 @@ def _mc_block(strategy: SamplingStrategy, z: np.ndarray, seeds: np.ndarray) -> t
     are drawn again by Generator calls (:class:`_Calls`)."""
     per_trial = _trial_words(strategy)
     if per_trial is None:
-        return _draw_block(strategy, z, _Calls(seeds))
-    words = _Words(seeds, per_trial)
+        return _draw_block(strategy, z, draws._Calls(seeds))
+    words = draws._Words(seeds, per_trial)
     block = _draw_block(strategy, z, words)
     lost = np.flatnonzero(words.lost)
     if not len(lost):
         return block
-    again = _draw_block(strategy, z, _Calls(seeds[lost]))
+    again = _draw_block(strategy, z, draws._Calls(seeds[lost]))
     out = []
     for whole, part in zip(block, again):
         whole = whole.astype(np.result_type(whole, part))
@@ -1405,11 +1411,11 @@ def eps_class_mc(
     step = max(1, min(_MC_BLOCK_TRIALS, _BLOCK_CELLS // max(cells, 1)))
     failures = 0
     for first in range(0, trials, _MC_BLOCK_TRIALS):  # one seed hash, sliced into blocks of step trials
-        chunk = _trial_seeds(int(rng_seed), range(first, min(first + _MC_BLOCK_TRIALS, trials)))
+        chunk = draws._trial_seeds(int(rng_seed), range(first, min(first + _MC_BLOCK_TRIALS, trials)))
         for at in range(0, len(chunk), step):
             seeds = chunk[at : at + step]
             if strategy.kind == "custom":
-                columns = [strategy.sample_ts(g) for g in _generators(seeds)]
+                columns = [strategy.sample_ts(g) for g in draws._generators(seeds)]
                 for _, reject in _reject_blocks(strategy, columns, lambda lo, hi: string, 1, bound):
                     failures += int(reject.sum())
             else:

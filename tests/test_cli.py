@@ -373,7 +373,7 @@ def test_runconfig_refuses_a_seed_where_nothing_draws(command):
 
 
 def test_property_failure_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr("qsample.cli.run_verify", lambda quick, rng_seed: {"passed": False, "quick": quick, "checks": []})
+    monkeypatch.setattr("qsample.verify.run_verify", lambda quick, rng_seed: {"passed": False, "quick": quick, "checks": []})
     code, out, _ = _run(capsys, "verify", "--quick")
     assert code == 1
     assert json.loads(out)["result"]["passed"] is False
@@ -820,7 +820,7 @@ def test_run_prints_what_the_command_line_prints(capsys, monkeypatch, argv, para
     # an omitted parameter takes the command line's default, in the result
     # and in the echoed config alike
     assert {case[0].split()[0] for case in ARGV_AND_PARAMS} == set(COMMANDS)
-    monkeypatch.setattr("qsample.cli.run_verify", lambda quick, rng_seed: {"passed": True, "quick": quick, "checks": []})
+    monkeypatch.setattr("qsample.verify.run_verify", lambda quick, rng_seed: {"passed": True, "quick": quick, "checks": []})
     code, out, err = _run(capsys, *argv.split())
     assert (code, err) == (0, "")
     assert run(RunConfig(argv.split()[0], params, rng_seed=seed)) == (0, out)
@@ -848,7 +848,7 @@ def test_runconfig_refuses_a_missing_required_parameter():
     "command, kind", [("qkd-sim", "open-flip"), ("qkd-sim", "custom-unitary"), ("qot-sim", "intercept-resend")]
 )
 def test_run_refuses_an_adversary_its_protocol_lacks_by_name(command, kind):
-    # the command line offers neither: the protocols refuse them by name
+    # the command line offers neither, so RunConfig refuses them by name
     params = {"n": 10, "k": 3, "adversary": kind, **({"l": 2} if command == "qot-sim" else {"mode": "mc"})}
     with pytest.raises(ValueError, match=kind):
         run(RunConfig(command, params))
@@ -857,6 +857,40 @@ def test_run_refuses_an_adversary_its_protocol_lacks_by_name(command, kind):
 def test_run_refuses_an_unknown_bound_kind_by_name():
     with pytest.raises(ValueError, match="^unknown bound kind 'chernoff'"):
         run(RunConfig("bounds", {"kind": "chernoff", "k": 8}))
+
+
+@pytest.mark.parametrize(
+    "command, params, message",
+    [
+        (
+            "qkd-sim",
+            {"n": 10, "k": 3, "mode": "MC"},
+            "parameter 'mode' for qkd-sim must be one of ('exact', 'mc'), got 'MC'",
+        ),
+        (
+            "qot-sim",
+            {"n": 10, "k": 3, "l": 2, "choice": 2},
+            "parameter 'choice' for qot-sim must be one of (0, 1), got 2",
+        ),
+        (
+            "qkd-sim",
+            {"n": 10, "k": 3, "adversary": "intercept_resend"},
+            "parameter 'adversary' for qkd-sim must be one of ('none', 'intercept-resend', 'entangling-probe'), "
+            "got 'intercept_resend'",
+        ),
+    ],
+    ids=["mode", "choice", "adversary"],
+)
+def test_runconfig_refuses_a_value_outside_the_declared_choices(command, params, message):
+    # the parser refuses each through argparse; a transcript run echoing
+    # "mode": "MC" and a choice_bit error deep in the run were what passed
+    with pytest.raises(ValueError) as info:
+        RunConfig(command, params)
+    assert str(info.value) == message
+
+
+def test_runconfig_takes_none_as_an_omitted_mode():
+    assert RunConfig("qkd-sim", {"n": 10, "k": 3, "mode": None}).params["mode"] is None
 
 
 def test_flips_that_are_not_integers_exit_2_naming_the_option(capsys):

@@ -177,8 +177,8 @@ def test_mc_hashes_the_seeds_once_per_block_trials(monkeypatch):
     # by the 2000 positions: 131 trials; the seeds are still hashed once per
     # _MC_BLOCK_TRIALS trials and sliced
     strategy = make_strategy("example1", {"n": 2000, "k": 500})
-    hashed, trial_seeds = [], sampling._trial_seeds
-    monkeypatch.setattr(sampling, "_trial_seeds", lambda seed, trials: hashed.append(trials) or trial_seeds(seed, trials))
+    hashed, trial_seeds = [], draws._trial_seeds
+    monkeypatch.setattr(draws, "_trial_seeds", lambda seed, trials: hashed.append(trials) or trial_seeds(seed, trials))
     q = [int(x) for x in np.random.default_rng(8).integers(0, 2, size=strategy.length)]
     block = sampling._MC_BLOCK_TRIALS
     est = eps_class_mc(strategy, q, 0.02, block + 44, rng_seed=3)
