@@ -32,7 +32,7 @@ from .quantum import PureState
 from .sampling import (
     SamplingStrategy,
     SymbolString,
-    _NO_LAW,
+    _KINDS,
     _binomial_row,
     _class_table,
     _digits,
@@ -91,16 +91,6 @@ class SubspaceWeight:
         return 1.0 - self.inside_weight
 
 
-def _freeze_seed(s):
-    if s is None:
-        return None
-    if isinstance(s, tuple) and s and isinstance(s[0], (tuple, list)):
-        return tuple(tuple(x) for x in s)
-    if isinstance(s, (tuple, list, set, frozenset)):
-        return tuple(sorted(s)) if not isinstance(s, tuple) else tuple(s)
-    return s
-
-
 def _accept_masks(strategy: SamplingStrategy, columns, delta: float) -> np.ndarray:
     """Accept masks of a caller's (t, s, ...) columns over all d^L basis
     strings, each (t, s) checked first (see ``SamplingStrategy._column``)."""
@@ -139,9 +129,11 @@ def _population_weights(state: PureState, strategy: SamplingStrategy) -> np.ndar
 def project_onto_accept(
     state: PureState, strategy: SamplingStrategy, t, s, delta: float
 ) -> SubspaceWeight:
-    """Project the state onto span(accepted strings) tensor the environment."""
+    """Project the state onto span(accepted strings) tensor the environment;
+    (t, s) are reported in the form ``ts_support`` gives them."""
     _exact_delta(delta)
     weights = _population_weights(state, strategy)
+    t, s = strategy._column(t, s)
     mask = _accept_masks(strategy, [(t, s)], delta)[:, 0]
     inside = float(weights[mask].sum())
     projected = None
@@ -149,12 +141,7 @@ def project_onto_accept(
         block = state.amps.reshape(-1, state.dim_E).copy()
         block[~mask, :] = 0.0
         projected = PureState(block.reshape(-1) / math.sqrt(inside), state.dims)
-    return SubspaceWeight(
-        t=strategy.flatten_subset(t),
-        s=_freeze_seed(s),
-        inside_weight=inside,
-        projected_state=projected,
-    )
+    return SubspaceWeight(t=t, s=s, inside_weight=inside, projected_state=projected)
 
 
 def ideal_distance(state: PureState, strategy: SamplingStrategy, delta: float) -> float:
@@ -381,11 +368,10 @@ def _symmetric_sqrt_bound(strategy: SamplingStrategy, delta: float) -> dict:
     (t, s) then sees that state fail with probability exactly eps_class, so
     its distance is sqrt(eps_class), read from the exact failure rows.  Any
     other kind is refused at once, with the CLI's NotSymmetricError message,
-    or example2's lack of an enumerable law."""
+    or, by its entry's exact path, example2's lack of an enumerable law."""
     bound = _exact_delta(delta)
-    if strategy.kind == "example2":
-        raise NotImplementedError(_NO_LAW)
-    if strategy.kind not in ("example1", "example5") and (strategy.kind, strategy.n, strategy.p) != ("example6", 1, 0.5):
+    rows = _failure_rows(strategy, bound, instead=None)  # refused here with no exact path; lazy otherwise
+    if strategy.kind == "custom" or not _KINDS[strategy.kind].one_orbit(strategy):
         raise NotSymmetricError(f"{strategy.kind} has no canonical symmetric worst case; provide --state")
-    eps = float(_worst_case(strategy, _failure_rows(strategy, bound, instead=None))[0])
+    eps = float(_worst_case(strategy, rows)[0])
     return _sqrt_check(math.sqrt(eps), eps)

@@ -15,24 +15,23 @@ probability of falling outside the accept set,
     eps_class(delta) = max_q Pr[ q not in B(T, S, delta) ].
 
 Six built-in strategy kinds are provided ("example1" .. "example6") plus a
-constructor for custom strategies.  A built-in kind is its (t, s) law,
-drawn as index rows for many trials at once (``SamplingStrategy._draws``),
-and its estimator, an integer row w over D per (t, s), f = w . z / D with
-z = (q != 0) (``SamplingStrategy._rows``).  The true value is z . 1_tbar /
-|tbar|, so exact error probabilities are integer products compared with
-delta in integers; ties follow delta as written (a float 0.1 is 1/10).  A
-dense table of strings x (t, s) takes one product with the row
-g = D 1_tbar - A w of each (t, s), A = max(|tbar|, 1), as
-z . g = A D (true value - estimate); it runs in float64 while every sum
-stays below 2^53, where float64 is exact.  The permutation-invariant kinds
-("example1", "example3", "example4") draw (t, s) uniformly, so their exact
-error probability is counted instead: per size class of (t, s), the number of
-weight-w strings one representative accepts, a sum of products of binomials
-over its cells (the positions with equal coefficients in the row), in exact
-Python ints.  Example5 is counted over its pair classes (the numbers of 11 and
-of mixed pairs), example6 over its pair types (the numbers of 00, 01, 10 and
-11 pairs).  The three counted paths share one kernel: the window of counts a
-test accepts (``_window``), binomial rows, and tail tables of hypergeometric
+constructor for custom strategies.  A built-in kind is its entry in
+``_KINDS``, a stateless class holding all that sets it apart: the
+parameters it takes and its rules on them; its flags (pair indexed,
+permutation invariant, one orbit); its (t, s) law, as tuples (``law``) and
+as index rows for many trials at once (``draws``); its estimator, an
+integer row w over D per (t, s), f = w . z / D with z = (q != 0)
+(``rows``); the form of its seed (``column``, ``stack``); its exact path
+with its budget gate (``failure_rows``); and the words a Monte-Carlo trial
+reads (``trial_reads``).  The true value is z . 1_tbar / |tbar|, so exact
+error probabilities are integer products compared with delta in integers;
+ties follow delta as written (a float 0.1 is 1/10).  A dense table of
+strings x (t, s) takes one product with the row g = D 1_tbar - A w of each
+(t, s), A = max(|tbar|, 1), as z . g = A D (true value - estimate); it runs
+in float64 while every sum stays below 2^53, where float64 is exact.  Every
+built-in kind's exact path counts classes of strings in exact Python ints
+(see :func:`eps_class_exact`), on one kernel: the window of counts a test
+accepts (``_window``), binomial rows, and tail tables of hypergeometric
 counts (``_tail_table``).  Monte-Carlo estimation covers sizes outside the
 exact budget: each block of trials draws through ``_draws`` from the trials'
 raw PCG64 words (see :mod:`qsample.draws`), in the same integers and with the
@@ -88,15 +87,6 @@ __all__ = [
     "mc_halfwidth",
     "resolve_budget",
 ]
-
-STRATEGY_KINDS = (
-    "example1",  # random sampling without replacement
-    "example2",  # random sampling with replacement
-    "example3",  # uniformly random subset
-    "example4",  # without replacement, using only part of the sample
-    "example5",  # pairwise one-out-of-two, using only part of the sample
-    "example6",  # pairwise biased one-out-of-two
-)
 
 # The adversary kinds of the two protocols (protocols.AdversaryModel), kept
 # here beside the strategy and bound kinds so that the command line's parser
@@ -363,6 +353,285 @@ def _index_rows(rows) -> np.ndarray:
     return np.array(columns, dtype=np.int64).reshape(len(columns), len(rows)).T - 1
 
 
+def _inside(s: tuple, pool, where: str) -> tuple:
+    """The seed s, refused unless its elements lie in ``pool`` (named
+    ``where``): the estimate reads only t, or the string's pairs."""
+    if not set(s) <= set(pool):
+        raise ValueError(f"sample {list(s)} outside {where}")
+    return s
+
+
+class _Kind:
+    """A built-in strategy kind: its entry in ``_KINDS``, stateless, each
+    method taking the strategy.  Each kind defines its (t, s) law, as tuples
+    (``law``, see ``SamplingStrategy._law``) and as index rows (``draws``).
+    The defaults are a kind's that is permutation invariant, has no seed,
+    draws k <= n positions and is counted exactly per size class of (t, s)."""
+
+    takes = ("k",)  # the parameters besides n and d
+    pair_indexed, permutation_invariant = False, True
+
+    def check(self, strategy) -> None:  # the kind's own rules, after the shared ones
+        if "k" in self.takes and strategy.k > strategy.n:
+            raise ValueError(f"{strategy.kind} requires k <= n, got k={strategy.k}, n={strategy.n}")
+
+    def one_orbit(self, strategy) -> bool:  # the law is uniform on one orbit of its group
+        return False
+
+    def rows(self, strategy, t: np.ndarray, s: np.ndarray | None, size: np.ndarray) -> tuple:
+        """P, W and D of ``SamplingStrategy._rows``, ``size`` the sizes of
+        the t rows: f is t's weight, or s's, a repeated draw read twice."""
+        P = t if s is None else s
+        return P, 1, np.maximum(size if s is None else _sizes(s), 1)
+
+    def stack(self, strategy, columns) -> tuple:  # the t and s rows of SamplingStrategy._stack
+        return _index_rows([t for t, *_ in columns]), None
+
+    def column(self, strategy, t: tuple, s):  # the seed of SamplingStrategy._column under the flat t
+        return s
+
+    def failure_rows(self, strategy, bound: Fraction, instead):  # lazily, as _failure_rows gives them
+        table = _class_table(strategy, bound, instead)
+        totals = sum(mult for mult, _ in table) * _binomial_row(strategy.length)
+        yield from zip(itertools.count(), totals - sum(mult * acc for mult, acc in table), totals)
+
+    def trial_reads(self, strategy) -> tuple[int, int]:
+        """The largest choice of a Monte-Carlo trial and the uint32 reads the
+        trial takes, a whole word counting two (:func:`_trial_words`): here
+        choice(n, k), Floyd's steps and then the shuffle's."""
+        return strategy.k, 2 * strategy.k - 1 - (strategy.k == strategy.n)
+
+
+class _Seeded(_Kind):
+    """The defaults of a kind with a seed: positions inside t."""
+
+    def stack(self, strategy, columns):
+        return _index_rows([t for t, *_ in columns]), _index_rows([s for _, s, *_ in columns])
+
+    def column(self, strategy, t, s):
+        return _inside(_positions(s), t, f"the subset {t}")
+
+
+class _Example1(_Kind):
+    """Sampling without replacement: t is k of the n positions, uniformly."""
+
+    def one_orbit(self, strategy):
+        return True
+
+    def law(self, strategy, pick):
+        for t, w in pick.subset(range(1, strategy.n + 1), strategy.k):
+            yield t, None, w
+
+    def draws(self, strategy, source):
+        return source.choice(strategy.n, strategy.k), None
+
+
+class _Example2(_Seeded):
+    """Sampling with replacement: s is k ordered draws, t the distinct ones."""
+
+    permutation_invariant = False
+
+    def check(self, strategy):  # k may exceed n
+        pass
+
+    def law(self, strategy, *_):  # no enumerable law, so no exact path: refused at the call
+        raise NotImplementedError(_NO_LAW)
+
+    failure_rows = law
+
+    def draws(self, strategy, source):
+        s = source.integers(strategy.n, strategy.k)
+        X = np.sort(s, axis=1)
+        X[:, 1:][X[:, 1:] == X[:, :-1]] = -1
+        return X, s
+
+    def column(self, strategy, t, s):  # in draw order: a repeat counts twice
+        if not s:
+            raise ValueError("example2 needs the ordered draw sequence as seed")
+        return _inside(tuple(map(int, s)), t, f"the subset {t}")
+
+    def trial_reads(self, strategy):
+        return 0, strategy.k
+
+
+class _Example3(_Kind):
+    """A uniformly random subset: t keeps each position on a fair coin."""
+
+    takes = ()
+
+    def law(self, strategy, pick):
+        for t, w in pick.coins(range(1, strategy.n + 1)):
+            yield t, None, w
+
+    def draws(self, strategy, source):  # t: the positions whose coin is 1, as (i + 1) coin_i - 1
+        t = source.integers(2, strategy.n)
+        t *= np.arange(1, strategy.n + 1)  # in place, as below: a fresh n-wide array costs more
+        t -= 1
+        return t, None
+
+    def trial_reads(self, strategy):
+        return 0, strategy.n
+
+
+class _Example4(_Seeded):
+    """Using part of the sample: s keeps each of k positions t on a coin."""
+
+    def law(self, strategy, pick):
+        for t, wt in pick.subset(range(1, strategy.n + 1), strategy.k):
+            for s, ws in pick.coins(t):
+                yield t, s, wt * ws
+
+    def draws(self, strategy, source):  # s: the elements of sorted t whose coin is 1
+        t = np.sort(source.choice(strategy.n, strategy.k), axis=1)
+        return t, (t + 1) * source.integers(2, strategy.k) - 1
+
+    def trial_reads(self, strategy):  # choice(n, k), then a coin per element
+        picks, reads = super().trial_reads(strategy)
+        return picks, reads + strategy.k
+
+
+class _Example5(_Seeded):
+    """Pairwise one-out-of-two: t picks a slot per pair, s reads k pairs."""
+
+    pair_indexed, permutation_invariant = True, False
+
+    def one_orbit(self, strategy):
+        return True
+
+    def law(self, strategy, pick):  # pair i contributes i + n when its coin is kept
+        n, every = strategy.n, range(1, strategy.n + 1)
+        for up, wt in pick.coins(every):
+            up = set(up)
+            t = tuple(sorted(i + n if i in up else i for i in every))
+            for s, ws in pick.subset(every, strategy.k):
+                yield t, s, wt * ws
+
+    def draws(self, strategy, source):  # pair i gives slot 1 when its coin is 1
+        n = strategy.n
+        t = source.integers(2, n)
+        t *= n
+        t += np.arange(n)
+        return t, source.choice(n, strategy.k)
+
+    def rows(self, strategy, t, s, size):  # pair i is read at its element in t, column i
+        P = t[np.arange(len(t))[:, None], s]
+        P[s < 0] = -1
+        return super().rows(strategy, t, P, size)
+
+    def stack(self, strategy, columns):
+        t, s = super().stack(strategy, columns)
+        t[np.arange(len(t))[:, None], t % strategy.n] = t.copy()  # to pair order: pair i's element in column i
+        return t, s
+
+    def column(self, strategy, t, s):  # pairs of the string; a repeat counts twice
+        n = strategy.n
+        s = _inside(tuple(sorted(map(int, s))), range(1, n + 1), f"string of {n} pairs")
+        if sorted((x - 1) % n for x in t) != list(range(n)):
+            raise ValueError("example5 subset must pick exactly one element per pair")
+        return s
+
+    def failure_rows(self, strategy, bound, instead):
+        return _pair_rows(strategy, bound, instead)
+
+    def trial_reads(self, strategy):  # a coin per pair, then choice(n, k)
+        picks, reads = super().trial_reads(strategy)
+        return picks, reads + strategy.n
+
+
+class _Example6(_Seeded):
+    """Pairwise biased one-out-of-two: t is slot 0 of the pairs a p-coin keeps
+    (t0, or t~) and slot 1 of the rest (t1); s is k/2 of each (s0, s1)."""
+
+    takes = ("k", "p")
+    pair_indexed, permutation_invariant = True, False
+
+    def check(self, strategy):
+        n, k, p = strategy.n, strategy.k, strategy.p
+        if not 0.0 < p < 1.0:
+            raise ValueError(f"example6 requires 0 < p < 1, got p={p}")
+        if k % 2 != 0:
+            raise ValueError(f"example6 requires an even k, got k={k}")
+        if k // 2 > n:
+            raise ValueError(f"example6 requires k/2 <= n, got k={k}, n={n}")
+
+    def one_orbit(self, strategy):
+        return strategy.n == 1 and strategy.p == 0.5
+
+    def law(self, strategy, pick):
+        n, half, every = strategy.n, strategy.k // 2, range(1, strategy.n + 1)
+        for t0, wt in pick.coins(every, strategy.p):
+            kept = set(t0)
+            t1 = tuple(i + n for i in every if i not in kept)
+            for s0, w0 in pick.subset(t0, min(half, len(t0))):
+                w0 *= wt
+                for s1, w1 in pick.subset(t1, min(half, len(t1))):
+                    yield t0 + t1, (s0, s1), w0 * w1
+
+    def draws(self, strategy, source):
+        n = strategy.n
+        kept = source.random_below(n, strategy.p)
+        size0 = kept.sum(axis=1)
+        order = np.argsort(~kept, axis=1, kind="stable")  # t0's pairs, then t1's, each ascending
+        s = []
+        for j, (pool, offset) in enumerate(((size0, 0), (n - size0, size0))):
+            X = source.choice(pool, np.minimum(strategy.k // 2, pool))
+            pairs = np.take_along_axis(order, np.where(X >= 0, X + np.reshape(offset, (-1, 1)), 0), axis=1)
+            s.append(np.where(X >= 0, pairs + j * n, -1))
+        t = n * ~kept
+        t += np.arange(n)
+        return t, np.hstack(s)
+
+    def rows(self, strategy, t, s, size):
+        n = strategy.n
+        size0 = size - (t >= n).sum(axis=1, dtype=np.int32)  # |t~|, and |tbar_0| = n - |t~|
+        slot0 = (s >= 0) & (s < n)
+        c0, c1 = (np.maximum(x.sum(axis=1), 1) for x in (slot0, s >= n))
+        dtype = _exact_dtype(n * int(c0.max(initial=1)) * int(c1.max(initial=1)))  # D, and E <= D
+        c0, c1 = c0.astype(dtype, copy=False), c1.astype(dtype, copy=False)
+        return s, np.where(slot0, ((n - size0) * c1)[:, None], (size0 * c0)[:, None]), n * c0 * c1
+
+    def stack(self, strategy, columns):  # (s0, s1) joined
+        return _index_rows([t for t, *_ in columns]), _index_rows([s0 + s1 for _, (s0, s1), *_ in columns])
+
+    def column(self, strategy, t, s):  # (s0, s1), or flat: positions <= n are slot 0's, the rest slot 1's
+        n = strategy.n
+        if isinstance(s, tuple) and len(s) == 2 and all(isinstance(x, (tuple, list)) for x in s):
+            s0, s1 = _positions(s[0], n), _positions(s[1], n)
+            if s0 and s0[-1] > n or s1 and s1[0] <= n:
+                raise ValueError(f"sample {[s0, s1]} outside the slots of t")
+            s = s0 + s1
+        s = _inside(_positions(s, n), t, f"the subset {t}")
+        return tuple(x for x in s if x <= n), tuple(x for x in s if x > n)
+
+    def failure_rows(self, strategy, bound, instead):
+        return _pair_type_rows(strategy, bound, instead)
+
+    def trial_reads(self, strategy):  # a whole word per pair, then two choices of at most k / 2
+        n, k = strategy.n, strategy.k
+        return min(k // 2, n - n // 2), 2 * n + 2 * k - 2
+
+
+_KINDS = {
+    "example1": _Example1(),
+    "example2": _Example2(),
+    "example3": _Example3(),
+    "example4": _Example4(),
+    "example5": _Example5(),
+    "example6": _Example6(),
+}
+STRATEGY_KINDS = tuple(_KINDS)
+
+# A strategy's parameters in the order they are checked: (name, what a refusal
+# calls it when missing, when not taken and when below its least value; that
+# value, None for a float that its kind's rule bounds).
+_PARAMETERS = (
+    ("n", "parameter n", None, "n", 1),
+    ("d", "parameter d", None, "alphabet size d", 2),
+    ("p", "the selection bias p", "selection bias p", None, None),
+    ("k", "parameter k", "sample size k", "k", 1),
+)
+
+
 @dataclass(frozen=True)
 class SamplingStrategy:
     """A sampling strategy: subset law, seed law, and estimator.
@@ -406,8 +675,7 @@ class SamplingStrategy:
     _draw_p: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)  # custom draws
 
     def __post_init__(self):
-        kind, n, k, p = self.kind, self.n, self.k, self.p
-        set_ = partial(object.__setattr__, self)  # the instance is frozen
+        kind, set_ = self.kind, partial(object.__setattr__, self)  # the instance is frozen
         if kind == "custom":
             if self.estimator is None or self.table is None:
                 raise ValueError("a custom strategy needs a (t, s, probability) table and an estimator")
@@ -419,56 +687,40 @@ class SamplingStrategy:
                 raise ValueError(f"support probabilities must sum to 1, got {total}")
             weights = np.array([float(prob) for *_, prob in self.table])
             set_("_draw_p", weights / weights.sum())
-        elif kind not in STRATEGY_KINDS:
+        elif kind not in _KINDS:
             raise ValueError(f"unknown strategy kind {kind!r}; expected one of {STRATEGY_KINDS}")
         elif self.estimator is not None or self.table is not None or self.pattern_invariant not in (None, True):
             raise ValueError(f"{kind} takes no estimator, table or pattern_invariant=False")
         set_("pattern_invariant", kind != "custom" or bool(self.pattern_invariant))
-        if n is None:
-            raise ValueError(f"{kind} requires parameter n")
-        set_("n", n := int(n))
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        set_("d", int(self.d))
-        if self.d < 2:
-            raise ValueError(f"alphabet size d must be >= 2, got {self.d}")
-        if p is not None and kind != "example6":
-            raise ValueError(f"{kind} takes no selection bias p")
-        if kind in ("example3", "custom"):
-            if k is not None:
-                raise ValueError(f"{kind} takes no sample size k")
-            for t, *_ in self.table or ():
+        takes = ("n", "d", *(() if kind == "custom" else _KINDS[kind].takes))
+        for name, missing, unwanted, label, least in _PARAMETERS:
+            value = getattr(self, name)
+            if (value is None) == (name in takes):
+                raise ValueError(f"{kind} requires {missing}" if value is None else f"{kind} takes no {unwanted}")
+            if value is None:
+                continue
+            number = float(value) if least is None else int(value)
+            if least is not None and number != value:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if least is not None and number < least:
+                raise ValueError(f"{label} must be >= {least}, got {number}")
+            set_(name, number)
+        if kind == "custom":
+            for t, *_ in self.table:
                 self.flatten_subset(t)
-            return
-        if k is None:
-            raise ValueError(f"{kind} requires parameter k")
-        set_("k", k := int(k))
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        if kind in ("example1", "example4", "example5") and k > n:
-            raise ValueError(f"{kind} requires k <= n, got k={k}, n={n}")
-        if kind != "example6":
-            return
-        if p is None:
-            raise ValueError("example6 requires the selection bias p")
-        set_("p", p := float(p))
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"example6 requires 0 < p < 1, got p={p}")
-        if k % 2 != 0:
-            raise ValueError(f"example6 requires an even k, got k={k}")
-        if k // 2 > n:
-            raise ValueError(f"example6 requires k/2 <= n, got k={k}, n={n}")
+        else:
+            _KINDS[kind].check(self)
 
     @property
     def pair_indexed(self) -> bool:
         """Whether strings are indexed by [n] x {0, 1}."""
-        return self.kind in ("example5", "example6")
+        return self.kind != "custom" and _KINDS[self.kind].pair_indexed
 
     @property
     def permutation_invariant(self) -> bool:
         """Whether the per-string failure probability depends on the string
         only through its Hamming weight (enables weight-class enumeration)."""
-        return self.kind in ("example1", "example3", "example4")
+        return self.kind != "custom" and _KINDS[self.kind].permutation_invariant
 
     @property
     def length(self) -> int:
@@ -484,39 +736,7 @@ class SamplingStrategy:
         i's in column i; an s row the seed's 0-based positions (pairs on
         example5; None without a seed), ordered as :meth:`sample_ts` reads
         them."""
-        n, k, kind = self.n, self.k, self.kind
-        if kind == "example1":
-            return source.choice(n, k), None
-        if kind == "example2":  # s: the ordered draws; t: the distinct ones
-            s = source.integers(n, k)
-            X = np.sort(s, axis=1)
-            X[:, 1:][X[:, 1:] == X[:, :-1]] = -1
-            return X, s
-        if kind == "example3":  # t: the positions whose coin is 1, as (i + 1) coin_i - 1
-            t = source.integers(2, n)
-            t *= np.arange(1, n + 1)  # in place, as below: a fresh n-wide array costs more
-            t -= 1
-            return t, None
-        if kind == "example4":  # s: the elements of sorted t whose coin is 1
-            t = np.sort(source.choice(n, k), axis=1)
-            return t, (t + 1) * source.integers(2, k) - 1
-        if kind == "example5":  # pair i gives slot 1 when its coin is 1; s: k pairs
-            t = source.integers(2, n)
-            t *= n
-            t += np.arange(n)
-            return t, source.choice(n, k)
-        # example6: slot 0 of the kept pairs, slot 1 of the rest; s_j: half of t_j
-        kept = source.random_below(n, self.p)
-        size0 = kept.sum(axis=1)
-        order = np.argsort(~kept, axis=1, kind="stable")  # t0's pairs, then t1's, each ascending
-        s = []
-        for j, (pool, offset) in enumerate(((size0, 0), (n - size0, size0))):
-            X = source.choice(pool, np.minimum(k // 2, pool))
-            pairs = np.take_along_axis(order, np.where(X >= 0, X + np.reshape(offset, (-1, 1)), 0), axis=1)
-            s.append(np.where(X >= 0, pairs + j * n, -1))
-        t = n * ~kept
-        t += np.arange(n)
-        return t, np.hstack(s)
+        return _KINDS[self.kind].draws(self, source)
 
     def _law(self, pick):
         """Yield (t, s, weight) per outcome: the laws of :meth:`_draws` as
@@ -530,33 +750,7 @@ class SamplingStrategy:
         reads the product of the weights as the exact probability of an
         outcome, _Count as a number of outcomes.  Sampling with replacement
         (example2) has no enumerable support."""
-        n, k, every = self.n, self.k, range(1, self.n + 1)
-        if self.kind == "example1":
-            for t, w in pick.subset(every, k):
-                yield t, None, w
-        elif self.kind == "example3":
-            for t, w in pick.coins(every):
-                yield t, None, w
-        elif self.kind == "example4":  # s keeps each element of t on a fair coin
-            for t, wt in pick.subset(every, k):
-                for s, ws in pick.coins(t):
-                    yield t, s, wt * ws
-        elif self.kind == "example5":  # pair i contributes i + n when its coin is kept
-            for up, wt in pick.coins(every):
-                up = set(up)
-                t = tuple(sorted(i + n if i in up else i for i in every))
-                for s, ws in pick.subset(every, k):
-                    yield t, s, wt * ws
-        elif self.kind == "example6":  # t~ = t0: slot 0 of the kept pairs, slot 1 of the rest
-            for t0, wt in pick.coins(every, self.p):
-                kept = set(t0)
-                t1 = tuple(i + n for i in every if i not in kept)
-                for s0, w0 in pick.subset(t0, min(k // 2, len(t0))):
-                    w0 *= wt
-                    for s1, w1 in pick.subset(t1, min(k // 2, len(t1))):
-                        yield t0 + t1, (s0, s1), w0 * w1
-        else:
-            raise NotImplementedError(_NO_LAW)
+        return _KINDS[self.kind].law(self, pick)
 
     def support_size(self) -> int:
         """Number of (t, s) pairs with positive probability."""
@@ -577,11 +771,7 @@ class SamplingStrategy:
         if self.kind == "custom":
             return self.table[rng.choice(len(self.table), p=self._draw_p)][:2]
         rows = self._draws(draws._Calls([rng]))
-        t, s = (None if x is None else [i + 1 for i in x[0].tolist() if i >= 0] for x in rows)
-        if self.kind == "example6":  # (s0, s1), one per slot
-            s = sorted(s)
-            return tuple(sorted(t)), (tuple(x for x in s if x <= self.n), tuple(x for x in s if x > self.n))
-        return tuple(sorted(t)), s if s is None else tuple(s if self.kind == "example2" else sorted(s))
+        return self._column(*(None if x is None else [i + 1 for i in x[0].tolist() if i >= 0] for x in rows))
 
     # -- estimation ---------------------------------------------------------
 
@@ -590,72 +780,24 @@ class SamplingStrategy:
         (P, W, D, A) with f(t, q|t, s) = sum_j W[r, j] z[P[r, j]] / D[r] on
         row r and z = (q != 0), and the true value's A = max(|tbar|, 1).  P is
         t itself when f is t's weight; W is 1 when every weight is."""
-        n, size = self.n, _sizes(t)
-        A = np.maximum(self.length - size, 1)
-        if self.kind == "example6":  # ((n - |t~|) w0 + |t~| w1) / n, w_j the weight of q on s_j
-            size0 = size - (t >= n).sum(axis=1, dtype=np.int32)  # |t~|, and |tbar_0| = n - |t~|
-            slot0 = (s >= 0) & (s < n)
-            c0, c1 = (np.maximum(x.sum(axis=1), 1) for x in (slot0, s >= n))
-            dtype = _exact_dtype(n * int(c0.max(initial=1)) * int(c1.max(initial=1)))  # D, and E <= D
-            c0, c1 = c0.astype(dtype, copy=False), c1.astype(dtype, copy=False)
-            return s, np.where(slot0, ((n - size0) * c1)[:, None], (size0 * c0)[:, None]), n * c0 * c1, A
-        if self.kind == "example5":  # pair i is read at its element in t, column i
-            P = t[np.arange(len(t))[:, None], s]
-            P[s < 0] = -1
-        else:  # t (example1, example3), or the seed's positions, a repeated draw twice
-            P = t if s is None else s
-        return P, 1, np.maximum(size if P is t else _sizes(P), 1), A
-
-    def _seed(self, s, t: tuple[int, ...]) -> tuple[int, ...]:
-        """The elements of a built-in seed under the flat subset t, checked:
-        1-based positions inside t, or pairs of the string on example5."""
-        kind, n = self.kind, self.n
-        halves = kind == "example6" and isinstance(s, tuple) and len(s) == 2
-        if kind == "example2" and not s:
-            raise ValueError("example2 needs the ordered draw sequence as seed")
-        if kind in ("example2", "example5"):  # ordered draws, or pairs; a repeat counts twice
-            s = tuple(map(int, s))
-        elif halves and all(isinstance(x, (tuple, list)) for x in s):
-            s0, s1 = _positions(s[0], n), _positions(s[1], n)
-            if s0 and s0[-1] > n or s1 and s1[0] <= n:
-                raise ValueError(f"sample {[s0, s1]} outside the slots of t")
-            s = s0 + s1
-        else:  # a flat seed of example6: positions <= n are slot 0, the rest slot 1
-            s = _positions(s, n if kind == "example6" else None)
-        if not set(s) <= set(range(1, n + 1) if kind == "example5" else t):  # the estimate reads only t
-            where = f"string of {n} pairs" if kind == "example5" else f"the subset {t}"
-            raise ValueError(f"sample {list(s)} outside {where}")
-        return s
+        size = _sizes(t)
+        return (*_KINDS[self.kind].rows(self, t, s, size), np.maximum(self.length - size, 1))
 
     def _column(self, t, s) -> tuple:
-        """A (t, s) given by a caller, checked and put in the form
-        ``ts_support`` gives: t flat and inside the string, a seed inside t
-        (see :meth:`_seed`), split into its slots (s0, s1) on example6; an
-        example5 subset must pick one element per pair."""
+        """A (t, s) given by a caller or drawn by :meth:`sample_ts`, checked
+        and put in the form ``ts_support`` gives: t flat and inside the
+        string, a seed inside t (pairs of the string on example5, whose
+        subset must pick one element per pair), split into its slots (s0,
+        s1) on example6."""
         flat = self.flatten_subset(t)
-        if self.kind in ("example1", "example3", "custom"):
-            return flat, s
-        s = self._seed(s, flat)
-        if self.kind == "example5" and sorted((x - 1) % self.n for x in flat) != list(range(self.n)):
-            raise ValueError("example5 subset must pick exactly one element per pair")
-        if self.kind == "example6":
-            s = tuple(x for x in s if x <= self.n), tuple(x for x in s if x > self.n)
-        return flat, s
+        return flat, s if self.kind == "custom" else _KINDS[self.kind].column(self, flat, s)
 
     def _stack(self, columns) -> tuple[np.ndarray, ...]:
         """The t rows and the rows (P, W, D, A) of :meth:`_rows` for
         (t, s, ...) columns in the form ``ts_support`` gives them, unchecked:
         the package's own support, its _Count representatives, ``sample_ts``
         draws, or a caller's columns put in that form by :meth:`_column`."""
-        t = _index_rows([x for x, *_ in columns])
-        if self.kind in ("example1", "example3"):
-            s = None
-        elif self.kind == "example6":
-            s = _index_rows([s0 + s1 for _, (s0, s1), *_ in columns])
-        else:
-            s = _index_rows([x for _, x, *_ in columns])
-        if self.kind == "example5":  # to pair order: pair i's element in column i
-            t[np.arange(len(t))[:, None], t % self.n] = t.copy()
+        t, s = _KINDS[self.kind].stack(self, columns)
         return (t, *self._rows(t, s))
 
     def estimate_frac(self, q, t, s) -> Fraction:
@@ -1027,28 +1169,19 @@ def eps_class_exact(strategy: SamplingStrategy, delta: float) -> ErrorEstimate:
     The candidates are the Hamming-weight classes when the strategy declares
     permutation invariance, the zero patterns when the estimator is
     pattern-invariant, and all d^n strings otherwise; the witness is the
-    first maximizing candidate in that order.  One of four paths yields
-    exact failure rows, a row per class of strings (:func:`_failure_rows`),
-    and :func:`_worst_case` takes their first maximum:
-
-    * counted (:func:`_class_table`): the permutation-invariant kinds draw
-      (t, s) uniformly, so per size class of (t, s) one representative
-      counts the weight-w strings it accepts (:func:`_accepted_counts`);
-    * pair classes (:func:`_pair_rows`): example5 depends on a string only
-      through its numbers of 11 and of mixed pairs, and each class's
-      failure probability is a binomial sum of hypergeometric tail counts;
-    * pair types (:func:`_pair_type_rows`): example6 depends on a string
-      only through its numbers of 00, 01, 10 and 11 pairs, and each
-      class's failure probability is a sum over the kept counts of each
-      type of binomial weights times hypergeometric failure counts;
-    * enumerated (:func:`_enumerated_rows`): custom strategies decide
-      every (candidate, (t, s)) cell of the integer table; a row is a
-      block of candidates' first maximum.
-
-    The three counted paths share :func:`_window`, :func:`_binomial_row`
-    and :func:`_tail_table`.  Every path's value is the float of an exact
-    Fraction.  Refuses strategies without an enumerable (t, s) law and
-    work beyond the evaluation budget, charged before any loop.
+    first maximizing candidate in that order.  The kind's exact path yields
+    failure rows, a row per class of strings (:func:`_failure_rows`), and
+    :func:`_worst_case` takes their first maximum.  The permutation-invariant
+    kinds draw (t, s) uniformly and are counted per size class of (t, s)
+    (:func:`_class_table`), example5 per class of its numbers of 11 and of
+    mixed pairs (:func:`_pair_rows`), example6 per class of its numbers of
+    00, 01, 10 and 11 pairs (:func:`_pair_type_rows`), each from binomials
+    and hypergeometric tail counts (:func:`_window`, :func:`_binomial_row`,
+    :func:`_tail_table`); a custom strategy decides every (candidate, (t, s))
+    cell of the integer table (:func:`_enumerated_rows`).  Every path's
+    value is the float of an exact Fraction.  Refuses strategies without an
+    enumerable (t, s) law and work beyond the evaluation budget, charged
+    before any loop.
     """
     value, witness = _worst_case(strategy, _failure_rows(strategy, _exact_delta(delta)))
     return ErrorEstimate(
@@ -1060,19 +1193,16 @@ def eps_class_exact(strategy: SamplingStrategy, delta: float) -> ErrorEstimate:
 
 def _failure_rows(strategy: SamplingStrategy, bound: Fraction, instead="eps_class_mc"):
     """The exact failure rows (key, failed, total) of eps_class_exact's
-    path: Pr[fail] = failed / total on a class of strings whose least is
+    path, its kind's entry's (a custom strategy's are enumerated):
+    Pr[fail] = failed / total on a class of strings whose least is
     candidate ``key`` of :func:`_candidates`; a counted row is weight w's
     rejections among its S C(L, w) (string, (t, s)) pairs, S the support
-    size.  ``instead`` names a refusal's sampled alternative, if any."""
-    if strategy.kind == "example5":
-        return _pair_rows(strategy, bound, instead)
-    if strategy.kind == "example6":
-        return _pair_type_rows(strategy, bound, instead)
-    if not strategy.permutation_invariant:
+    size.  The rows are lazy, so the gate and the work start with the
+    first; a kind with no exact path (example2) refuses at the call.
+    ``instead`` names a refusal's sampled alternative, if any."""
+    if strategy.kind == "custom":
         return _enumerated_rows(strategy, bound, instead)
-    table = _class_table(strategy, bound, instead)
-    totals = sum(mult for mult, _ in table) * _binomial_row(strategy.length)
-    return zip(itertools.count(), totals - sum(mult * acc for mult, acc in table), totals)
+    return _KINDS[strategy.kind].failure_rows(strategy, bound, instead)
 
 
 def _worst_case(strategy: SamplingStrategy, rows) -> tuple[Fraction, tuple[int, ...]]:
@@ -1290,8 +1420,15 @@ def _tail_table(m: int, c: int) -> np.ndarray:
     P = np.zeros((m + 1, c + 2), dtype=object)
     for u in range(m + 1):  # P[u, 1 + x] = C(u, x)
         P[u, 1 : min(u, c) + 2] = _binomial_row(u)[: c + 1]
-    # in place: a separate table of binomials raised example5's peak at n = 736 by 10 MB
-    P[:, 1:] *= P[::-1, :0:-1]  # times C(m - u, c - x)
+    # times C(m - u, c - x), in place: a separate table of binomials raised
+    # example5's peak at n = 736 by 10 MB.  The products are their own mirror,
+    # (u, x) equal to (m - u, c - x), so rows u <= m / 2 are multiplied and the
+    # rest copied from them: half the products, and no copy of the whole table
+    # with its old ints, which an overlapping in-place view makes (that step
+    # peaked at 34 MB traced at m = 736; now the accumulate's 27 MB is the peak)
+    half = m // 2 + 1
+    P[:half, 1:] *= P[::-1, :0:-1][:half]
+    P[::-1][: m + 1 - half, 1:] = P[: m + 1 - half, :0:-1]
     np.add.accumulate(P[:, 1:], axis=1, out=P[:, 1:])  # np.cumsum: twice the cost on small tables
     for u in range(min(c, m + 1)):  # past x = u + 1 the row's total: one object, not a fresh int each
         P[u, u + 2 :] = P[u, u + 1]
@@ -1320,24 +1457,11 @@ def _accepted_counts(cells, threshold: int, L: int, rows: dict) -> np.ndarray:
 def _trial_words(strategy: SamplingStrategy) -> int | None:
     """The words one trial of a built-in kind reads when no draw is
     rejected, and two to spare: twice this bounds the entries per trial of
-    every array :func:`_draw_block` makes.  None when every trial makes a
-    choice of more than ``_FLOYD_PICKS``, which is left to Generator calls:
-    the choice of kinds 1, 4 and 5, or example6's from the larger half of
-    the pairs."""
-    n, k = strategy.n, strategy.k or 0
-    picks = min(k // 2, n - n // 2) if strategy.kind == "example6" else k
-    if strategy.kind in ("example1", "example4", "example5", "example6") and picks > draws._FLOYD_PICKS:
-        return None
-    floyd = 2 * k - 1 - (k == n)  # choice(n, k): Floyd's steps, then the shuffle's, a uint32 each
-    whole, reads = {  # whole words, then uint32 reads, half a word each
-        "example1": (0, floyd),
-        "example2": (0, k),
-        "example3": (0, n),
-        "example4": (0, floyd + k),
-        "example5": (0, n + floyd),
-        "example6": (n, 2 * k - 2),  # two choices of at most k / 2 each
-    }[strategy.kind]
-    return whole + reads // 2 + 2
+    every array :func:`_draw_block` makes, from its kind's ``trial_reads``.
+    None when a trial's largest choice passes ``_FLOYD_PICKS``: it is then
+    left to Generator calls."""
+    picks, reads = _KINDS[strategy.kind].trial_reads(strategy)
+    return None if picks > draws._FLOYD_PICKS else reads // 2 + 2
 
 
 def _draw_block(strategy: SamplingStrategy, z: np.ndarray, source) -> tuple[np.ndarray, ...]:

@@ -25,7 +25,7 @@ from .protocols import (
 )
 from .qsampling import check_sqrt_bound, symmetric_group, symmetric_worst_state
 from .quantum import BasisSpec, CqState, DensityMatrix, PureState, random_pure_state
-from .sampling import make_strategy
+from .sampling import _KINDS, make_strategy
 
 __all__ = ["lemma2_batch", "pa_batch", "run_verify"]
 
@@ -117,9 +117,11 @@ def _check_sqrt_bound(quick: bool, rng: np.random.Generator) -> dict:
     cases = 0
     worst = -math.inf  # most positive value of ideal - sqrt(eps)
     ok = True
-    for kind in ("example1", "example3", "example4"):
+    for kind, entry in _KINDS.items():
+        if not entry.permutation_invariant:  # the counted kinds, on n positions
+            continue
         for n in ns:
-            ks = (None,) if kind == "example3" else ((1,) if quick else (1, 2))
+            ks = ((1,) if quick else (1, 2)) if "k" in entry.takes else (None,)
             for k in ks:
                 params = {"n": n} if k is None else {"n": n, "k": k}
                 strat = make_strategy(kind, params)

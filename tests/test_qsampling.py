@@ -110,6 +110,26 @@ def test_matched_superposition_lies_inside():
     assert sw.inside_weight == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize(
+    "kind, params, given, reported",
+    [
+        # a flat seed and its (s0, s1) halves are one (t, s); each was once
+        # reported in the form it was given
+        ("example6", dict(n=2, k=2, p=0.3), [4, 1], ((1,), (4,))),
+        ("example6", dict(n=2, k=2, p=0.3), ((1,), (4,)), ((1,), (4,))),
+        ("example2", dict(n=2, k=3), [2, 1, 2], (2, 1, 2)),  # in draw order; it has no support
+        ("example4", dict(n=2, k=2), [2, 1], (1, 2)),
+    ],
+)
+def test_projection_reports_the_seed_as_the_support_does(kind, params, given, reported):
+    strat = make_strategy(kind, params)
+    state = random_pure_state((2,) * strat.length + (1,), np.random.default_rng(1))
+    t = (1, 4) if kind == "example6" else (1, 2)
+    sw = project_onto_accept(state, strat, t, given, 0.4)
+    assert (sw.t, sw.s) == (t, reported)
+    assert kind == "example2" or (sw.t, sw.s) in [(x, y) for x, y, _ in strat.ts_support()]
+
+
 def test_antimatched_superposition_lies_outside():
     strat = make_strategy("example1", n=2, k=1)
     phi = _state([0, 1 / math.sqrt(2), 1 / math.sqrt(2), 0])

@@ -309,6 +309,11 @@ def test_make_strategy_rejects_bad_parameters():
         make_strategy("example6", n=3, k=3, p=0.5)
     with pytest.raises(ValueError, match="requires the selection bias"):
         make_strategy("example6", n=3, k=2)
+    # int() once truncated these: n = 5.9 ran as n = 5
+    with pytest.raises(ValueError, match=r"^n must be an integer, got 5\.9$"):
+        make_strategy("example1", n=5.9, k=2)
+    with pytest.raises(ValueError, match=r"^d must be an integer, got 2\.7$"):
+        make_strategy("example1", n=5, k=2, d=2.7)
 
 
 @pytest.mark.parametrize("kind", ["example1", "example2", "example3", "example4", "example5"])
@@ -343,6 +348,11 @@ def _zero(t, qt, s):
         ("custom", dict(n=3, table=[((1,), None, 0.5)])),
         ("custom", dict(n=3, table=[((1,), None, -1), ((2,), None, 2)])),
         ("custom", dict(n=2, table=[((5,), None, 1)])),
+        # int() once truncated a non-integral n, k or d
+        ("example1", dict(n=5.9, k=2)),
+        ("example1", dict(n=5, k=2.5)),
+        ("example1", dict(n=5, k=2, d=2.7)),
+        ("example6", dict(n=np.float64(3.5), k=2, p=0.5)),
     ],
 )
 def test_direct_construction_refuses_what_the_constructors_refuse(kind, params):

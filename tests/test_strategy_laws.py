@@ -8,15 +8,18 @@ calls per kind for a draw.  The support must match as a list (order and exact
 Fractions), the size exactly, and the draws for the same seeds exactly.
 """
 
+import ast
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qsample import sampling
 from qsample.sampling import STRATEGY_KINDS, make_strategy
 
 
@@ -190,3 +193,53 @@ def test_kind_flags_follow_the_kind():
     assert {k for k, s in flags.items() if s.permutation_invariant} == {"example1", "example3", "example4"}
     with pytest.raises(AttributeError):
         flags["example1"].permutation_invariant = False
+    # one orbit: the laws eps-quant answers without a state, example6 only
+    # at n = 1 and p = 1/2, where its coin and its slot swap agree
+    cases = [("example3", {})] + [(kind, {"k": 1}) for kind in ("example1", "example2", "example4", "example5")]
+    cases += [("example6", {"k": 2, "p": p}) for p in (0.5, 0.3)]
+    assert {kind for kind, _ in cases} == set(STRATEGY_KINDS)
+    for kind, params in cases:
+        for n in (1, 2, 3):
+            strategy = make_strategy(kind, params, n=n)
+            expected = kind in ("example1", "example5") or (kind, n, params.get("p")) == ("example6", 1, 0.5)
+            assert sampling._KINDS[kind].one_orbit(strategy) == expected, (kind, n, params)
+
+
+# ---------------------------------------------------------------------------
+# one declaration per kind
+# ---------------------------------------------------------------------------
+
+
+def _names_a_kind(node) -> bool:
+    """A literal built-in kind name, alone or in a tuple, list or set."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(_names_a_kind(x) for x in node.elts)
+    return isinstance(node, ast.Constant) and node.value in STRATEGY_KINDS
+
+
+def _kind_tests(node):
+    """The lines of each comparison, dict key and subscript under ``node``
+    that use a literal kind name, outside ``_KINDS`` itself and
+    ``analytic_bound``, whose bound kinds share four of the names."""
+    if isinstance(node, ast.Assign) and [ast.unparse(x) for x in node.targets] == ["_KINDS"]:
+        return
+    if isinstance(node, ast.FunctionDef) and node.name == "analytic_bound":
+        return
+    if (
+        isinstance(node, ast.Compare) and any(map(_names_a_kind, [node.left, *node.comparators]))
+        or isinstance(node, ast.Dict) and any(key is not None and _names_a_kind(key) for key in node.keys)
+        or isinstance(node, ast.Subscript) and _names_a_kind(node.slice)
+    ):
+        yield node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _kind_tests(child)
+
+
+def test_no_kind_is_tested_outside_its_entry():
+    # a built-in kind is its _KINDS entry; a test of a kind's name anywhere
+    # else in the package (kind == "example6", kind in ("example1", ...), a
+    # dict keyed by kind) is a second place that must change with the kind
+    source = Path(sampling.__file__).parent
+    found = [f"{path.name}:{line}" for path in sorted(source.glob("*.py")) for line in _kind_tests(ast.parse(path.read_text()))]
+    assert found == []
+    assert list(sampling._KINDS) == list(STRATEGY_KINDS)
